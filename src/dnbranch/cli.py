@@ -67,6 +67,21 @@ def _e_value(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
 
+def _size_at_least(least: int):
+    """Argument type for ``--n``: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def _header(params: CrystalParams, n: int) -> str:
     e_text = "inf" if params.e == INF else str(int(params.e))
     l_text = "inf" if params.l == INF else str(int(params.l))
@@ -238,6 +253,10 @@ def cmd_verify(args) -> int:
 # parser
 
 
+# argparse reads a separate value starting with "-" as an option
+_DASH_HELP = "a value starting with '-' must be attached: --bipartition=-|2,1"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dnbranch",
@@ -248,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
+    def common(p, formats=("text", "json"), least_n=0):
         p.add_argument("--e", type=_e_value, required=True, help="quantum characteristic, an integer >= 2 or 'inf'")
-        p.add_argument("--n", type=int, required=True, help="total size")
+        p.add_argument("--n", type=_size_at_least(least_n), required=True, help=f"total size, at least {least_n}")
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--no-cache", action="store_true", help="skip the lattice cache")
@@ -264,18 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_labels)
 
     p = sub.add_parser("branch", help="print socle decompositions of restrictions")
-    common(p, formats=("text", "json", "dot"))
-    p.add_argument("--bipartition", help="restrict a single label instead of the whole level")
+    common(p, formats=("text", "json", "dot"), least_n=2)
+    p.add_argument("--bipartition", help="restrict a single label instead of the whole level; " + _DASH_HELP)
     p.add_argument("--sign", choices=["+", "-"], help="sign for an involution-fixed bipartition")
     p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser("involution", help="involution image, fixedness and symmetry data")
     common(p, formats=())
-    p.add_argument("--bipartition", required=True)
+    p.add_argument("--bipartition", required=True, help=_DASH_HELP)
     p.set_defaults(func=cmd_involution)
 
     p = sub.add_parser("dims", help="number of standard fillings of a bipartition")
-    p.add_argument("--bipartition", required=True)
+    p.add_argument("--bipartition", required=True, help=_DASH_HELP)
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("verify", help="run a brute-force verification suite")

@@ -37,7 +37,7 @@ from .core import (
     removable_nodes,
     residue,
 )
-from .errors import NotKleshchevError, ResourceLimitError
+from .errors import InvariantError, NotKleshchevError, ResourceLimitError, ShiftReplayError
 
 ADDABLE = "A"
 REMOVABLE = "R"
@@ -72,9 +72,8 @@ def _reduce(entries: tuple[tuple[Node, str], ...]) -> tuple[tuple[Node, str], ..
         else:
             stack.append(entry)
     for k in range(len(stack) - 1):
-        assert not (stack[k][1] == REMOVABLE and stack[k + 1][1] == ADDABLE), (
-            "reduced signature is not of the shape A...A R...R"
-        )
+        if stack[k][1] == REMOVABLE and stack[k + 1][1] == ADDABLE:
+            raise InvariantError("reduced signature is not of the shape A...A R...R")
     return tuple(stack)
 
 
@@ -190,6 +189,12 @@ class Lattice:
     ``(parent, step, child)`` from level ``m - 1`` to level ``m`` sorted by
     ``(parent, step)``.  Construction order is deterministic, so two builds
     at equal parameters compare equal.
+
+    In regime B, ``h`` maps every vertex to its image under the label
+    involution, read off the edges once at construction: ``h(empty) =
+    empty``, and for each edge ``(p, i, c)``, ``h(c)`` is the child of
+    ``h(p)`` along step ``(i + l) mod e``.  In regime A, where the
+    involution is the component swap, ``h`` is ``None``.
     """
 
     def __init__(self, params: CrystalParams, levels, edges):
@@ -207,7 +212,41 @@ class Lattice:
                 children[parent].append((step, child))
         self._parents = {bp: tuple(v) for bp, v in parents.items()}
         self._children = {bp: tuple(v) for bp, v in children.items()}
-        self._involution_cache: dict = {}
+        self.h = self._shift_table() if params.regime == REGIME_B else None
+
+    def _shift_table(self) -> dict:
+        """The involution as a table, by the edge recurrence.
+
+        Walks the edges in level order, so ``h(p)`` is known before any edge
+        leaving ``p``.  Raises ``ShiftReplayError`` when a shifted step is
+        missing, two edges into one vertex disagree, or a vertex has no image.
+        """
+        shift, e = self.params.l, self.params.e
+        h = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
+        for level_edges in self.edges:
+            for parent, step, child in level_edges:
+                image_parent = h.get(parent)
+                if image_parent is None:
+                    raise ShiftReplayError(
+                        f"{format_bipartition(parent)} has no h image"
+                    )
+                target = (step + shift) % e
+                for child_step, image in self._children[image_parent]:
+                    if child_step == target:
+                        break
+                else:
+                    raise ShiftReplayError(
+                        f"{format_bipartition(image_parent)} has no step {target}, "
+                        f"the shift of edge {format_bipartition(parent)} --{step}--> "
+                        f"{format_bipartition(child)}"
+                    )
+                if h.setdefault(child, image) != image:
+                    raise ShiftReplayError(
+                        f"edges into {format_bipartition(child)} give two h images"
+                    )
+        if h.keys() != self._level_of.keys():
+            raise ShiftReplayError("some lattice vertices have no h image")
+        return h
 
     @property
     def n(self) -> int:

@@ -3,9 +3,11 @@
 Simple modules of the rank-``n`` type-D algebra are labeled either by the
 two-element orbit of a Kleshchev bipartition under the involution ``h``
 (kind ``unsplit``), or by a fixed point of ``h`` together with a sign
-(kind ``split``).  ``h`` is the component swap in regime A and, in regime
-B, the endpoint of any residue path shifted by ``l``; a single
-combinatorial ``h`` serves every base field of characteristic != 2.
+(kind ``split``).  ``h`` is the component swap in regime A.  In regime B it
+maps the endpoint of any residue path to the endpoint of the same path
+shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
+child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``).  A
+single combinatorial ``h`` serves every base field of characteristic != 2.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -35,15 +37,8 @@ from .core import (
     remove_node,
     residue,
 )
-from .crystal import (
-    Lattice,
-    canonical_path,
-    good_nodes,
-    replay_path,
-    require_member,
-    shift_path,
-)
-from .errors import MultipleSpecialNodesError, ShiftReplayError
+from .crystal import Lattice, good_nodes, require_member
+from .errors import FixedPointError, InvariantError, MultipleSpecialNodesError
 
 UNSPLIT = "unsplit"
 SPLIT = "split"
@@ -90,28 +85,16 @@ class SocleDecomposition:
 def involution(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> Bipartition:
     """The label involution ``h``.
 
-    Regime A swaps the components.  Regime B replays the canonical path of
-    ``bp`` with every residue shifted by ``l``; by path-shift symmetry the
-    replay never breaks, and breaking is reported as ``ShiftReplayError``
-    because it can only mean the signature conventions are wrong.
+    Regime A swaps the components.  Regime B reads the lattice's table,
+    built from its edges: ``h(c)`` is the child of ``h(p)`` along step
+    ``(i + l) mod e`` for every edge ``(p, i, c)``.
     """
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
-    cached = lattice._involution_cache.get(bp)
-    if cached is not None:
-        return cached
     require_member(bp, lattice)
     if params.regime == REGIME_A:
-        out = hat(bp)
-    else:
-        shifted = shift_path(canonical_path(bp, params, lattice), params)
-        out = replay_path(shifted, params)
-        if out is None:
-            raise ShiftReplayError(
-                f"shifted path of {format_bipartition(bp)} does not replay"
-            )
-    lattice._involution_cache[bp] = out
-    return out
+        return hat(bp)
+    return lattice.h[bp]
 
 
 def equivalence_classes(
@@ -140,7 +123,8 @@ def equivalence_classes(
 def unsplit_class(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> IrreducibleLabel:
     """Unsplit label of the orbit of ``bp``, which must not be ``h``-fixed."""
     partner = involution(bp, params, lattice)
-    assert partner != bp, f"{format_bipartition(bp)} is a fixed point, not unsplit"
+    if partner == bp:
+        raise FixedPointError(f"{format_bipartition(bp)} is a fixed point, not unsplit")
     return IrreducibleLabel(UNSPLIT, min(bp, partner))
 
 
@@ -189,9 +173,8 @@ def socle_restriction(
                 continue
             summands.append(unsplit_class(remove_node(lam, node), params, lattice))
         summands.sort(key=label_sort_key)
-        assert len(set(summands)) == len(summands), (
-            f"socle of {format_label(label)} is not multiplicity free"
-        )
+        if len(set(summands)) != len(summands):
+            raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")
     return SocleDecomposition(label, tuple(summands))
 
 

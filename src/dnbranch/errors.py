@@ -26,7 +26,12 @@ class NotKleshchevError(DnBranchError, ValueError):
 
 
 class ShiftReplayError(DnBranchError, RuntimeError):
-    """Replaying a residue-shifted path failed; signals a convention bug."""
+    """A residue-shifted step or path does not exist in the lattice.
+
+    Path-shift symmetry guarantees every shifted step; a missing one, or two
+    edges giving one vertex different ``h`` images, means the signature
+    conventions or the lattice data are wrong.
+    """
 
 
 class MultipleSpecialNodesError(DnBranchError, RuntimeError):
@@ -36,6 +41,14 @@ class MultipleSpecialNodesError(DnBranchError, RuntimeError):
     means the engine itself is wrong, so this is an assertion-style failure
     rather than a data error.
     """
+
+
+class InvariantError(DnBranchError, RuntimeError):
+    """An internal invariant of the engine failed, so the engine itself is wrong."""
+
+
+class FixedPointError(DnBranchError, ValueError):
+    """An ``h``-fixed bipartition was given where an unsplit orbit is required."""
 
 
 class NotSemisimpleError(DnBranchError, ValueError):

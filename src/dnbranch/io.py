@@ -29,7 +29,7 @@ from .core import (
 )
 from .crystal import Lattice
 from .dmod import IrreducibleLabel, SPLIT, SocleDecomposition, UNSPLIT, format_label
-from .errors import ParseError, SchemaMismatchError
+from .errors import ParseError, SchemaMismatchError, ShiftReplayError
 from .oracle import VerificationReport
 
 SCHEMA = "dnbranch/1"
@@ -68,14 +68,17 @@ def _extended_from_json(value):
 def _step_to_json(step):
     return list(step) if isinstance(step, tuple) else step
 
-def _step_from_json(value):
-    if isinstance(value, list):
-        if len(value) != 2 or not all(isinstance(v, int) for v in value):
-            raise SchemaMismatchError(f"malformed step {value!r}")
-        return (value[0], value[1])
-    if isinstance(value, int):
+def _step_from_json(value, regime: str):
+    if regime == REGIME_A:
+        if (
+            isinstance(value, list)
+            and len(value) == 2
+            and all(isinstance(v, int) for v in value)
+        ):
+            return (value[0], value[1])
+    elif isinstance(value, int):
         return value
-    raise SchemaMismatchError(f"malformed step {value!r}")
+    raise SchemaMismatchError(f"malformed regime-{regime} step {value!r}")
 
 
 def _label_to_json(label: IrreducibleLabel):
@@ -131,13 +134,22 @@ def _lattice_data(lattice: Lattice):
 
 
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
+    # each vertex is parsed once; edge endpoints are looked up by their text,
+    # so an endpoint that is not a listed vertex is a schema mismatch
     try:
-        levels = [
-            tuple(parse_bipartition(text) for text in level) for level in data["levels"]
-        ]
+        vertices = {}
+        levels = []
+        for level in data["levels"]:
+            parsed = []
+            for text in level:
+                if not isinstance(text, str):
+                    raise SchemaMismatchError(f"vertex {text!r} is not a string")
+                bp = vertices[text] = parse_bipartition(text)
+                parsed.append(bp)
+            levels.append(tuple(parsed))
         edges = [
             tuple(
-                (parse_bipartition(p), _step_from_json(s), parse_bipartition(c))
+                (vertices[p], _step_from_json(s, params.regime), vertices[c])
                 for p, s, c in level_edges
             )
             for level_edges in data["edges"]
@@ -147,7 +159,10 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
         raise SchemaMismatchError(f"malformed lattice payload: {exc}") from exc
     if len(levels) != n + 1 or len(edges) != n + 1:
         raise SchemaMismatchError("lattice payload has inconsistent level count")
-    return Lattice(params, levels, edges)
+    try:
+        return Lattice(params, levels, edges)
+    except ShiftReplayError as exc:
+        raise SchemaMismatchError(f"lattice payload is inconsistent: {exc}") from exc
 
 
 def _labels_data(payload):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dnbranch import io as dio
@@ -228,3 +230,43 @@ def test_output_is_byte_stable(capsys):
     first = run(capsys, "branch", "--e", "4", "--n", "5", "--format", "json", "--no-cache")
     second = run(capsys, "branch", "--e", "4", "--n", "5", "--format", "json", "--no-cache")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lattice", "--e", "4", "--n", "-1"],
+        ["labels", "--e", "inf", "--n", "-3"],
+        ["involution", "--e", "4", "--n", "-2", "--bipartition=-|-"],
+        ["branch", "--e", "4", "--n", "0"],
+        ["branch", "--e", "4", "--n", "1", "--bipartition", "1|-"],
+        ["verify", "--suite", "level1-calibration", "--e", "4", "--n", "-2"],
+    ],
+)
+def test_out_of_range_n_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-cache"])
+    assert exc.value.code == 2
+    assert "error: argument --n" in capsys.readouterr().err
+
+
+def test_bipartition_starting_with_dash_is_attached(capsys):
+    code, out, _ = run(capsys, "involution", "--e", "inf", "--n", "3", "--bipartition=-|2,1", "--no-cache")
+    assert code == 0
+    assert "h: 2,1|-" in out
+
+
+def test_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
+    argv = ("branch", "--e", "4", "--n", "5", "--format", "json")
+    code, expected, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    assert run(capsys, *argv)[1] == expected
+    (path,) = tmp_path.glob("*.json")
+    doc = json.loads(path.read_text())
+    doc["data"]["edges"][3][0][2] = "9|9"  # an edge naming a missing vertex
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected

@@ -14,6 +14,7 @@ from dnbranch.core import (
 from dnbranch.crystal import (
     ADDABLE,
     REMOVABLE,
+    Lattice,
     build_lattice,
     canonical_path,
     e_tilde,
@@ -29,7 +30,7 @@ from dnbranch.crystal import (
     replay_path,
     shift_path,
 )
-from dnbranch.errors import NotKleshchevError, ResourceLimitError
+from dnbranch.errors import NotKleshchevError, ResourceLimitError, ShiftReplayError
 from dnbranch.oracle import enumerate_bipartitions, enumerate_partitions
 
 
@@ -198,6 +199,32 @@ def test_shift_symmetry_on_canonical_paths(lattice_e4_n6):
         for bp in level:
             shifted = shift_path(canonical_path(bp, params, lattice), params)
             assert replay_path(shifted, params) is not None
+
+
+@pytest.mark.parametrize("e", [2, 4, 6])
+def test_h_table_equals_canonical_path_replay(e):
+    params = classify_regime(8, e)
+    lattice = build_lattice(8, params)
+    assert len(lattice.h) == lattice.vertex_count()
+    for level in lattice.levels:
+        for bp in level:
+            shifted = shift_path(canonical_path(bp, params, lattice), params)
+            assert lattice.h[bp] == replay_path(shifted, params)
+
+
+def test_h_table_absent_in_regime_a():
+    assert build_lattice(4, classify_regime(4, INF)).h is None
+
+
+def test_doctored_step_label_fails_h_table():
+    params = classify_regime(5, 4)
+    lattice = build_lattice(5, params)
+    for m in range(1, 6):
+        for k, (parent, step, child) in enumerate(lattice.edges[m]):
+            edges = [list(level_edges) for level_edges in lattice.edges]
+            edges[m][k] = (parent, (step + 1) % 4, child)
+            with pytest.raises(ShiftReplayError):
+                Lattice(params, lattice.levels, edges)
 
 
 def test_shift_path_rejected_in_regime_a():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dnbranch.core import (
@@ -150,6 +155,28 @@ def test_unsplit_reps_are_orbit_minima(lattice_e4_n6):
                 assert label.rep != partner and label.rep < partner
             else:
                 assert involution(label.rep, params, lattice) == label.rep
+
+
+def test_unsplit_class_rejects_fixed_points_under_optimization():
+    script = (
+        "from dnbranch.core import classify_regime, parse_bipartition\n"
+        "from dnbranch.crystal import build_lattice\n"
+        "from dnbranch.dmod import unsplit_class\n"
+        "from dnbranch.errors import FixedPointError\n"
+        "assert False, 'asserts are stripped'\n"
+        "params = classify_regime(4, 4)\n"
+        "try:\n"
+        "    unsplit_class(parse_bipartition('1|2,1'), params, build_lattice(4, params))\n"
+        "except FixedPointError:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "raised\n"
 
 
 def test_almost_symmetric_examples_infinite_modulus(lattice_inf_n6):

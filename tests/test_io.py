@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dnbranch import io as dio
@@ -142,6 +144,38 @@ def test_cache_ignores_corruption_with_warning(tmp_path, b4_n5):
     with pytest.warns(UserWarning):
         assert dio.cache_load(params, 5, tmp_path) is None
     path.write_text('{"schema":"other"}')
+    with pytest.warns(UserWarning):
+        assert dio.cache_load(params, 5, tmp_path) is None
+
+
+def _missing_endpoint(data):
+    data["edges"][2][0][2] = "5|-"
+
+
+def _shifted_step_label(data):
+    data["edges"][3][0][1] = (data["edges"][3][0][1] + 1) % 4
+
+
+def _regime_a_step(data):
+    data["edges"][1][0][1] = [1, 0]
+
+
+def _non_string_vertex(data):
+    data["levels"][1][0] = 7
+
+
+@pytest.mark.parametrize(
+    "doctor", [_missing_endpoint, _shifted_step_label, _regime_a_step, _non_string_vertex]
+)
+def test_lattice_payload_faults_are_schema_mismatches(tmp_path, b4_n5, doctor):
+    params, lattice = b4_n5
+    doc = json.loads(dio.serialize_json(dio.lattice_document(lattice)))
+    doctor(doc["data"])
+    text = json.dumps(doc)
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(text)
+    path = dio.cache_store(lattice, tmp_path)
+    path.write_text(text)
     with pytest.warns(UserWarning):
         assert dio.cache_load(params, 5, tmp_path) is None
 

@@ -6,6 +6,7 @@ from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
     classify_regime,
+    hat,
     regime_a_params,
     remove_node,
     removable_nodes,
@@ -90,6 +91,18 @@ def test_path_independence_suites():
 def test_path_independence_vacuous_in_regime_a():
     report = verify_h_path_independence(4, classify_regime(4, INF))
     assert report.passed
+
+
+def test_path_independence_catches_a_wrong_involution(monkeypatch):
+    # an involution that swaps two orbits at level 3 still squares to the
+    # identity, so only the edge check can see it; regime A replays no paths
+    import dnbranch.oracle as oracle
+
+    a, b = ((3,), ()), ((2,), (1,))
+    twist = {a: hat(b), hat(b): a, b: hat(a), hat(a): b}
+    monkeypatch.setattr(oracle, "involution", lambda bp, params, lattice: twist.get(bp, hat(bp)))
+    report = verify_h_path_independence(4, classify_regime(4, INF))
+    assert report.failures and all(item.startswith("edge ") for item, _, _ in report.failures)
 
 
 def test_path_independence_inconclusive_when_capped():
