@@ -43,6 +43,7 @@ from .crystal import (
     e_tilde,
     f_tilde,
     good_addable,
+    good_cells,
     good_nodes,
     good_removable,
     i_signature,

@@ -14,16 +14,27 @@ In regime B the whole bipartition carries one signature per residue in
 crystal operators are indexed by a *step* ``(component, residue)`` instead
 of a bare residue.  Lattice edge labels and path entries use the same step
 encoding.
+
+``good_cells`` is the engine's sweep: one pass over the rows lists every
+marked cell with its step, already in reading order, buckets the cells by
+step and reduces each bucket, giving the good removable and good addable
+cell of every step at once.  ``build_lattice``, ``good_nodes`` and the
+socle engine read it.  ``i_signature`` and the operators built on it
+(``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the
+per-residue definitional scan: they list and sort all marked cells and keep
+one residue.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
     Bipartition,
     CrystalParams,
     EMPTY_BIPARTITION,
+    INF,
     Node,
     Partition,
     REGIME_A,
@@ -32,6 +43,7 @@ from .core import (
     addable_nodes,
     bipartition_size,
     format_bipartition,
+    hat,
     regime_a_params,
     remove_node,
     removable_nodes,
@@ -64,7 +76,7 @@ class Signature:
     phi: int
 
 
-def _reduce(entries: tuple[tuple[Node, str], ...]) -> tuple[tuple[Node, str], ...]:
+def _reduce(entries: Iterable[tuple[Node, str]]) -> tuple[tuple[Node, str], ...]:
     stack: list[tuple[Node, str]] = []
     for entry in entries:
         if entry[1] == ADDABLE and stack and stack[-1][1] == REMOVABLE:
@@ -147,16 +159,59 @@ def f_tilde(bp: Bipartition, step, params: CrystalParams) -> Bipartition | None:
     return None if node is None else add_node(bp, node)
 
 
-def _removal_steps(bp: Bipartition, params: CrystalParams) -> list:
-    if params.regime == REGIME_B:
-        return sorted({residue(node, params) for node in removable_nodes(bp)})
-    return sorted({(node.component, residue(node, params)) for node in removable_nodes(bp)})
+def good_cells(
+    bp: Bipartition, params: CrystalParams
+) -> dict[Step, tuple[Node | None, Node | None]]:
+    """Good removable and good addable cell of every step, in one sweep.
 
+    Each row contributes its removable cell, then its addable cell, so the
+    marked cells come out in reading order without sorting.  They are
+    bucketed by step and each bucket is reduced by the signature rule.
+    Every step with a marked cell maps to ``(good removable, good addable)``,
+    either of which may be ``None``; agrees with ``good_removable`` and
+    ``good_addable`` step by step.
+    """
+    regime_b = params.regime == REGIME_B
+    modulus = params.e if regime_b else params.l
+    finite = modulus != INF
+    buckets: dict = {}
+    for component in (1, 2):
+        parts = bp[component - 1]
+        offset = params.multicharge[component - 1] if regime_b else 0
+        rows = len(parts)
+        marked = []
+        above = 0
+        for row, length in enumerate(parts, start=1):
+            if row == rows or parts[row] < length:
+                marked.append((row, length, REMOVABLE))
+            if row == 1 or above > length:
+                marked.append((row, length + 1, ADDABLE))
+            above = length
+        marked.append((rows + 1, 1, ADDABLE))
+        for row, col, kind in marked:
+            res = col - row + offset
+            if finite:
+                res %= modulus
+            step = res if regime_b else (component, res)
+            entry = ((component, row, col), kind)
+            bucket = buckets.get(step)
+            if bucket is None:
+                buckets[step] = [entry]
+            else:
+                bucket.append(entry)
 
-def _addition_steps(bp: Bipartition, params: CrystalParams) -> list:
-    if params.regime == REGIME_B:
-        return sorted({residue(node, params) for node in addable_nodes(bp)})
-    return sorted({(node.component, residue(node, params)) for node in addable_nodes(bp)})
+    cells = {}
+    for step, entries in buckets.items():
+        removable = addable = None
+        # the reduced word is A...A R...R: the good addable cell is the last
+        # A, the good removable cell the first R
+        for cell, kind in _reduce(entries):
+            if kind == REMOVABLE:
+                removable = Node(*cell)
+                break
+            addable = cell
+        cells[step] = (removable, None if addable is None else Node(*addable))
+    return cells
 
 
 def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]]:
@@ -165,12 +220,10 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
     At most one cell per residue class (regime B) or per
     (component, residue) pair (regime A).
     """
-    out = []
-    for step in _removal_steps(bp, params):
-        node = good_removable(bp, step, params)
-        if node is not None:
-            out.append((node, step))
-    return out
+    cells = good_cells(bp, params)
+    return [
+        (cells[step][0], step) for step in sorted(cells) if cells[step][0] is not None
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +247,8 @@ class Lattice:
     involution, read off the edges once at construction: ``h(empty) =
     empty``, and for each edge ``(p, i, c)``, ``h(c)`` is the child of
     ``h(p)`` along step ``(i + l) mod e``.  In regime A, where the
-    involution is the component swap, ``h`` is ``None``.
+    involution is the component swap, ``h`` is ``None`` and construction
+    checks instead that the edges are closed under the swap.
     """
 
     def __init__(self, params: CrystalParams, levels, edges):
@@ -212,7 +266,11 @@ class Lattice:
                 children[parent].append((step, child))
         self._parents = {bp: tuple(v) for bp, v in parents.items()}
         self._children = {bp: tuple(v) for bp, v in children.items()}
-        self.h = self._shift_table() if params.regime == REGIME_B else None
+        if params.regime == REGIME_B:
+            self.h = self._shift_table()
+        else:
+            self.h = None
+            self._check_swap()
 
     def _shift_table(self) -> dict:
         """The involution as a table, by the edge recurrence.
@@ -247,6 +305,21 @@ class Lattice:
         if h.keys() != self._level_of.keys():
             raise ShiftReplayError("some lattice vertices have no h image")
         return h
+
+    def _check_swap(self) -> None:
+        """Regime A: every edge has its component-swap mirror.
+
+        Raises ``ShiftReplayError`` unless each edge ``(p, (c, i), ch)`` has
+        ``(hat p, (3 - c, i), hat ch)`` among the children of ``hat p``.
+        """
+        for level_edges in self.edges:
+            for parent, (component, i), child in level_edges:
+                mirror = ((3 - component, i), hat(child))
+                if mirror not in self._children.get(hat(parent), ()):
+                    raise ShiftReplayError(
+                        f"edge {format_bipartition(parent)} --{component}:{i}--> "
+                        f"{format_bipartition(child)} has no component-swap mirror"
+                    )
 
     @property
     def n(self) -> int:
@@ -295,10 +368,10 @@ def build_lattice(
         seen = set()
         level_edges = []
         for parent in levels[-1]:
-            for step in _addition_steps(parent, params):
-                child = f_tilde(parent, step, params)
-                if child is None:
+            for step, (_, node) in good_cells(parent, params).items():
+                if node is None:
                     continue
+                child = add_node(parent, node)
                 level_edges.append((parent, step, child))
                 seen.add(child)
         total += len(seen)
@@ -382,16 +455,6 @@ def partition_good_addable(parts: Partition, i: int, l: int | float) -> Node | N
     return good_addable((parts, ()), (1, i), regime_a_params(l))
 
 
-def partition_e_tilde(parts: Partition, i: int, l: int | float) -> Partition | None:
-    out = e_tilde((parts, ()), (1, i), regime_a_params(l))
-    return None if out is None else out[0]
-
-
-def partition_f_tilde(parts: Partition, i: int, l: int | float) -> Partition | None:
-    out = f_tilde((parts, ()), (1, i), regime_a_params(l))
-    return None if out is None else out[0]
-
-
 def partition_crystal_levels(n: int, l: int | float) -> list[tuple[Partition, ...]]:
     """Levels of the single-partition crystal generated by good additions."""
     params = regime_a_params(l)
@@ -399,11 +462,9 @@ def partition_crystal_levels(n: int, l: int | float) -> list[tuple[Partition, ..
     for _ in range(n):
         seen = set()
         for parts in levels[-1]:
-            for step in _addition_steps((parts, ()), params):
-                if step[0] != 1:
-                    continue
-                child = partition_f_tilde(parts, step[1], l)
-                if child is not None:
-                    seen.add(child)
+            bp = (parts, ())
+            for (component, _), (_, node) in good_cells(bp, params).items():
+                if component == 1 and node is not None:
+                    seen.add(add_node(bp, node)[0])
         levels.append(tuple(sorted(seen)))
     return levels

@@ -128,13 +128,12 @@ def unsplit_class(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> I
     return IrreducibleLabel(UNSPLIT, min(bp, partner))
 
 
-def almost_symmetric(
-    bp: Bipartition, params: CrystalParams, lattice: Lattice
+def _special_cell(
+    bp: Bipartition, good: list[Node], params: CrystalParams, lattice: Lattice
 ) -> Node | None:
-    """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    require_member(bp, lattice)
+    """The unique cell of ``good`` whose removal from ``bp`` is ``h``-fixed."""
     special = []
-    for node, _ in good_nodes(bp, params):
+    for node in good:
         child = remove_node(bp, node)
         if child == involution(child, params, lattice):
             special.append(node)
@@ -145,6 +144,14 @@ def almost_symmetric(
     return special[0] if special else None
 
 
+def almost_symmetric(
+    bp: Bipartition, params: CrystalParams, lattice: Lattice
+) -> Node | None:
+    """The unique good cell whose removal is ``h``-fixed, if one exists."""
+    require_member(bp, lattice)
+    return _special_cell(bp, [node for node, _ in good_nodes(bp, params)], params, lattice)
+
+
 def socle_restriction(
     label: IrreducibleLabel, params: CrystalParams, lattice: Lattice
 ) -> SocleDecomposition:
@@ -153,22 +160,23 @@ def socle_restriction(
     if n < 2:
         raise ValueError("restriction decompositions need level n >= 2")
     lam = label.rep
+    good = [node for node, _ in good_nodes(lam, params)]
     summands: list[IrreducibleLabel]
     if label.kind == SPLIT:
         # one unsplit label per orbit of good removals; identical for both signs
         classes = {
-            unsplit_class(remove_node(lam, node), params, lattice)
-            for node, _ in good_nodes(lam, params)
+            unsplit_class(remove_node(lam, node), params, lattice) for node in good
         }
         summands = sorted(classes, key=label_sort_key)
     else:
-        special = almost_symmetric(lam, params, lattice)
+        require_member(lam, lattice)
+        special = _special_cell(lam, good, params, lattice)
         summands = []
         if special is not None:
             fixed_child = remove_node(lam, special)
             summands.append(IrreducibleLabel(SPLIT, fixed_child, "+"))
             summands.append(IrreducibleLabel(SPLIT, fixed_child, "-"))
-        for node, _ in good_nodes(lam, params):
+        for node in good:
             if node == special:
                 continue
             summands.append(unsplit_class(remove_node(lam, node), params, lattice))

@@ -107,6 +107,8 @@ def _params_from_header(obj) -> CrystalParams:
     l = _extended_from_json(obj["l"])
     regime = obj["regime"]
     if regime == REGIME_B:
+        if l == INF:
+            raise SchemaMismatchError("regime B needs a finite l")
         return CrystalParams(e=e, regime=REGIME_B, l=l, multicharge=(0, int(l)))
     if regime == REGIME_A:
         return CrystalParams(e=e, regime=REGIME_A, l=l)
@@ -118,14 +120,14 @@ def _params_from_header(obj) -> CrystalParams:
 
 
 def _lattice_data(lattice: Lattice):
+    # each vertex is formatted once; the edges reuse its text
+    text = {bp: format_bipartition(bp) for level in lattice.levels for bp in level}
     return {
         "n": lattice.n,
-        "levels": [
-            [format_bipartition(bp) for bp in level] for level in lattice.levels
-        ],
+        "levels": [[text[bp] for bp in level] for level in lattice.levels],
         "edges": [
             [
-                [format_bipartition(parent), _step_to_json(step), format_bipartition(child)]
+                [text[parent], _step_to_json(step), text[child]]
                 for parent, step, child in level_edges
             ]
             for level_edges in lattice.edges
@@ -133,13 +135,25 @@ def _lattice_data(lattice: Lattice):
     }
 
 
-def _lattice_from_data(params: CrystalParams, data) -> Lattice:
-    # each vertex is parsed once; edge endpoints are looked up by their text,
-    # so an endpoint that is not a listed vertex is a schema mismatch
+def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) -> Lattice:
+    """The lattice of a payload, or only its levels ``0..depth``.
+
+    The level counts of the whole payload are checked; each served vertex is
+    parsed once and edge endpoints are looked up by their text, so an
+    endpoint that is not a listed vertex is a schema mismatch.
+    """
     try:
+        n = data["n"]
+        level_texts = data["levels"]
+        edge_lists = data["edges"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise SchemaMismatchError(f"level count {n!r} is not a size")
+        if len(level_texts) != n + 1 or len(edge_lists) != n + 1:
+            raise SchemaMismatchError("lattice payload has inconsistent level count")
+        keep = n if depth is None else depth
         vertices = {}
         levels = []
-        for level in data["levels"]:
+        for level in level_texts[: keep + 1]:
             parsed = []
             for text in level:
                 if not isinstance(text, str):
@@ -152,13 +166,10 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
                 (vertices[p], _step_from_json(s, params.regime), vertices[c])
                 for p, s, c in level_edges
             )
-            for level_edges in data["edges"]
+            for level_edges in edge_lists[: keep + 1]
         ]
-        n = data["n"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"malformed lattice payload: {exc}") from exc
-    if len(levels) != n + 1 or len(edges) != n + 1:
-        raise SchemaMismatchError("lattice payload has inconsistent level count")
     try:
         return Lattice(params, levels, edges)
     except ShiftReplayError as exc:
@@ -281,8 +292,8 @@ def serialize_json(doc: Document) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def parse_json(text: str) -> Document:
-    """Parse a canonical document, rejecting unknown schemas and shapes."""
+def _parse_envelope(text: str):
+    """``(params, kind, data)`` of a document whose envelope is well formed."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -296,9 +307,12 @@ def parse_json(text: str) -> Document:
     for key in ("e", "regime", "l", "kind", "data"):
         if key not in obj:
             raise SchemaMismatchError(f"missing key {key!r}")
-    params = _params_from_header(obj)
-    kind = obj["kind"]
-    data = obj["data"]
+    return _params_from_header(obj), obj["kind"], obj["data"]
+
+
+def parse_json(text: str) -> Document:
+    """Parse a canonical document, rejecting unknown schemas and shapes."""
+    params, kind, data = _parse_envelope(text)
     if kind == KIND_LATTICE:
         return Document(params, kind, _lattice_from_data(params, data))
     if kind == KIND_LABELS:
@@ -402,16 +416,15 @@ def cache_load(
         return None
     text = path.read_text()
     try:
-        doc = parse_json(text)
+        found, kind, data = _parse_envelope(text)
+        if kind != KIND_LATTICE or found != params:
+            warnings.warn(f"ignoring mismatched lattice cache {path}")
+            return None
+        # a deeper cache serves a prefix: only levels 0..n are parsed and built
+        depth = data.get("n") if isinstance(data, dict) else None
+        if isinstance(depth, int) and depth < n:
+            return None
+        return _lattice_from_data(params, data, n)
     except (ParseError, SchemaMismatchError) as exc:
         warnings.warn(f"ignoring corrupted lattice cache {path}: {exc}")
         return None
-    if doc.kind != KIND_LATTICE or doc.params != params:
-        warnings.warn(f"ignoring mismatched lattice cache {path}")
-        return None
-    lattice = doc.data
-    if lattice.n < n:
-        return None
-    if lattice.n == n:
-        return lattice
-    return Lattice(params, lattice.levels[: n + 1], lattice.edges[: n + 1])

@@ -57,7 +57,8 @@ class VerificationReport:
     """Outcome of one verification suite.
 
     ``failures`` holds ``(input, expected, got)`` text triples; a truncated
-    run (path cap hit) is inconclusive rather than passing.
+    run (path cap hit) or one that checked no case is inconclusive rather
+    than passing.
     """
 
     suite: str
@@ -74,7 +75,7 @@ class VerificationReport:
     def status(self) -> str:
         if self.failures:
             return "fail"
-        if self.truncated:
+        if self.truncated or self.cases == 0:
             return "inconclusive"
         return "pass"
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -270,3 +271,51 @@ def test_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch):
         code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == expected
+
+
+def test_doctored_regime_a_cache_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
+    argv = ("lattice", "--e", "3", "--n", "4", "--format", "json")
+    code, expected, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    assert run(capsys, *argv)[1] == expected
+    (path,) = tmp_path.glob("*.json")
+    doc = json.loads(path.read_text())
+    component, i = doc["data"]["edges"][3][0][1]
+    doc["data"]["edges"][3][0][1] = [component, (i + 1) % 3]  # a wrong step label
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "suite, n",
+    [("semisimple-branching", "0"), ("semisimple-branching", "1"), ("uniqueness-distinctness", "0")],
+)
+def test_verify_without_cases_is_inconclusive(capsys, suite, n):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--e", "inf", "--n", n, "--no-cache")
+    assert code == 1
+    assert "cases: 0" in out
+    assert "status: inconclusive" in out
+
+
+# SHA-256 of the JSON documents, recorded before the one-pass signature sweep
+GOLDEN = {
+    ("lattice", "4", "8"): "eecc7000559e3244c12bc80084a32820c525d9bd5e1090059bd1ca3ebcb93f8d",
+    ("branch", "4", "8"): "c32fd205658506974f24e7b8f593c50302bb89b0519b1d2c0510c2c27d2fdb86",
+    ("lattice", "6", "9"): "41759b832d468b81d5d9632aca7a6546e3da1717ef8c71ea4bff602c4259558f",
+    ("branch", "6", "9"): "1300dc605fed6b6ee75f634561a41bb4f380d30b753a58e712fa21c526d03959",
+    ("lattice", "3", "8"): "c2613bbd28e5646e970ade6d5fc6615bbb172d9bada9bfe9b6c23b21e1f4880a",
+    ("branch", "3", "8"): "0841d36ea47d619f41ecfb68a7ffec335f123536c02a6f7af459dd1f59101d23",
+    ("lattice", "inf", "7"): "0c5ba807bb67baafaa928a6100a1e02ffacb5275ae6bb3bba7e6b843d44524ae",
+    ("branch", "inf", "7"): "fc046daa6bff91cd8571f6ca1e2731cb6e3fcdebb851a7aacdc576e5ff27faad",
+}
+
+
+@pytest.mark.parametrize("command, e, n", sorted(GOLDEN))
+def test_json_documents_match_golden_digests(capsys, command, e, n):
+    code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json", "--no-cache")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(command, e, n)]

@@ -1,15 +1,19 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import partitions
+from conftest import bipartitions, partitions
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
+    REGIME_B,
     Node,
+    addable_nodes,
     classify_regime,
     is_l_restricted,
     regime_a_params,
     remove_node,
+    removable_nodes,
+    residue,
 )
 from dnbranch.crystal import (
     ADDABLE,
@@ -20,6 +24,7 @@ from dnbranch.crystal import (
     e_tilde,
     f_tilde,
     good_addable,
+    good_cells,
     good_nodes,
     good_removable,
     i_signature,
@@ -227,6 +232,17 @@ def test_doctored_step_label_fails_h_table():
                 Lattice(params, lattice.levels, edges)
 
 
+def test_doctored_step_label_fails_swap_check():
+    params = classify_regime(5, 3)
+    lattice = build_lattice(5, params)
+    for m in range(1, 6):
+        for k, (parent, (component, i), child) in enumerate(lattice.edges[m]):
+            edges = [list(level_edges) for level_edges in lattice.edges]
+            edges[m][k] = (parent, (component, (i + 1) % 3), child)
+            with pytest.raises(ShiftReplayError):
+                Lattice(params, lattice.levels, edges)
+
+
 def test_shift_path_rejected_in_regime_a():
     params = classify_regime(4, INF)
     with pytest.raises(ValueError):
@@ -292,3 +308,38 @@ def test_good_picks_leftmost_removable_rightmost_addable():
     assert partition_good_addable((2, 2, 1), 0, 2) == Node(1, 1, 3)
     # the residue-1 word is A(3,2) A(4,1); the rightmost addable wins
     assert partition_good_addable((2, 2, 1), 1, 2) == Node(1, 4, 1)
+
+
+def _marked_steps(bp, params):
+    nodes = removable_nodes(bp) + addable_nodes(bp)
+    if params.regime == REGIME_B:
+        return {residue(node, params) for node in nodes}
+    return {(node.component, residue(node, params)) for node in nodes}
+
+
+def _assert_sweep_agrees(bp, params):
+    cells = good_cells(bp, params)
+    assert set(cells) == _marked_steps(bp, params)
+    for step, (removable, addable) in cells.items():
+        assert removable == good_removable(bp, step, params)
+        assert addable == good_addable(bp, step, params)
+        assert all(type(node) is Node for node in (removable, addable) if node is not None)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [regime_a_params(e) for e in (2, 3, 4, 6, INF)] + [classify_regime(8, e) for e in (2, 4, 6)],
+    ids=lambda p: f"{p.regime}-e{p.e}",
+)
+def test_good_cells_agree_with_per_step_scan(params):
+    lattice = build_lattice(8, params)
+    for level in lattice.levels:
+        for bp in level:
+            _assert_sweep_agrees(bp, params)
+
+
+@given(bipartitions(max_size=7))
+@settings(max_examples=60)
+def test_good_cells_agree_off_the_lattice(bp):
+    for params in (regime_a_params(3), regime_a_params(INF), classify_regime(8, 4)):
+        _assert_sweep_agrees(bp, params)

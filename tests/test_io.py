@@ -137,6 +137,45 @@ def test_cache_prefix_serves_smaller_n(tmp_path, b4_n5):
     assert dio.cache_load(params, 7, tmp_path) is None
 
 
+def test_cache_prefix_builds_and_parses_only_the_prefix(tmp_path, b4_n5, monkeypatch):
+    params, lattice = b4_n5
+    path = dio.cache_store(lattice, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["data"]["levels"][5][0] = "not a vertex"  # beyond the served prefix
+    path.write_text(json.dumps(doc))
+    built = []
+
+    class CountingLattice(dio.Lattice):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dio, "Lattice", CountingLattice)
+    small = dio.cache_load(params, 3, tmp_path)
+    assert small == build_lattice(3, params)
+    assert len(built) == 1
+
+
+def test_cache_prefix_keeps_whole_payload_level_count(tmp_path, b4_n5):
+    params, lattice = b4_n5
+    path = dio.cache_store(lattice, tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["data"]["levels"][5]
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
+        assert dio.cache_load(params, 3, tmp_path) is None
+
+
+def test_cache_prefix_checks_served_edges(tmp_path, b4_n5):
+    params, lattice = b4_n5
+    path = dio.cache_store(lattice, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["data"]["edges"][2][0][2] = "5|-"
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
+        assert dio.cache_load(params, 3, tmp_path) is None
+
+
 def test_cache_ignores_corruption_with_warning(tmp_path, b4_n5):
     params, lattice = b4_n5
     path = dio.cache_store(lattice, tmp_path)
@@ -164,8 +203,13 @@ def _non_string_vertex(data):
     data["levels"][1][0] = 7
 
 
+def _non_integer_level_count(data):
+    data["n"] = "5"
+
+
 @pytest.mark.parametrize(
-    "doctor", [_missing_endpoint, _shifted_step_label, _regime_a_step, _non_string_vertex]
+    "doctor",
+    [_missing_endpoint, _shifted_step_label, _regime_a_step, _non_string_vertex, _non_integer_level_count],
 )
 def test_lattice_payload_faults_are_schema_mismatches(tmp_path, b4_n5, doctor):
     params, lattice = b4_n5
@@ -177,6 +221,16 @@ def test_lattice_payload_faults_are_schema_mismatches(tmp_path, b4_n5, doctor):
     path = dio.cache_store(lattice, tmp_path)
     path.write_text(text)
     with pytest.warns(UserWarning):
+        assert dio.cache_load(params, 5, tmp_path) is None
+
+
+def test_regime_b_header_with_infinite_l_is_a_miss(tmp_path, b4_n5):
+    params, lattice = b4_n5
+    path = dio.cache_store(lattice, tmp_path)
+    path.write_text(path.read_text().replace('"l":2', '"l":"inf"'))
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(path.read_text())
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
         assert dio.cache_load(params, 5, tmp_path) is None
 
 
