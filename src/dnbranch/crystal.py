@@ -243,6 +243,15 @@ class Lattice:
     ``(parent, step)``.  Construction order is deterministic, so two builds
     at equal parameters compare equal.
 
+    Construction checks that canonical form in one pass over the vertices
+    and edges, raising ``ShiftReplayError`` unless every level is strictly
+    increasing and holds only bipartitions of its own size, every edge joins
+    level ``m - 1`` to level ``m``, the edges of each level are strictly
+    sorted by ``(parent, step)`` (so no parent has two edges with one step),
+    and every vertex above level 0 is the child of an edge.  Children are
+    indexed by step for each parent; parents are indexed on the first call
+    of ``parents``.
+
     In regime B, ``h`` maps every vertex to its image under the label
     involution, read off the edges once at construction: ``h(empty) =
     empty``, and for each edge ``(p, i, c)``, ``h(c)`` is the child of
@@ -255,17 +264,45 @@ class Lattice:
         self.params = params
         self.levels = tuple(tuple(level) for level in levels)
         self.edges = tuple(tuple(level_edges) for level_edges in edges)
-        self._level_of = {
-            bp: m for m, level in enumerate(self.levels) for bp in level
-        }
-        parents: dict = {bp: [] for level in self.levels for bp in level}
-        children: dict = {bp: [] for level in self.levels for bp in level}
-        for level_edges in self.edges:
+        self._level_of = level_of = {}
+        for m, level in enumerate(self.levels):
+            previous = None
+            for bp in level:
+                if previous is not None and bp <= previous:
+                    raise ShiftReplayError(
+                        f"level {m} is not strictly increasing at {format_bipartition(bp)}"
+                    )
+                if bipartition_size(bp) != m:
+                    raise ShiftReplayError(
+                        f"level {m} holds {format_bipartition(bp)} of another size"
+                    )
+                level_of[bp] = m
+                previous = bp
+        self._children = children = {}
+        for m, level_edges in enumerate(self.edges):
+            last_parent = last_step = None
             for parent, step, child in level_edges:
-                parents[child].append((parent, step))
-                children[parent].append((step, child))
-        self._parents = {bp: tuple(v) for bp, v in parents.items()}
-        self._children = {bp: tuple(v) for bp, v in children.items()}
+                if level_of.get(parent) != m - 1 or level_of.get(child) != m:
+                    raise ShiftReplayError(
+                        f"edge {format_bipartition(parent)} -> "
+                        f"{format_bipartition(child)} does not join level {m - 1} to {m}"
+                    )
+                if parent != last_parent:
+                    if last_parent is not None and parent < last_parent:
+                        raise ShiftReplayError(f"edges of level {m} are not sorted")
+                    steps = children[parent] = {}
+                    last_parent = parent
+                elif step <= last_step:
+                    raise ShiftReplayError(
+                        f"{format_bipartition(parent)} has two edges with step {step}"
+                        if step == last_step
+                        else f"edges of level {m} are not sorted"
+                    )
+                steps[step] = child
+                last_step = step
+            if m and len({edge[2] for edge in level_edges}) != len(self.levels[m]):
+                raise ShiftReplayError(f"level {m} has a vertex that no edge reaches")
+        self._parents = None
         if params.regime == REGIME_B:
             self.h = self._shift_table()
         else:
@@ -280,6 +317,7 @@ class Lattice:
         missing, two edges into one vertex disagree, or a vertex has no image.
         """
         shift, e = self.params.l, self.params.e
+        children, no_children = self._children, {}
         h = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
         for level_edges in self.edges:
             for parent, step, child in level_edges:
@@ -289,10 +327,8 @@ class Lattice:
                         f"{format_bipartition(parent)} has no h image"
                     )
                 target = (step + shift) % e
-                for child_step, image in self._children[image_parent]:
-                    if child_step == target:
-                        break
-                else:
+                image = children.get(image_parent, no_children).get(target)
+                if image is None:
                     raise ShiftReplayError(
                         f"{format_bipartition(image_parent)} has no step {target}, "
                         f"the shift of edge {format_bipartition(parent)} --{step}--> "
@@ -312,10 +348,11 @@ class Lattice:
         Raises ``ShiftReplayError`` unless each edge ``(p, (c, i), ch)`` has
         ``(hat p, (3 - c, i), hat ch)`` among the children of ``hat p``.
         """
+        children, no_children = self._children, {}
         for level_edges in self.edges:
             for parent, (component, i), child in level_edges:
-                mirror = ((3 - component, i), hat(child))
-                if mirror not in self._children.get(hat(parent), ()):
+                mirror = children.get(hat(parent), no_children).get((3 - component, i))
+                if mirror != hat(child):
                     raise ShiftReplayError(
                         f"edge {format_bipartition(parent)} --{component}:{i}--> "
                         f"{format_bipartition(child)} has no component-swap mirror"
@@ -332,10 +369,20 @@ class Lattice:
         return self._level_of.get(bp)
 
     def parents(self, bp: Bipartition):
+        """``(parent, step)`` pairs of the edges into ``bp``, in edge order."""
+        if self._parents is None:
+            parents: dict = {vertex: [] for vertex in self._level_of}
+            for level_edges in self.edges:
+                for parent, step, child in level_edges:
+                    parents[child].append((parent, step))
+            self._parents = {vertex: tuple(v) for vertex, v in parents.items()}
         return self._parents[bp]
 
     def children(self, bp: Bipartition):
-        return self._children[bp]
+        """``(step, child)`` pairs of the edges leaving ``bp``, in edge order."""
+        if bp not in self._level_of:
+            raise KeyError(bp)
+        return tuple(self._children.get(bp, {}).items())
 
     def vertex_count(self) -> int:
         return len(self._level_of)

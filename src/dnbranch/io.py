@@ -25,6 +25,7 @@ from .core import (
     REGIME_A,
     REGIME_B,
     format_bipartition,
+    format_partition,
     parse_bipartition,
 )
 from .crystal import Lattice
@@ -70,12 +71,10 @@ def _step_to_json(step):
 
 def _step_from_json(value, regime: str):
     if regime == REGIME_A:
-        if (
-            isinstance(value, list)
-            and len(value) == 2
-            and all(isinstance(v, int) for v in value)
-        ):
-            return (value[0], value[1])
+        if isinstance(value, list) and len(value) == 2:
+            component, i = value
+            if isinstance(component, int) and isinstance(i, int):
+                return (component, i)
     elif isinstance(value, int):
         return value
     raise SchemaMismatchError(f"malformed regime-{regime} step {value!r}")
@@ -119,9 +118,21 @@ def _params_from_header(obj) -> CrystalParams:
 # payload encoders
 
 
+def _vertex_texts(lattice: Lattice) -> dict:
+    """Text form of every vertex, formatting each distinct component once."""
+    parts: dict = {}
+    texts = {}
+    for level in lattice.levels:
+        for bp in level:
+            for part in bp:
+                if part not in parts:
+                    parts[part] = format_partition(part)
+            texts[bp] = f"{parts[bp[0]]}|{parts[bp[1]]}"
+    return texts
+
+
 def _lattice_data(lattice: Lattice):
-    # each vertex is formatted once; the edges reuse its text
-    text = {bp: format_bipartition(bp) for level in lattice.levels for bp in level}
+    text = _vertex_texts(lattice)
     return {
         "n": lattice.n,
         "levels": [[text[bp] for bp in level] for level in lattice.levels],
@@ -138,9 +149,12 @@ def _lattice_data(lattice: Lattice):
 def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) -> Lattice:
     """The lattice of a payload, or only its levels ``0..depth``.
 
-    The level counts of the whole payload are checked; each served vertex is
-    parsed once and edge endpoints are looked up by their text, so an
-    endpoint that is not a listed vertex is a schema mismatch.
+    The level counts of the whole payload are checked.  Each distinct
+    component text is parsed once: a vertex text whose two components have
+    both been seen reuses their tuples, any other text goes through
+    ``parse_bipartition`` and its full validation.  Edge endpoints are looked
+    up by their text, so an endpoint that is not a listed vertex is a schema
+    mismatch; the ``Lattice`` constructor checks the rest of the structure.
     """
     try:
         n = data["n"]
@@ -151,6 +165,9 @@ def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) ->
         if len(level_texts) != n + 1 or len(edge_lists) != n + 1:
             raise SchemaMismatchError("lattice payload has inconsistent level count")
         keep = n if depth is None else depth
+        # components only enter ``parts`` from a text that parsed, so they
+        # hold no '|' and are never empty: two hits mean exactly one '|'
+        parts: dict = {}
         vertices = {}
         levels = []
         for level in level_texts[: keep + 1]:
@@ -158,14 +175,23 @@ def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) ->
             for text in level:
                 if not isinstance(text, str):
                     raise SchemaMismatchError(f"vertex {text!r} is not a string")
-                bp = vertices[text] = parse_bipartition(text)
+                left, _, right = text.partition("|")
+                left_parts = parts.get(left)
+                right_parts = parts.get(right)
+                if left_parts is None or right_parts is None:
+                    bp = parse_bipartition(text)
+                    parts[left], parts[right] = bp
+                else:
+                    bp = (left_parts, right_parts)
+                vertices[text] = bp
                 parsed.append(bp)
-            levels.append(tuple(parsed))
+            levels.append(parsed)
+        regime = params.regime
         edges = [
-            tuple(
-                (vertices[p], _step_from_json(s, params.regime), vertices[c])
+            [
+                (vertices[p], _step_from_json(s, regime), vertices[c])
                 for p, s, c in level_edges
-            )
+            ]
             for level_edges in edge_lists[: keep + 1]
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -338,14 +364,14 @@ def emit_dot(obj) -> str:
     if isinstance(obj, Lattice):
         lines.append("digraph good_lattice {")
         lines.append("  rankdir=BT;")
+        text = _vertex_texts(obj)
         for level in obj.levels:
             for bp in level:
-                lines.append(f'  "{format_bipartition(bp)}";')
+                lines.append(f'  "{text[bp]}";')
         for level_edges in obj.edges:
             for parent, step, child in level_edges:
                 lines.append(
-                    f'  "{format_bipartition(parent)}" -> '
-                    f'"{format_bipartition(child)}" [label="{step_label(step)}"];'
+                    f'  "{text[parent]}" -> "{text[child]}" [label="{step_label(step)}"];'
                 )
         lines.append("}")
     else:

@@ -37,8 +37,6 @@ from .crystal import (
     f_tilde,
     good_nodes,
     partition_crystal_levels,
-    replay_path,
-    shift_path,
 )
 from .dmod import (
     SPLIT,
@@ -216,6 +214,38 @@ def _shifted_step(step, params: CrystalParams):
     return (3 - component, i)
 
 
+def _check_shifted_paths(report, params, lattice, images, cap) -> None:
+    """Replay every path shifted from the empty bipartition, as a left fold
+    along the path tree; ``None`` marks a replay that broke."""
+    reached: dict = {}
+    path: list = []
+
+    def walk(vertex, endpoint):
+        count = reached[vertex] = reached.get(vertex, 0) + 1
+        if count > cap:
+            report.truncated = True
+            return
+        report.cases += 1
+        if endpoint != images[vertex]:
+            report.failures.append(
+                (
+                    f"{format_bipartition(vertex)} path {path}",
+                    format_bipartition(images[vertex]),
+                    "replay failed" if endpoint is None else format_bipartition(endpoint),
+                )
+            )
+        for step, child in lattice.children(vertex):
+            if endpoint is not None:
+                shifted = f_tilde(endpoint, _shifted_step(step, params), params)
+            else:
+                shifted = None
+            path.append(step)
+            walk(child, shifted)
+            path.pop()
+
+    walk(EMPTY_BIPARTITION, EMPTY_BIPARTITION)
+
+
 def verify_h_path_independence(
     n: int, params: CrystalParams, cap: int = DEFAULT_PATH_CAP
 ) -> VerificationReport:
@@ -224,38 +254,29 @@ def verify_h_path_independence(
     Complete and linear in the edges: ``h(h(v)) = v`` on every vertex, and
     for every edge ``(p, i, c)`` the crystal operator along the shifted step
     takes ``h(p)`` to ``h(c)``; by induction on path length, every shifted
-    path then replays to the ``h`` image of its end.  In regime B the
-    capped enumeration of every path, each replayed shifted from the empty
-    bipartition, is kept as the small-``n`` definitional check; hitting the
-    cap makes the run inconclusive.
+    path then replays to the ``h`` image of its end.  In regime B every
+    path, replayed shifted from the empty bipartition, is also checked as
+    the small-``n`` definitional check: a depth-first walk of the path tree
+    along the lattice edges extends the shifted endpoint by one crystal
+    operator per tree node, so each shared prefix is replayed once.  A
+    vertex reached by more than ``cap`` paths is not expanded further and
+    makes the run inconclusive.
     """
     report = _new_report("path-independence", params, n)
     start = time.perf_counter()
     lattice = build_lattice(n, params)
+    images = {}
     for m in range(n + 1):
         for bp in lattice.levels[m]:
-            image = involution(bp, params, lattice)
+            image = images[bp] = involution(bp, params, lattice)
             back = involution(image, params, lattice)
             report.cases += 1
             if back != bp:
                 report.failures.append(
                     (format_bipartition(bp), format_bipartition(bp), format_bipartition(back))
                 )
-            if params.regime != REGIME_B:
-                continue
-            paths, truncated = all_paths(bp, params, lattice, cap)
-            report.truncated = report.truncated or truncated
-            for path in paths:
-                report.cases += 1
-                endpoint = replay_path(shift_path(path, params), params)
-                if endpoint != image:
-                    report.failures.append(
-                        (
-                            f"{format_bipartition(bp)} path {list(path)}",
-                            format_bipartition(image),
-                            "replay failed" if endpoint is None else format_bipartition(endpoint),
-                        )
-                    )
+    if params.regime == REGIME_B:
+        _check_shifted_paths(report, params, lattice, images, cap)
     for level_edges in lattice.edges:
         for parent, step, child in level_edges:
             expected = involution(child, params, lattice)

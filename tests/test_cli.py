@@ -1,7 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from dnbranch import io as dio
 from dnbranch.cli import main
@@ -290,6 +296,31 @@ def test_doctored_regime_a_cache_is_a_miss(capsys, tmp_path, monkeypatch):
     assert out == expected
 
 
+def _reverse_level_3(data):
+    data["levels"][3].reverse()
+
+
+def _duplicate_level_3_edge(data):
+    data["edges"][3].insert(0, data["edges"][3][0])
+
+
+@pytest.mark.parametrize("doctor", [_reverse_level_3, _duplicate_level_3_edge])
+def test_cache_out_of_canonical_form_is_a_miss(capsys, tmp_path, monkeypatch, doctor):
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
+    argv = ("lattice", "--e", "4", "--n", "5", "--format", "json")
+    code, expected, _ = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    assert run(capsys, *argv)[1] == expected
+    (path,) = tmp_path.glob("*.json")
+    doc = json.loads(path.read_text())
+    doctor(doc["data"])
+    path.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 @pytest.mark.parametrize(
     "suite, n",
     [("semisimple-branching", "0"), ("semisimple-branching", "1"), ("uniqueness-distinctness", "0")],
@@ -319,3 +350,73 @@ def test_json_documents_match_golden_digests(capsys, command, e, n):
     code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json", "--no-cache")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(command, e, n)]
+
+
+# argv drawn from the real subcommands and flags plus junk; sizes stay at
+# most 6 and bipartition texts short, so every call is quick
+_VALUES = {
+    "--e": st.sampled_from(["4", "3", "2", "6", "inf"] * 3 + ["1", "0", "-4", "x"]),
+    "--n": st.sampled_from([str(k) for k in range(2, 7)] * 3 + ["0", "1", "-1", "x", ""]),
+    "--format": st.sampled_from(["text", "json", "dot", "yaml"]),
+    "--suite": st.sampled_from(
+        [
+            "path-independence",
+            "semisimple-branching",
+            "uniqueness-distinctness",
+            "regime-a-decoupling",
+            "level1-calibration",
+            "nonsense",
+        ]
+    ),
+    "--bipartition": st.one_of(
+        st.sampled_from(
+            ["1|1", "2|-", "1,1|-", "2,1|-", "-|3", "2,1|1", "1|2,2", "3|2", "1,1,1|1,1", "2,1|2,1", "3,3|-"]
+        ),
+        st.sampled_from(["-|-", "1,2|-", "|", "1|1|1", "-|2,1", "0|1"]),
+        st.text(alphabet="0123,|-+x ", max_size=5),
+    ),
+    "--sign": st.sampled_from(["+", "-", "0"]),
+}
+_REQUIRED = {
+    "lattice": ("--e", "--n"),
+    "labels": ("--e", "--n"),
+    "branch": ("--e", "--n"),
+    "involution": ("--e", "--n", "--bipartition"),
+    "dims": ("--bipartition",),
+    "verify": ("--suite", "--e", "--n"),
+    "junk": (),
+}
+_EXTRA = st.sampled_from(
+    ["--format", "--no-cache", "--bipartition", "--sign"] * 3 + sorted(_VALUES) + ["-h", "--bogus", "7"]
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_REQUIRED)))
+    # each required flag is left out one time in eight
+    flags = [flag for flag in _REQUIRED[command] if draw(st.integers(0, 7))]
+    flags += draw(st.lists(_EXTRA, max_size=2))
+    argv = [command]
+    for flag in flags:
+        if flag in _VALUES:
+            # attached, so a value starting with '-' stays a value
+            argv.append(f"{flag}={draw(_VALUES[flag])}")
+        else:
+            argv.append(flag)
+    return argv
+
+
+@given(argv=_argvs())
+@settings(max_examples=50, deadline=None)
+def test_cli_exit_codes_on_arbitrary_argv(tmp_path_factory, argv):
+    out, err = io.StringIO(), io.StringIO()
+    cache = tmp_path_factory.mktemp("cache")
+    with mock.patch.dict(os.environ, {"DNBRANCH_CACHE": str(cache)}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

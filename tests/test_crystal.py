@@ -243,6 +243,34 @@ def test_doctored_step_label_fails_swap_check():
                 Lattice(params, lattice.levels, edges)
 
 
+@pytest.mark.parametrize("e", [4, 3])
+def test_index_follows_the_edges(e):
+    params = classify_regime(6, e)
+    lattice = build_lattice(6, params)
+    parents = {bp: [] for level in lattice.levels for bp in level}
+    children = {bp: [] for level in lattice.levels for bp in level}
+    for level_edges in lattice.edges:
+        for parent, step, child in level_edges:
+            parents[child].append((parent, step))
+            children[parent].append((step, child))
+    for bp in parents:
+        assert lattice.parents(bp) == tuple(parents[bp])
+        assert lattice.children(bp) == tuple(children[bp])
+    with pytest.raises(KeyError):
+        lattice.children(((9,), ()))
+
+
+def test_unreached_vertex_fails_construction():
+    # (3) is not 3-restricted, so no good addition reaches it; regime A has
+    # no h table to notice it
+    params = classify_regime(5, 3)
+    lattice = build_lattice(5, params)
+    levels = [list(level) for level in lattice.levels]
+    levels[3] = sorted(levels[3] + [((3,), ())])
+    with pytest.raises(ShiftReplayError, match="no edge reaches"):
+        Lattice(params, levels, lattice.edges)
+
+
 def test_shift_path_rejected_in_regime_a():
     params = classify_regime(4, INF)
     with pytest.raises(ValueError):

@@ -207,9 +207,40 @@ def _non_integer_level_count(data):
     data["n"] = "5"
 
 
+def _reversed_level(data):
+    data["levels"][3].reverse()
+
+
+def _duplicate_vertex(data):
+    data["levels"][3].append(data["levels"][3][0])
+
+
+def _reversed_edges(data):
+    data["edges"][3].reverse()
+
+
+def _duplicate_edge(data):
+    data["edges"][3].insert(0, data["edges"][3][0])
+
+
+def _vertex_in_lower_level(data):
+    data["levels"][4].append(data["levels"][5].pop())
+
+
 @pytest.mark.parametrize(
     "doctor",
-    [_missing_endpoint, _shifted_step_label, _regime_a_step, _non_string_vertex, _non_integer_level_count],
+    [
+        _missing_endpoint,
+        _shifted_step_label,
+        _regime_a_step,
+        _non_string_vertex,
+        _non_integer_level_count,
+        _reversed_level,
+        _duplicate_vertex,
+        _reversed_edges,
+        _duplicate_edge,
+        _vertex_in_lower_level,
+    ],
 )
 def test_lattice_payload_faults_are_schema_mismatches(tmp_path, b4_n5, doctor):
     params, lattice = b4_n5
@@ -239,3 +270,29 @@ def test_cache_respects_environment_variable(tmp_path, monkeypatch, b4_n5):
     monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
     dio.cache_store(lattice)
     assert dio.cache_load(params, 5) == lattice
+
+
+@pytest.mark.parametrize("e, n", [(4, 8), (6, 9), (3, 8), (INF, 7)])
+def test_cache_round_trip_rebuilds_the_index(tmp_path, e, n):
+    params = classify_regime(n, e)
+    lattice = build_lattice(n, params)
+    dio.cache_store(lattice, tmp_path)
+    for depth in (n, n - 3):
+        built = lattice if depth == n else build_lattice(depth, params)
+        loaded = dio.cache_load(params, depth, tmp_path)
+        assert loaded == built
+        assert loaded.h == built.h
+        for level in built.levels:
+            for bp in level:
+                assert loaded.children(bp) == built.children(bp)
+                assert loaded.parents(bp) == built.parents(bp)
+
+
+def test_decode_shares_equal_components(b4_n5):
+    _, lattice = b4_n5
+    loaded = dio.parse_json(dio.serialize_json(dio.lattice_document(lattice))).data
+    components = {}
+    for level in loaded.levels:
+        for bp in level:
+            for parts in bp:
+                assert components.setdefault(parts, parts) is parts

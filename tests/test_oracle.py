@@ -105,6 +105,30 @@ def test_path_independence_catches_a_wrong_involution(monkeypatch):
     assert report.failures and all(item.startswith("edge ") for item, _, _ in report.failures)
 
 
+@pytest.mark.parametrize("e, n, cases", [(4, 7, 1072), (6, 7, 2825), (2, 10, 564)])
+def test_path_independence_case_counts(e, n, cases):
+    # one case per vertex, per path from the empty bipartition and per edge
+    report = verify_h_path_independence(n, classify_regime(n, e))
+    assert report.passed and report.cases == cases
+
+
+def test_path_replay_catches_a_wrong_involution_in_regime_b(monkeypatch):
+    import dnbranch.oracle as oracle
+
+    params = classify_regime(5, 4)
+    lattice = build_lattice(5, params)
+    h = lattice.h
+    moved = [bp for bp in lattice.levels[3] if h[bp] != bp]
+    a = moved[0]
+    b = next(bp for bp in moved if bp not in (a, h[a]))
+    twist = {a: h[b], h[b]: a, b: h[a], h[a]: b}
+    monkeypatch.setattr(
+        oracle, "involution", lambda bp, params, lattice: twist.get(bp, lattice.h[bp])
+    )
+    report = verify_h_path_independence(5, params)
+    assert any(" path [" in item for item, _, _ in report.failures)
+
+
 def test_path_independence_inconclusive_when_capped():
     report = verify_h_path_independence(5, classify_regime(5, 4), cap=1)
     assert report.truncated
