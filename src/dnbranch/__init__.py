@@ -27,8 +27,7 @@ from .core import (
     format_node,
     hat,
     is_l_restricted,
-    is_semisimple_b,
-    is_semisimple_d,
+    is_semisimple,
     parse_bipartition,
     regime_a_params,
     remove_node,
@@ -48,6 +47,7 @@ from .crystal import (
     good_removable,
     i_signature,
     partition_crystal_levels,
+    peel_path,
     replay_path,
     shift_path,
 )

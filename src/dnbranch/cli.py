@@ -23,7 +23,7 @@ from .core import (
     format_node,
     parse_bipartition,
 )
-from .crystal import Lattice, build_lattice, require_member
+from .crystal import Lattice, build_lattice
 from .dmod import (
     SPLIT,
     IrreducibleLabel,
@@ -44,6 +44,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .oracle import (
+    VerificationReport,
     bipartition_dimension,
     verify_h_path_independence,
     verify_level1_calibration,
@@ -82,7 +83,7 @@ def _size_at_least(least: int):
     return parse
 
 
-def _header(params: CrystalParams, n: int) -> str:
+def _header(params: CrystalParams | VerificationReport, n: int) -> str:
     e_text = "inf" if params.e == INF else str(int(params.e))
     l_text = "inf" if params.l == INF else str(int(params.l))
     return f"# e={e_text} regime={params.regime} l={l_text} n={n}"
@@ -151,13 +152,13 @@ def cmd_labels(args) -> int:
 
 def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
-    lattice = _get_lattice(params, args.n, not args.no_cache)
     if args.bipartition is None:
+        lattice = _get_lattice(params, args.n, not args.no_cache)
         entries = branching_graph(args.n, params, lattice)
     else:
+        # a single label needs no lattice: membership and h come from its peel
         bp = _parse_bipartition_arg(args.bipartition, args.n)
-        require_member(bp, lattice)
-        fixed = involution(bp, params, lattice) == bp
+        fixed = involution(bp, params) == bp
         if args.sign is not None and not fixed:
             print(
                 f"error: {args.bipartition!r} is not an involution fixed point, "
@@ -169,8 +170,8 @@ def cmd_branch(args) -> int:
             sign = args.sign if args.sign is not None else "+"
             label = IrreducibleLabel(SPLIT, bp, sign)
         else:
-            label = unsplit_class(bp, params, lattice)
-        entries = [socle_restriction(label, params, lattice)]
+            label = unsplit_class(bp, params)
+        entries = [socle_restriction(label, params)]
     if args.format == "json":
         doc = dio.branching_document(params, args.n, entries)
         print(dio.serialize_json(doc), end="")
@@ -187,10 +188,9 @@ def cmd_branch(args) -> int:
 
 def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
-    lattice = _get_lattice(params, args.n, not args.no_cache)
     bp = _parse_bipartition_arg(args.bipartition, args.n)
-    image = involution(bp, params, lattice)
-    special = almost_symmetric(bp, params, lattice)
+    image = involution(bp, params)
+    special = almost_symmetric(bp, params)
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")
@@ -236,10 +236,8 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         print(dio.serialize_json(dio.report_document(report)), end="")
     else:
-        e_text = "inf" if report.e == INF else str(int(report.e))
-        l_text = "inf" if report.l == INF else str(int(report.l))
         print(f"suite: {report.suite}")
-        print(f"# e={e_text} regime={report.regime} l={l_text} n={report.n}")
+        print(_header(report, report.n))
         print(f"cases: {report.cases}")
         print(f"failures: {len(report.failures)}")
         for item, expected, got in report.failures[:50]:
@@ -272,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_size_at_least(least_n), required=True, help=f"total size, at least {least_n}")
         if formats:
             p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--no-cache", action="store_true", help="skip the lattice cache")
+        p.add_argument("--no-cache", action="store_true", help="skip the lattice cache; point queries never read or write it")
 
     p = sub.add_parser("lattice", help="print the good lattice up to level n")
     common(p, formats=("text", "json", "dot"))

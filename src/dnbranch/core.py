@@ -278,7 +278,12 @@ def dominance(lam: Bipartition, mu: Bipartition) -> Dominance:
 # vanishes exactly when e is finite and divides i.
 
 
-def _no_vanishing_factor(n: int, e: int | float) -> bool:
+def is_semisimple(n: int, e: int | float) -> bool:
+    """Semisimplicity of the rank-``n`` type-B and type-D algebras at ``e``.
+
+    Away from characteristic 2 the two criteria coincide.
+    """
+    _check_e(e)
     if e == INF:
         return True
     if e <= n:
@@ -286,21 +291,6 @@ def _no_vanishing_factor(n: int, e: int | float) -> bool:
     if e % 2 == 0 and e // 2 <= n - 1:
         return False
     return True
-
-
-def is_semisimple_b(n: int, e: int | float) -> bool:
-    """Semisimplicity of the rank-``n`` type-B algebra at characteristic ``e``."""
-    _check_e(e)
-    return _no_vanishing_factor(n, e)
-
-
-def is_semisimple_d(n: int, e: int | float) -> bool:
-    """Semisimplicity of the rank-``n`` type-D algebra at characteristic ``e``.
-
-    Away from characteristic 2 the criterion coincides with the type-B one.
-    """
-    _check_e(e)
-    return _no_vanishing_factor(n, e)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ socle engine read it.  ``i_signature`` and the operators built on it
 (``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the
 per-residue definitional scan: they list and sort all marked cells and keep
 one residue.
+
+``peel_path`` peels a single bipartition down to the empty one, so its
+membership and its path need no lattice; ``replay_path`` folds a path back.
 """
 
 from __future__ import annotations
@@ -432,6 +435,12 @@ def build_lattice(
     return Lattice(params, levels, edges)
 
 
+def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:
+    return NotKleshchevError(
+        f"{format_bipartition(bp)} is not a Kleshchev bipartition at these parameters"
+    )
+
+
 def require_member(bp: Bipartition, lattice: Lattice) -> None:
     """Raise ``NotKleshchevError`` unless ``bp`` is a lattice vertex."""
     m = bipartition_size(bp)
@@ -440,32 +449,37 @@ def require_member(bp: Bipartition, lattice: Lattice) -> None:
             f"lattice only covers sizes up to {lattice.n}, got size {m}"
         )
     if lattice.level_of(bp) != m:
-        raise NotKleshchevError(
-            f"{format_bipartition(bp)} is not a Kleshchev bipartition at these parameters"
-        )
+        raise _not_kleshchev(bp)
 
 
-def canonical_path(bp: Bipartition, params: CrystalParams, lattice: Lattice):
+def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
     """Addition-order step sequence of the canonical peel of ``bp``.
 
     Peels by the smallest step with a good removable cell at every stage;
     the returned sequence replays from the empty bipartition back to ``bp``.
+    This is also the membership test, with no lattice: the empty
+    bipartition is the only highest-weight vertex of the crystal the lattice
+    spans, and ``e_tilde`` undoes ``f_tilde``, so the peel reaches it exactly
+    from lattice vertices.  Raises ``NotKleshchevError``, with the message
+    of ``require_member``, when the peel strands above it.
     """
-    require_member(bp, lattice)
     steps = []
     current = bp
     while current != EMPTY_BIPARTITION:
         good = good_nodes(current, params)
         if not good:
-            # membership was checked, so stranding means the engine is wrong
-            raise NotKleshchevError(
-                f"peel stranded at {format_bipartition(current)}"
-            )
+            raise _not_kleshchev(bp)
         node, step = good[0]
         steps.append(step)
         current = remove_node(current, node)
     steps.reverse()
     return tuple(steps)
+
+
+def canonical_path(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> Path:
+    """``peel_path`` of a vertex of ``lattice``, checked against it first."""
+    require_member(bp, lattice)
+    return peel_path(bp, params)
 
 
 def replay_path(path, params: CrystalParams) -> Bipartition | None:

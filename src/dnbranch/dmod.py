@@ -6,8 +6,10 @@ two-element orbit of a Kleshchev bipartition under the involution ``h``
 (kind ``split``).  ``h`` is the component swap in regime A.  In regime B it
 maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
-child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``).  A
-single combinatorial ``h`` serves every base field of characteristic != 2.
+child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
+a single label without a lattice replays its own canonical peel shifted by
+``l``.  A single combinatorial ``h`` serves every base field of
+characteristic != 2.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -37,8 +39,8 @@ from .core import (
     remove_node,
     residue,
 )
-from .crystal import Lattice, good_nodes, require_member
-from .errors import FixedPointError, InvariantError, MultipleSpecialNodesError
+from .crystal import Lattice, good_nodes, peel_path, replay_path, require_member, shift_path
+from .errors import FixedPointError, InvariantError, MultipleSpecialNodesError, ShiftReplayError
 
 UNSPLIT = "unsplit"
 SPLIT = "split"
@@ -82,13 +84,35 @@ class SocleDecomposition:
     summands: tuple[IrreducibleLabel, ...]
 
 
-def involution(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> Bipartition:
+def _require(bp: Bipartition, params: CrystalParams, lattice: Lattice | None) -> None:
+    """Membership check: against ``lattice``, or by the peel without one."""
+    if lattice is None:
+        peel_path(bp, params)
+    else:
+        require_member(bp, lattice)
+
+
+def involution(
+    bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
+) -> Bipartition:
     """The label involution ``h``.
 
-    Regime A swaps the components.  Regime B reads the lattice's table,
-    built from its edges: ``h(c)`` is the child of ``h(p)`` along step
-    ``(i + l) mod e`` for every edge ``(p, i, c)``.
+    Regime A swaps the components.  In regime B, with a lattice, ``h`` is
+    its table, built from its edges: ``h(c)`` is the child of ``h(p)`` along
+    step ``(i + l) mod e`` for every edge ``(p, i, c)``.  Without one, the
+    canonical peel of ``bp`` is replayed from the empty bipartition with
+    every residue shifted by ``l``.  Either way ``bp`` must be Kleshchev.
     """
+    if lattice is None:
+        path = peel_path(bp, params)
+        if params.regime == REGIME_A:
+            return hat(bp)
+        image = replay_path(shift_path(path, params), params)
+        if image is None:
+            raise ShiftReplayError(
+                f"the shifted canonical path of {format_bipartition(bp)} breaks"
+            )
+        return image
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     require_member(bp, lattice)
@@ -120,23 +144,33 @@ def equivalence_classes(
     return labels
 
 
-def unsplit_class(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> IrreducibleLabel:
-    """Unsplit label of the orbit of ``bp``, which must not be ``h``-fixed."""
-    partner = involution(bp, params, lattice)
+def _orbit_label(bp: Bipartition, partner: Bipartition) -> IrreducibleLabel:
     if partner == bp:
         raise FixedPointError(f"{format_bipartition(bp)} is a fixed point, not unsplit")
     return IrreducibleLabel(UNSPLIT, min(bp, partner))
 
 
-def _special_cell(
-    bp: Bipartition, good: list[Node], params: CrystalParams, lattice: Lattice
-) -> Node | None:
-    """The unique cell of ``good`` whose removal from ``bp`` is ``h``-fixed."""
-    special = []
-    for node in good:
+def unsplit_class(
+    bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
+) -> IrreducibleLabel:
+    """Unsplit label of the orbit of ``bp``, which must not be ``h``-fixed."""
+    return _orbit_label(bp, involution(bp, params, lattice))
+
+
+def _good_removals(
+    bp: Bipartition, params: CrystalParams, lattice: Lattice | None
+) -> list[tuple[Node, Bipartition, Bipartition]]:
+    """``(cell, removal, h of the removal)`` for every good removable cell."""
+    removals = []
+    for node, _ in good_nodes(bp, params):
         child = remove_node(bp, node)
-        if child == involution(child, params, lattice):
-            special.append(node)
+        removals.append((node, child, involution(child, params, lattice)))
+    return removals
+
+
+def _special_cell(bp: Bipartition, removals) -> Node | None:
+    """The unique cell of ``removals`` whose removal from ``bp`` is ``h``-fixed."""
+    special = [node for node, child, image in removals if child == image]
     if len(special) > 1:
         raise MultipleSpecialNodesError(
             f"{format_bipartition(bp)} has {len(special)} special nodes"
@@ -145,41 +179,44 @@ def _special_cell(
 
 
 def almost_symmetric(
-    bp: Bipartition, params: CrystalParams, lattice: Lattice
+    bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Node | None:
     """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    require_member(bp, lattice)
-    return _special_cell(bp, [node for node, _ in good_nodes(bp, params)], params, lattice)
+    _require(bp, params, lattice)
+    return _special_cell(bp, _good_removals(bp, params, lattice))
 
 
 def socle_restriction(
-    label: IrreducibleLabel, params: CrystalParams, lattice: Lattice
+    label: IrreducibleLabel, params: CrystalParams, lattice: Lattice | None = None
 ) -> SocleDecomposition:
-    """Socle of the restriction of ``label`` one level down."""
+    """Socle of the restriction of ``label`` one level down.
+
+    Reads ``h`` of the good removals from ``lattice`` when given, and from
+    their own canonical peels otherwise.
+    """
     n = label.n
     if n < 2:
         raise ValueError("restriction decompositions need level n >= 2")
     lam = label.rep
-    good = [node for node, _ in good_nodes(lam, params)]
     summands: list[IrreducibleLabel]
     if label.kind == SPLIT:
         # one unsplit label per orbit of good removals; identical for both signs
         classes = {
-            unsplit_class(remove_node(lam, node), params, lattice) for node in good
+            _orbit_label(child, image)
+            for _, child, image in _good_removals(lam, params, lattice)
         }
         summands = sorted(classes, key=label_sort_key)
     else:
-        require_member(lam, lattice)
-        special = _special_cell(lam, good, params, lattice)
+        _require(lam, params, lattice)
+        removals = _good_removals(lam, params, lattice)
+        special = _special_cell(lam, removals)
         summands = []
-        if special is not None:
-            fixed_child = remove_node(lam, special)
-            summands.append(IrreducibleLabel(SPLIT, fixed_child, "+"))
-            summands.append(IrreducibleLabel(SPLIT, fixed_child, "-"))
-        for node in good:
+        for node, child, image in removals:
             if node == special:
-                continue
-            summands.append(unsplit_class(remove_node(lam, node), params, lattice))
+                summands.append(IrreducibleLabel(SPLIT, child, "+"))
+                summands.append(IrreducibleLabel(SPLIT, child, "-"))
+            else:
+                summands.append(_orbit_label(child, image))
         summands.sort(key=label_sort_key)
         if len(set(summands)) != len(summands):
             raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")

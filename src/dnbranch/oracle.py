@@ -26,7 +26,7 @@ from .core import (
     format_node,
     hat,
     is_l_restricted,
-    is_semisimple_d,
+    is_semisimple,
     regime_a_params,
     remove_node,
     removable_nodes,
@@ -299,7 +299,7 @@ def verify_h_path_independence(
 def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationReport:
     """In the semisimple range the socle is the whole restriction, so the
     summand dimensions must add up to the dimension of the restricted module."""
-    if not is_semisimple_d(n, params.e):
+    if not is_semisimple(n, params.e):
         raise NotSemisimpleError(
             f"rank {n} at characteristic {params.e} is not semisimple"
         )

@@ -16,8 +16,7 @@ from dnbranch.core import (
     format_bipartition,
     hat,
     is_l_restricted,
-    is_semisimple_b,
-    is_semisimple_d,
+    is_semisimple,
     parse_bipartition,
     remove_node,
     removable_nodes,
@@ -159,13 +158,12 @@ def test_classify_regime():
 
 
 def test_semisimplicity():
-    for fn in (is_semisimple_b, is_semisimple_d):
-        assert fn(5, INF)
-        assert not fn(5, 4)
-        assert fn(3, 7)
-        assert not fn(5, 5)  # 1 + q + ... + q**4 vanishes
-        assert fn(4, 9)
-        assert not fn(5, 8)  # 1 + q**4 vanishes
+    assert is_semisimple(5, INF)
+    assert not is_semisimple(5, 4)
+    assert is_semisimple(3, 7)
+    assert not is_semisimple(5, 5)  # 1 + q + ... + q**4 vanishes
+    assert is_semisimple(4, 9)
+    assert not is_semisimple(5, 8)  # 1 + q**4 vanishes
 
 
 def test_regime_b_residue_shift_between_components():

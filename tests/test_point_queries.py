@@ -1,0 +1,182 @@
+"""Point queries (``involution``, ``branch --bipartition``) without a lattice."""
+
+import contextlib
+import hashlib
+import io
+import warnings
+
+import pytest
+
+from dnbranch import io as dio
+from dnbranch.cli import main
+from dnbranch.core import INF, classify_regime, format_bipartition, hat
+from dnbranch.crystal import build_lattice, canonical_path, peel_path
+from dnbranch.dmod import (
+    almost_symmetric,
+    equivalence_classes,
+    involution,
+    socle_restriction,
+)
+from dnbranch.errors import NotKleshchevError
+from dnbranch.oracle import enumerate_bipartitions
+
+# every bipartition of size n, member or not, at each of these points
+GRID = [(4, 7), (6, 7), (INF, 6), (3, 7), (2, 8)]
+
+# SHA-256 of the point-command transcript over GRID, recorded while the point
+# commands still read a lattice
+GRID_DIGEST = "3575b66a6a809e34be80fa51b7df715ad61eac1d0d2714f0495ea69117bd170a"
+
+
+def _point_argvs(e_text: str, n: int, text: str):
+    common = ["--e", e_text, "--n", str(n), f"--bipartition={text}", "--no-cache"]
+    return [
+        ["involution"] + common,
+        ["branch"] + common,
+        ["branch", "--format", "json", "--sign", "-"] + common,
+        ["branch", "--format", "dot"] + common,
+    ]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def grid_transcript_digest() -> str:
+    """Digest of argv, exit code, stdout and stderr of every point command."""
+    digest = hashlib.sha256()
+    for e, n in GRID:
+        e_text = "inf" if e == INF else str(e)
+        for bp in enumerate_bipartitions(n):
+            for argv in _point_argvs(e_text, n, format_bipartition(bp)):
+                code, out, err = _run(argv)
+                digest.update(repr((argv, code, out, err)).encode())
+    return digest.hexdigest()
+
+
+def test_point_commands_match_recorded_grid_digest():
+    assert grid_transcript_digest() == GRID_DIGEST
+
+
+# (e, n) lattices whose every vertex, and every bipartition up to size n, is
+# checked; e = 2, 4, 6 are regime B and e = 3, inf regime A at these sizes
+LATTICES = [(2, 8), (3, 8), (4, 8), (6, 8), (INF, 8)]
+
+
+@pytest.fixture(scope="module", params=LATTICES, ids=lambda p: f"e{p[0]}-n{p[1]}")
+def lattice(request):
+    e, n = request.param
+    params = classify_regime(n, e)
+    return params, build_lattice(n, params)
+
+
+def test_peel_succeeds_exactly_on_lattice_vertices(lattice):
+    params, lat = lattice
+    members = 0
+    for m in range(lat.n + 1):
+        for bp in enumerate_bipartitions(m):
+            if bp in lat:
+                members += 1
+                assert peel_path(bp, params) == canonical_path(bp, params, lat)
+            else:
+                with pytest.raises(NotKleshchevError) as exc:
+                    peel_path(bp, params)
+                assert str(exc.value) == (
+                    f"{format_bipartition(bp)} is not a Kleshchev bipartition "
+                    "at these parameters"
+                )
+    assert members == lat.vertex_count()
+
+
+def test_involution_without_lattice_matches_the_table(lattice):
+    params, lat = lattice
+    for level in lat.levels:
+        for bp in level:
+            expected = hat(bp) if lat.h is None else lat.h[bp]
+            assert involution(bp, params) == expected
+
+
+def test_socle_without_lattice_matches_the_lattice(lattice):
+    params, lat = lattice
+    for m in range(2, lat.n + 1):
+        for label in equivalence_classes(lat.levels[m], params, lat):
+            assert socle_restriction(label, params) == socle_restriction(
+                label, params, lat
+            )
+            assert almost_symmetric(label.rep, params) == almost_symmetric(
+                label.rep, params, lat
+            )
+
+
+def test_non_members_are_rejected_without_lattice():
+    params = classify_regime(3, 2)
+    lat = build_lattice(3, params)
+    bp = ((1, 1), ())
+    assert bp not in lat
+    for query in (involution, almost_symmetric):
+        with pytest.raises(NotKleshchevError):
+            query(bp, params)
+
+
+def _point_commands(e="4", n="6", member="2,1|2,1", stranger="4|1,1"):
+    common = ["--e", e, "--n", n]
+    return [
+        ["involution", *common, f"--bipartition={member}"],
+        ["involution", *common, f"--bipartition={stranger}"],
+        ["branch", *common, f"--bipartition={member}", "--format", "json"],
+        ["branch", *common, f"--bipartition={stranger}"],
+    ]
+
+
+def test_point_commands_leave_the_cache_alone(tmp_path, monkeypatch):
+    import dnbranch.cli as cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a point query acquired a lattice")
+
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
+    for name in ("_get_lattice", "build_lattice"):
+        monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.setattr(dio, "cache_load", forbidden)
+    codes = [_run(argv)[0] for argv in _point_commands()]
+    assert codes == [0, 3, 0, 3]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_point_commands_ignore_a_corrupted_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
+    assert _run(["lattice", "--e", "4", "--n", "6"])[0] == 0
+    (cache_file,) = tmp_path.iterdir()
+    cache_file.write_text("{ not json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for argv in _point_commands():
+            code, out, err = _run(argv)
+            assert "warning" not in err
+            assert (code == 3) == (err != "")
+    assert caught == []
+    assert cache_file.read_text() == "{ not json"
+    # the same file is reported on a full-level command
+    with pytest.warns(UserWarning, match="corrupted lattice cache"):
+        assert _run(["labels", "--e", "4", "--n", "6"])[0] == 0
+
+
+def test_non_member_is_a_domain_error_under_optimisation():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in ("involution", "branch"):
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "dnbranch.cli", command,
+             "--e", "4", "--n", "6", "--bipartition=4|1,1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (3, "")
+        assert "Kleshchev" in result.stderr
