@@ -11,7 +11,6 @@ verification oracles for all of it.
 from .core import (
     Bipartition,
     CrystalParams,
-    Dominance,
     EMPTY_BIPARTITION,
     INF,
     Node,
@@ -22,7 +21,6 @@ from .core import (
     add_node,
     bipartition_size,
     classify_regime,
-    dominance,
     format_bipartition,
     format_node,
     hat,
@@ -67,7 +65,6 @@ from .dmod import (
 )
 from .oracle import (
     VerificationReport,
-    all_paths,
     bipartition_dimension,
     count_standard_bitableaux,
     enumerate_bipartitions,

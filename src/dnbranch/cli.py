@@ -26,6 +26,7 @@ from .core import (
 from .crystal import Lattice, build_lattice
 from .dmod import (
     SPLIT,
+    UNSPLIT,
     IrreducibleLabel,
     almost_symmetric,
     branching_graph,
@@ -34,7 +35,6 @@ from .dmod import (
     involution,
     residue_counts,
     socle_restriction,
-    unsplit_class,
 )
 from .errors import (
     InvalidEError,
@@ -158,7 +158,8 @@ def cmd_branch(args) -> int:
     else:
         # a single label needs no lattice: membership and h come from its peel
         bp = _parse_bipartition_arg(args.bipartition, args.n)
-        fixed = involution(bp, params) == bp
+        image = involution(bp, params)
+        fixed = image == bp
         if args.sign is not None and not fixed:
             print(
                 f"error: {args.bipartition!r} is not an involution fixed point, "
@@ -170,7 +171,7 @@ def cmd_branch(args) -> int:
             sign = args.sign if args.sign is not None else "+"
             label = IrreducibleLabel(SPLIT, bp, sign)
         else:
-            label = unsplit_class(bp, params)
+            label = IrreducibleLabel(UNSPLIT, min(bp, image))
         entries = [socle_restriction(label, params)]
     if args.format == "json":
         doc = dio.branching_document(params, args.n, entries)

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .errors import InvalidEError, NotRemovableError, ParseError, SizeMismatchError
+from .errors import InvalidEError, NotRemovableError, ParseError
 
 INF = math.inf
 
@@ -42,13 +41,6 @@ class Node(NamedTuple):
     component: int
     row: int
     col: int
-
-
-class Dominance(Enum):
-    EQUAL = "EQUAL"
-    GREATER_EQ = "GREATER_EQ"
-    LESS_EQ = "LESS_EQ"
-    INCOMPARABLE = "INCOMPARABLE"
 
 
 @dataclass(frozen=True)
@@ -227,47 +219,6 @@ def add_node(bp: Bipartition, node: Node) -> Bipartition:
     else:
         raise ValueError(f"{node} is not an addable position of {format_bipartition(bp)}")
     return (new, bp[1]) if node.component == 1 else (bp[0], new)
-
-
-# ---------------------------------------------------------------------------
-# dominance order
-
-
-def _prefix_dominates(lam: Bipartition, mu: Bipartition) -> bool:
-    acc_l = acc_m = 0
-    for k in range(max(len(lam[0]), len(mu[0]))):
-        acc_l += lam[0][k] if k < len(lam[0]) else 0
-        acc_m += mu[0][k] if k < len(mu[0]) else 0
-        if acc_l < acc_m:
-            return False
-    acc_l, acc_m = sum(lam[0]), sum(mu[0])
-    for k in range(max(len(lam[1]), len(mu[1]))):
-        acc_l += lam[1][k] if k < len(lam[1]) else 0
-        acc_m += mu[1][k] if k < len(mu[1]) else 0
-        if acc_l < acc_m:
-            return False
-    return True
-
-
-def dominance(lam: Bipartition, mu: Bipartition) -> Dominance:
-    """Compare two bipartitions of equal size in the dominance order.
-
-    ``lam`` dominates ``mu`` when every prefix sum of ``comp1`` and every
-    ``|comp1|``-shifted prefix sum of ``comp2`` is at least as large.
-    """
-    if bipartition_size(lam) != bipartition_size(mu):
-        raise SizeMismatchError(
-            f"sizes differ: {bipartition_size(lam)} vs {bipartition_size(mu)}"
-        )
-    ge = _prefix_dominates(lam, mu)
-    le = _prefix_dominates(mu, lam)
-    if ge and le:
-        return Dominance.EQUAL
-    if ge:
-        return Dominance.GREATER_EQ
-    if le:
-        return Dominance.LESS_EQ
-    return Dominance.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------

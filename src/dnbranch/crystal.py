@@ -233,10 +233,6 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
 # lattice
 
 
-def _step_sort_key(step):
-    return step if isinstance(step, tuple) else (step,)
-
-
 class Lattice:
     """Levels 0..n of the good lattice with labeled covering edges.
 
@@ -430,7 +426,7 @@ def build_lattice(
                 f"lattice exceeds the vertex budget of {max_vertices}"
             )
         levels.append(tuple(sorted(seen)))
-        level_edges.sort(key=lambda edge: (edge[0], _step_sort_key(edge[1]), edge[2]))
+        level_edges.sort()
         edges.append(tuple(level_edges))
     return Lattice(params, levels, edges)
 
@@ -501,19 +497,6 @@ def shift_path(path, params: CrystalParams):
 
 # ---------------------------------------------------------------------------
 # single-partition mode (calibration)
-
-
-def partition_i_signature(parts: Partition, i: int, l: int | float) -> Signature:
-    """Signature of a bare partition: residues ``col - row`` mod ``l``, offset 0."""
-    return i_signature((parts, ()), i, regime_a_params(l), component=1)
-
-
-def partition_good_removable(parts: Partition, i: int, l: int | float) -> Node | None:
-    return good_removable((parts, ()), (1, i), regime_a_params(l))
-
-
-def partition_good_addable(parts: Partition, i: int, l: int | float) -> Node | None:
-    return good_addable((parts, ()), (1, i), regime_a_params(l))
 
 
 def partition_crystal_levels(n: int, l: int | float) -> list[tuple[Partition, ...]]:

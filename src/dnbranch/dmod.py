@@ -8,8 +8,9 @@ maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
 a single label without a lattice replays its own canonical peel shifted by
-``l``.  A single combinatorial ``h`` serves every base field of
-characteristic != 2.
+``l``.  ``h`` of each good removal of a label is then read off that image
+along the shifted step.  A single combinatorial ``h`` serves every base
+field of characteristic != 2.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -39,7 +40,15 @@ from .core import (
     remove_node,
     residue,
 )
-from .crystal import Lattice, good_nodes, peel_path, replay_path, require_member, shift_path
+from .crystal import (
+    Lattice,
+    good_cells,
+    good_nodes,
+    peel_path,
+    replay_path,
+    require_member,
+    shift_path,
+)
 from .errors import FixedPointError, InvariantError, MultipleSpecialNodesError, ShiftReplayError
 
 UNSPLIT = "unsplit"
@@ -82,14 +91,6 @@ class SocleDecomposition:
 
     source: IrreducibleLabel
     summands: tuple[IrreducibleLabel, ...]
-
-
-def _require(bp: Bipartition, params: CrystalParams, lattice: Lattice | None) -> None:
-    """Membership check: against ``lattice``, or by the peel without one."""
-    if lattice is None:
-        peel_path(bp, params)
-    else:
-        require_member(bp, lattice)
 
 
 def involution(
@@ -160,11 +161,38 @@ def unsplit_class(
 def _good_removals(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None
 ) -> list[tuple[Node, Bipartition, Bipartition]]:
-    """``(cell, removal, h of the removal)`` for every good removable cell."""
+    """``(cell, removal, h of the removal)`` for every good removable cell.
+
+    Also the membership check of ``bp``.  With a lattice, ``h`` of each
+    removal is read from it.  Without one, ``h`` carries the crystal
+    operator of step ``s`` to that of the shifted step (``(s + l) mod e`` in
+    regime B, the other component in regime A), so ``h`` of the removal
+    along ``s`` is ``h(bp)`` less its good removable cell at the shifted
+    step: one peel of ``bp`` serves every removal.
+    """
+    if lattice is not None:
+        require_member(bp, lattice)
+        removals = []
+        for node, _ in good_nodes(bp, params):
+            child = remove_node(bp, node)
+            removals.append((node, child, involution(child, params, lattice)))
+        return removals
+    image = involution(bp, params)
+    image_cells = good_cells(image, params)
     removals = []
-    for node, _ in good_nodes(bp, params):
-        child = remove_node(bp, node)
-        removals.append((node, child, involution(child, params, lattice)))
+    for node, step in good_nodes(bp, params):
+        if params.regime == REGIME_B:
+            shifted = (step + params.l) % params.e
+        else:
+            shifted = (3 - step[0], step[1])
+        twin = image_cells.get(shifted, (None, None))[0]
+        if twin is None:
+            raise ShiftReplayError(
+                f"{format_bipartition(image)}, the h image of "
+                f"{format_bipartition(bp)}, has no good removable cell "
+                f"at step {shifted}"
+            )
+        removals.append((node, remove_node(bp, node), remove_node(image, twin)))
     return removals
 
 
@@ -182,7 +210,6 @@ def almost_symmetric(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Node | None:
     """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    _require(bp, params, lattice)
     return _special_cell(bp, _good_removals(bp, params, lattice))
 
 
@@ -191,8 +218,8 @@ def socle_restriction(
 ) -> SocleDecomposition:
     """Socle of the restriction of ``label`` one level down.
 
-    Reads ``h`` of the good removals from ``lattice`` when given, and from
-    their own canonical peels otherwise.
+    Reads ``h`` of the good removals from ``lattice`` when given, and off
+    ``h`` of the label's representative otherwise.
     """
     n = label.n
     if n < 2:
@@ -207,7 +234,6 @@ def socle_restriction(
         }
         summands = sorted(classes, key=label_sort_key)
     else:
-        _require(lam, params, lattice)
         removals = _good_removals(lam, params, lattice)
         special = _special_cell(lam, removals)
         summands = []

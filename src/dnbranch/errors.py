@@ -13,10 +13,6 @@ class NotRemovableError(DnBranchError, ValueError):
     """Attempt to remove a cell that is not a removable node of the diagram."""
 
 
-class SizeMismatchError(DnBranchError, ValueError):
-    """Dominance comparison of bipartitions of different total size."""
-
-
 class ResourceLimitError(DnBranchError, RuntimeError):
     """A configured vertex budget was exceeded during lattice construction."""
 

@@ -31,13 +31,7 @@ from .core import (
     remove_node,
     removable_nodes,
 )
-from .crystal import (
-    Lattice,
-    build_lattice,
-    f_tilde,
-    good_nodes,
-    partition_crystal_levels,
-)
+from .crystal import build_lattice, f_tilde, good_nodes, partition_crystal_levels
 from .dmod import (
     SPLIT,
     equivalence_classes,
@@ -166,39 +160,6 @@ def _label_dimension(label) -> int:
             raise InvariantError(f"{format_label(label)} has odd dimension {dim}")
         return dim // 2
     return dim
-
-
-# ---------------------------------------------------------------------------
-# path enumeration
-
-
-def all_paths(
-    bp: Bipartition, params: CrystalParams, lattice: Lattice, cap: int = DEFAULT_PATH_CAP
-):
-    """Every addition path from the empty bipartition to ``bp``.
-
-    Walks the lattice's parent edges depth first; returns
-    ``(paths, truncated)`` where ``truncated`` reports that the cap cut the
-    enumeration short.
-    """
-    paths: list[tuple] = []
-    truncated = False
-
-    def walk(vertex, suffix):
-        nonlocal truncated
-        if len(paths) >= cap:
-            truncated = True
-            return
-        if vertex == EMPTY_BIPARTITION:
-            paths.append(tuple(reversed(suffix)))
-            return
-        for parent, step in lattice.parents(vertex):
-            suffix.append(step)
-            walk(parent, suffix)
-            suffix.pop()
-
-    walk(bp, [])
-    return paths, truncated
 
 
 # ---------------------------------------------------------------------------
@@ -356,42 +317,34 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
                 )
                 continue
             if len(special) == 1:
-                node_a = special[0]
                 if bp == involution(bp, params, lattice):
                     report.failures.append(
                         (format_bipartition(bp), "almost symmetric implies not fixed", "fixed")
                     )
                 pool = removable_nodes(bp) if params.regime == REGIME_A else good
-                for b in pool:
-                    for c in pool:
-                        if c == node_a:
-                            continue
-                        report.cases += 1
-                        if remove_node(bp, b) == image(remove_node(bp, c)):
-                            report.failures.append(
-                                (
-                                    format_bipartition(bp),
-                                    f"removal at {format_node(b)} differs from partner of {format_node(c)}",
-                                    "equal",
-                                )
-                            )
+                skipped = special[0]
             elif bp != involution(bp, params, lattice):
-                for b in good:
-                    for c in good:
-                        report.cases += 1
-                        if remove_node(bp, b) == image(remove_node(bp, c)):
-                            report.failures.append(
-                                (
-                                    format_bipartition(bp),
-                                    f"removal at {format_node(b)} differs from partner of {format_node(c)}",
-                                    "equal",
-                                )
+                pool, skipped = good, None
+            else:
+                continue
+            for b in pool:
+                for c in pool:
+                    if c == skipped:
+                        continue
+                    report.cases += 1
+                    if remove_node(bp, b) == image(remove_node(bp, c)):
+                        report.failures.append(
+                            (
+                                format_bipartition(bp),
+                                f"removal at {format_node(b)} differs from partner of {format_node(c)}",
+                                "equal",
                             )
+                        )
     report.elapsed = time.perf_counter() - start
     return report
 
 
-def _reference_partition_good_removables(parts: Partition, l: int | float):
+def _reference_good_removables(parts: Partition, l: int | float):
     """Good removable cells of one partition, recomputed from scratch.
 
     Deliberately separate from the crystal engine: collects marked cells row
@@ -473,7 +426,7 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
             reference = {
                 (component, res, row, col)
                 for component in (1, 2)
-                for res, (row, col) in _reference_partition_good_removables(
+                for res, (row, col) in _reference_good_removables(
                     bp[component - 1], l
                 )
             }

@@ -3,7 +3,6 @@ from hypothesis import given
 
 from conftest import bipartitions, partitions
 from dnbranch.core import (
-    Dominance,
     INF,
     Node,
     REGIME_A,
@@ -12,7 +11,6 @@ from dnbranch.core import (
     addable_nodes,
     bipartition_size,
     classify_regime,
-    dominance,
     format_bipartition,
     hat,
     is_l_restricted,
@@ -22,13 +20,7 @@ from dnbranch.core import (
     removable_nodes,
     residue,
 )
-from dnbranch.errors import (
-    InvalidEError,
-    NotRemovableError,
-    ParseError,
-    SizeMismatchError,
-)
-from dnbranch.oracle import enumerate_bipartitions
+from dnbranch.errors import InvalidEError, NotRemovableError, ParseError
 
 
 def test_residue_regime_b_offsets():
@@ -112,36 +104,6 @@ def test_node_lists_strictly_increase(bp):
     for nodes in (removable_nodes(bp), addable_nodes(bp)):
         keys = [(node.component, node.row) for node in nodes]
         assert keys == sorted(set(keys))
-
-
-def test_dominance_examples():
-    assert dominance(((2,), ()), ((1,), (1,))) is Dominance.GREATER_EQ
-    assert dominance(((2,), (1,)), ((2,), (1,))) is Dominance.EQUAL
-    assert dominance(((2,), (1,)), ((1, 1), (1,))) is Dominance.GREATER_EQ
-    assert dominance(((1, 1), (1,)), ((2,), (1,))) is Dominance.LESS_EQ
-    assert dominance(((2,), (1,)), ((1,), (2,))) is Dominance.GREATER_EQ
-    assert dominance(((2,), (1,)), ((1, 1, 1), ())) is Dominance.INCOMPARABLE
-    with pytest.raises(SizeMismatchError):
-        dominance(((2,), ()), ((1,), ()))
-
-
-def test_dominance_is_a_partial_order_exhaustively():
-    bps = list(enumerate_bipartitions(6))
-    relation = {}
-    for a in bps:
-        for b in bps:
-            relation[a, b] = dominance(a, b) in (Dominance.GREATER_EQ, Dominance.EQUAL)
-    for a in bps:
-        assert relation[a, a]
-        for b in bps:
-            if relation[a, b] and relation[b, a]:
-                assert a == b
-    for a in bps:
-        below_a = [b for b in bps if relation[a, b]]
-        for b in below_a:
-            for c in bps:
-                if relation[b, c]:
-                    assert relation[a, c]
 
 
 def test_classify_regime():

@@ -29,9 +29,6 @@ from dnbranch.crystal import (
     good_removable,
     i_signature,
     partition_crystal_levels,
-    partition_good_addable,
-    partition_good_removable,
-    partition_i_signature,
     replay_path,
     shift_path,
 )
@@ -40,12 +37,12 @@ from dnbranch.oracle import enumerate_bipartitions, enumerate_partitions
 
 
 def test_partition_signature_examples():
-    sig = partition_i_signature((1,), 1, 2)
+    sig = i_signature(((1,), ()), 1, regime_a_params(2), component=1)
     assert sig.entries == ((Node(1, 1, 2), ADDABLE), (Node(1, 2, 1), ADDABLE))
     assert sig.reduced == sig.entries
     assert (sig.phi, sig.eps) == (2, 0)
 
-    sig = partition_i_signature((1, 1), 1, 2)
+    sig = i_signature(((1, 1), ()), 1, regime_a_params(2), component=1)
     assert sig.entries == ((Node(1, 1, 2), ADDABLE), (Node(1, 2, 1), REMOVABLE))
     assert sig.reduced == sig.entries
     assert (sig.phi, sig.eps) == (1, 1)
@@ -81,9 +78,9 @@ def test_signature_requires_component_in_regime_a():
 
 
 def test_good_nodes_partition_level():
-    assert partition_good_addable((1,), 1, 2) == Node(1, 2, 1)
-    assert partition_good_removable((1, 1), 1, 2) == Node(1, 2, 1)
-    assert partition_good_removable((), 0, 2) is None
+    assert good_addable(((1,), ()), (1, 1), regime_a_params(2)) == Node(1, 2, 1)
+    assert good_removable(((1, 1), ()), (1, 1), regime_a_params(2)) == Node(1, 2, 1)
+    assert good_removable(((), ()), (1, 0), regime_a_params(2)) is None
 
 
 def test_good_nodes_examples():
@@ -260,6 +257,18 @@ def test_index_follows_the_edges(e):
         lattice.children(((9,), ()))
 
 
+def test_parents_examples():
+    # 1|1 at e=4 is reached along steps 0 then 2 and along 2 then 0
+    params = classify_regime(4, 4)
+    lattice = build_lattice(4, params)
+    assert lattice.parents(EMPTY_BIPARTITION) == ()
+    assert lattice.parents(((1,), (1,))) == ((((), (1,)), 0), (((1,), ()), 2))
+    # at l=2 the only path to 1,1|- adds (1,0) then (1,1)
+    lattice = build_lattice(2, regime_a_params(2))
+    assert lattice.parents(((1, 1), ())) == ((((1,), ()), (1, 1)),)
+    assert lattice.parents(((1,), ())) == ((EMPTY_BIPARTITION, (1, 0)),)
+
+
 def test_unreached_vertex_fails_construction():
     # (3) is not 3-restricted, so no good addition reaches it; regime A has
     # no h table to notice it
@@ -307,7 +316,7 @@ def test_regime_a_good_nodes_decouple():
         for bp in level:
             for node, (component, res) in good_nodes(bp, params):
                 assert node.component == component
-                single = partition_good_removable(bp[component - 1], res, 2)
+                single = good_removable((bp[component - 1], ()), (1, res), params)
                 assert single is not None
                 assert (single.row, single.col) == (node.row, node.col)
 
@@ -317,7 +326,7 @@ def test_regime_a_good_nodes_decouple():
 def test_reduced_signature_shape(parts):
     for e in (2, 3):
         for i in range(e):
-            sig = partition_i_signature(parts, i, e)
+            sig = i_signature((parts, ()), i, regime_a_params(e), component=1)
             marks = [mark for _, mark in sig.reduced]
             assert marks == sorted(marks)  # "A" sorts before "R"
             assert sig.eps == marks.count(REMOVABLE)
@@ -326,16 +335,16 @@ def test_reduced_signature_shape(parts):
 
 def test_good_picks_leftmost_removable_rightmost_addable():
     # residue-0 word of (2,2,1) at l=2 is A(1,3) R(2,2) R(3,1)
-    sig = partition_i_signature((2, 2, 1), 0, 2)
+    sig = i_signature(((2, 2, 1), ()), 0, regime_a_params(2), component=1)
     assert [(n.row, n.col, m) for n, m in sig.entries] == [
         (1, 3, ADDABLE),
         (2, 2, REMOVABLE),
         (3, 1, REMOVABLE),
     ]
-    assert partition_good_removable((2, 2, 1), 0, 2) == Node(1, 2, 2)
-    assert partition_good_addable((2, 2, 1), 0, 2) == Node(1, 1, 3)
+    assert good_removable(((2, 2, 1), ()), (1, 0), regime_a_params(2)) == Node(1, 2, 2)
+    assert good_addable(((2, 2, 1), ()), (1, 0), regime_a_params(2)) == Node(1, 1, 3)
     # the residue-1 word is A(3,2) A(4,1); the rightmost addable wins
-    assert partition_good_addable((2, 2, 1), 1, 2) == Node(1, 4, 1)
+    assert good_addable(((2, 2, 1), ()), (1, 1), regime_a_params(2)) == Node(1, 4, 1)
 
 
 def _marked_steps(bp, params):

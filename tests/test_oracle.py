@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,9 +14,9 @@ from dnbranch.core import (
     removable_nodes,
 )
 from dnbranch.crystal import build_lattice
+from dnbranch.dmod import involution
 from dnbranch.errors import NotSemisimpleError
 from dnbranch.oracle import (
-    all_paths,
     bipartition_dimension,
     count_standard_bitableaux,
     enumerate_bipartitions,
@@ -32,30 +34,6 @@ def test_enumerate_partitions():
     assert set(enumerate_partitions(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
     assert len(list(enumerate_partitions(8))) == 22
     assert len(list(enumerate_bipartitions(4))) == 20
-
-
-def test_all_paths_examples():
-    params = classify_regime(4, 4)
-    lattice = build_lattice(4, params)
-    paths, truncated = all_paths(EMPTY_BIPARTITION, params, lattice)
-    assert paths == [()] and not truncated
-    paths, truncated = all_paths(((1,), (1,)), params, lattice)
-    assert sorted(paths) == [(0, 2), (2, 0)] and not truncated
-
-
-def test_all_paths_unique_in_decoupled_regime():
-    params = regime_a_params(2)
-    lattice = build_lattice(2, params)
-    paths, truncated = all_paths(((1, 1), ()), params, lattice)
-    assert len(paths) == 1 and not truncated
-    assert paths[0] == ((1, 0), (1, 1))
-
-
-def test_all_paths_cap_marks_truncation():
-    params = classify_regime(5, 4)
-    lattice = build_lattice(5, params)
-    paths, truncated = all_paths(((1,), (2, 2)), params, lattice, cap=1)
-    assert len(paths) == 1 and truncated
 
 
 def test_bipartition_dimension_examples():
@@ -154,6 +132,52 @@ def test_uniqueness_and_distinctness_suites():
     for e, n in ((4, 8), (INF, 7), (2, 4)):
         report = verify_uniqueness_and_distinctness(n, classify_regime(n, e))
         assert report.passed, report.failures[:3]
+
+
+def _fixed_points_moved_to_the_swap(bp, params, lattice=None):
+    image = involution(bp, params, lattice)
+    return image if image != bp else hat(bp)
+
+
+def _swap_fixed_points_pinned(bp, params, lattice=None):
+    image = involution(bp, params, lattice)
+    return bp if image == hat(bp) else image
+
+
+# cases, failure count and SHA-256 of the failure list, recorded before the
+# two pair loops of the suite were folded into one; the doctored involutions
+# reach both the almost-symmetric branch and the plain one
+NO_FAILURES = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+UNIQUENESS_RECORD = [
+    (4, 8, None, 860, 0, NO_FAILURES),
+    (6, 9, None, 2771, 0, NO_FAILURES),
+    (INF, 8, None, 3121, 0, NO_FAILURES),
+    (4, 8, ("involution", _fixed_points_moved_to_the_swap), 884, 8,
+     "ce512d5d10e0992c51fd6e2fd449685c65ce778e89084b09c74ad2fdcbd17a6c"),
+    (6, 9, ("involution", _fixed_points_moved_to_the_swap), 2823, 8,
+     "0e3b482321f542ba1f29da69209eaf688db90e6d80b01be54fb65b253cb08ae7"),
+    (4, 8, ("involution", _swap_fixed_points_pinned), 734, 29,
+     "2b3cf941b832cc7d493988704ccad91bea140d1b5a035a5cb41f96a99e7a593d"),
+    (6, 9, ("involution", _swap_fixed_points_pinned), 1993, 129,
+     "a99caffc4d8a677712db924209702ae50fac0cb112ff1cc6c1adca1e4f2d2b91"),
+    # regime A compares against the swap itself; the identity in its place
+    # makes every removal its own partner
+    (INF, 8, ("hat", lambda bp: bp), 3121, 1004,
+     "3dd24ed6c045ae4094928245965b7b18a45c64232dfc90cebfd0c5602b10c65a"),
+]
+
+
+@pytest.mark.parametrize("e, n, patch, cases, count, digest", UNIQUENESS_RECORD)
+def test_uniqueness_and_distinctness_matches_the_record(
+    monkeypatch, e, n, patch, cases, count, digest
+):
+    import dnbranch.oracle as oracle
+
+    if patch is not None:
+        monkeypatch.setattr(oracle, *patch)
+    report = verify_uniqueness_and_distinctness(n, classify_regime(n, e))
+    assert (report.cases, len(report.failures)) == (cases, count)
+    assert hashlib.sha256(repr(report.failures).encode()).hexdigest() == digest
 
 
 def test_regime_a_decoupling_suites():

@@ -9,15 +9,16 @@ import pytest
 
 from dnbranch import io as dio
 from dnbranch.cli import main
-from dnbranch.core import INF, classify_regime, format_bipartition, hat
+from dnbranch.core import EMPTY_BIPARTITION, INF, classify_regime, format_bipartition, hat
 from dnbranch.crystal import build_lattice, canonical_path, peel_path
 from dnbranch.dmod import (
+    _good_removals,
     almost_symmetric,
     equivalence_classes,
     involution,
     socle_restriction,
 )
-from dnbranch.errors import NotKleshchevError
+from dnbranch.errors import NotKleshchevError, ShiftReplayError
 from dnbranch.oracle import enumerate_bipartitions
 
 # every bipartition of size n, member or not, at each of these points
@@ -109,6 +110,39 @@ def test_socle_without_lattice_matches_the_lattice(lattice):
             assert almost_symmetric(label.rep, params) == almost_symmetric(
                 label.rep, params, lat
             )
+
+
+def test_removal_images_without_lattice_match_the_table(lattice):
+    # h of each good removal is read off h of the vertex along the shifted step
+    params, lat = lattice
+    for level in lat.levels:
+        for bp in level:
+            for _, child, image in _good_removals(bp, params, None):
+                assert image == (hat(child) if lat.h is None else lat.h[child])
+
+
+@pytest.mark.parametrize("command", ["involution", "branch"])
+def test_point_query_peels_at_most_twice(monkeypatch, command):
+    import dnbranch.dmod as dmod
+
+    calls = []
+
+    def counting_peel(bp, params):
+        calls.append(bp)
+        return peel_path(bp, params)
+
+    monkeypatch.setattr(dmod, "peel_path", counting_peel)
+    argv = [command, "--e", "4", "--n", "16", "--bipartition=2,1|3,2,2,2,1,1,1,1"]
+    assert _run(argv)[0] == 0
+    assert 1 <= len(calls) <= 2
+
+
+def test_missing_twin_cell_is_a_shift_replay_error(monkeypatch):
+    import dnbranch.dmod as dmod
+
+    monkeypatch.setattr(dmod, "involution", lambda bp, params, lattice=None: EMPTY_BIPARTITION)
+    with pytest.raises(ShiftReplayError):
+        almost_symmetric(((2, 1), (2, 1)), classify_regime(6, 4))
 
 
 def test_non_members_are_rejected_without_lattice():
