@@ -36,6 +36,31 @@ def test_enumerate_partitions():
     assert len(list(enumerate_bipartitions(4))) == 20
 
 
+def _lattice_paths(bp, lattice):
+    """Every step sequence from the empty bipartition to ``bp`` in ``lattice``."""
+    if bp == EMPTY_BIPARTITION:
+        return [()]
+    return [
+        path + (step,)
+        for parent, step in lattice.parents(bp)
+        for path in _lattice_paths(parent, lattice)
+    ]
+
+
+def test_all_paths_examples():
+    params = classify_regime(4, 4)
+    lattice = build_lattice(4, params)
+    assert _lattice_paths(EMPTY_BIPARTITION, lattice) == [()]
+    assert sorted(_lattice_paths(((1,), (1,)), lattice)) == [(0, 2), (2, 0)]
+
+
+def test_all_paths_unique_in_decoupled_regime():
+    params = regime_a_params(2)
+    lattice = build_lattice(2, params)
+    paths = _lattice_paths(((1, 1), ()), lattice)
+    assert paths == [((1, 0), (1, 1))]
+
+
 def test_bipartition_dimension_examples():
     assert bipartition_dimension(((2,), ())) == 1
     assert bipartition_dimension(((1,), (1,))) == 2
