@@ -15,14 +15,28 @@ crystal operators are indexed by a *step* ``(component, residue)`` instead
 of a bare residue.  Lattice edge labels and path entries use the same step
 encoding.
 
-``good_cells`` is the engine's sweep: one pass over the rows lists every
-marked cell with its step, already in reading order, buckets the cells by
-step and reduces each bucket, giving the good removable and good addable
-cell of every step at once.  ``build_lattice``, ``good_nodes`` and the
-socle engine read it.  ``i_signature`` and the operators built on it
-(``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the
-per-residue definitional scan: they list and sort all marked cells and keep
-one residue.
+The engine reads the rule through component words.  A component's marked
+cells of one residue depend only on its partition, its residue offset (``0``
+for component 1; ``l`` for component 2 in regime B, ``0`` in regime A) and
+the modulus.  ``component_word`` reduces them once per distinct partition,
+memoised, to a summary per residue: the reduced word ``A^a R^r``, its last
+``A`` and first ``R`` cells, and the partition with that last ``A`` added.
+The regime decides only how the two component words of a bipartition
+combine:
+
+* regime A: the steps are the union of the two components' steps ``(c, i)``;
+* regime B: residue ``i`` reads ``A^a1 R^r1 A^a2 R^r2``, component 1 first,
+  and ``R^r1 A^a2`` cancels in ``min(r1, a2)`` pairs (Kashiwara's
+  tensor-product rule).  The good addable cell is component 2's last ``A``
+  if ``a2 > r1``, else component 1's last ``A`` if ``a1 > 0``; the good
+  removable cell is component 1's first ``R`` if ``r1 > a2``, else
+  component 2's first ``R`` if ``r2 > 0``.
+
+``good_cells`` (and through it ``good_nodes``, the peel and the socle
+engine) and ``build_lattice`` read the combined words.  ``i_signature`` and
+the operators built on it (``good_removable``, ``good_addable``,
+``e_tilde``, ``f_tilde``) are the per-residue definitional scan: they list
+and sort all marked cells of the bipartition and keep one residue.
 
 ``peel_path`` peels a single bipartition down to the empty one, so its
 membership and its path need no lattice; ``replay_path`` folds a path back.
@@ -30,8 +44,10 @@ membership and its path need no lattice; ``replay_path`` folds a path back.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cache
+from types import MappingProxyType
 
 from .core import (
     Bipartition,
@@ -162,58 +178,131 @@ def f_tilde(bp: Bipartition, step, params: CrystalParams) -> Bipartition | None:
     return None if node is None else add_node(bp, node)
 
 
+# the summary of a residue with no marked cell; ``good_cells`` tells it
+# apart by identity from a word whose cells all cancel
+_NO_WORD = (0, 0, None, None, None)
+
+
+# The tensor-product rule.  A step's word is ``A^a1 R^r1 A^a2 R^r2``, component
+# 1 read first; its ``R^r1 A^a2`` cancels in ``min(r1, a2)`` pairs, the last
+# ``R``s of component 1 against the first ``A``s of component 2.
+
+
+def _good_addable_side(a1: int, r1: int, a2: int) -> int:
+    """Component of the good addable cell (the last surviving ``A``), or 0."""
+    return 2 if a2 > r1 else 1 if a1 else 0
+
+
+def _good_removable_side(r1: int, a2: int, r2: int) -> int:
+    """Component of the good removable cell (the first surviving ``R``), or 0."""
+    return 1 if r1 > a2 else 2 if r2 else 0
+
+
+@cache
+def component_word(
+    parts: Partition, offset: int, modulus: int | float
+) -> Mapping[int, tuple]:
+    """Reduced signature word of one component, per residue, memoised.
+
+    Each row contributes its removable cell, then its addable cell, so the
+    marked cells come out in reading order without sorting; the cell in
+    row ``r``, column ``c`` has residue ``c - r + offset``, reduced mod
+    ``modulus`` when it is finite.  Every residue with a marked cell maps to
+    ``(a, r, last_a, first_r, child)``: the reduced word is ``A^a R^r``,
+    ``last_a`` and ``first_r`` are the ``(row, col)`` of its last ``A`` and
+    first ``R`` (``None`` when absent), and ``child`` is ``parts`` with
+    ``last_a`` added.  Residues come in ascending order.  Every caller
+    shares the read-only result; the memo holds one entry per distinct
+    ``(parts, offset, modulus)`` seen in the process.
+    """
+    finite = modulus != INF
+    rows = len(parts)
+    buckets: dict = {}
+    marked = []
+    above = 0
+    for row, length in enumerate(parts, start=1):
+        if row == rows or parts[row] < length:
+            marked.append((row, length, REMOVABLE))
+        if row == 1 or above > length:
+            marked.append((row, length + 1, ADDABLE))
+        above = length
+    marked.append((rows + 1, 1, ADDABLE))
+    for row, col, kind in marked:
+        res = col - row + offset
+        if finite:
+            res %= modulus
+        buckets.setdefault(res, []).append(((row, col), kind))
+
+    word = {}
+    for res in sorted(buckets):
+        reduced = _reduce(buckets[res])
+        a = sum(kind == ADDABLE for _, kind in reduced)
+        last_a = first_r = child = None
+        if a:
+            last_a = reduced[a - 1][0]
+            row, col = last_a
+            child = parts[: row - 1] + (col,) + parts[row:]
+        if a < len(reduced):
+            first_r = reduced[a][0]
+        word[res] = (a, len(reduced) - a, last_a, first_r, child)
+    return MappingProxyType(word)
+
+
+@cache
+def _word_side(parts: Partition, offset: int, modulus: int | float, component: int) -> tuple:
+    """``component_word`` laid out as its side of ``_paired_words``, memoised.
+
+    ``component`` 0 gives the regime-B layout: one summary per residue of
+    ``Z/eZ``, the empty word where no cell is marked.  ``component`` 1 or 2
+    gives the regime-A layout: a ``(step, summary 1, summary 2)`` triple per
+    marked residue, with the empty word on the other side.
+    """
+    word = component_word(parts, offset, modulus)
+    if component == 0:
+        return tuple(word.get(i, _NO_WORD) for i in range(modulus))
+    if component == 1:
+        return tuple(((1, i), summary, _NO_WORD) for i, summary in word.items())
+    return tuple(((2, i), _NO_WORD, summary) for i, summary in word.items())
+
+
+def _paired_words(bp: Bipartition, params: CrystalParams):
+    """``(step, word 1 summary, word 2 summary)`` triples in ascending step order.
+
+    In regime B a residue reads both components, offsets ``0`` and ``l``,
+    so the pair is the two summaries of that residue; residues with no
+    marked cell pair two empty words.  In regime A a step ``(c, i)`` reads
+    component ``c`` alone, so the other side of the pair is the empty word.
+    """
+    if params.regime == REGIME_B:
+        e = params.e
+        return zip(
+            range(e),
+            _word_side(bp[0], 0, e, 0),
+            _word_side(bp[1], params.multicharge[1], e, 0),
+        )
+    return _word_side(bp[0], 0, params.l, 1) + _word_side(bp[1], 0, params.l, 2)
+
+
 def good_cells(
     bp: Bipartition, params: CrystalParams
 ) -> dict[Step, tuple[Node | None, Node | None]]:
-    """Good removable and good addable cell of every step, in one sweep.
+    """Good removable and good addable cell of every step, from the memo.
 
-    Each row contributes its removable cell, then its addable cell, so the
-    marked cells come out in reading order without sorting.  They are
-    bucketed by step and each bucket is reduced by the signature rule.
     Every step with a marked cell maps to ``(good removable, good addable)``,
-    either of which may be ``None``; agrees with ``good_removable`` and
-    ``good_addable`` step by step.
+    either of which may be ``None``, in ascending step order; agrees with
+    ``good_removable`` and ``good_addable`` step by step.  The tensor-product
+    rule picks each cell from one of the step's two component words.
     """
-    regime_b = params.regime == REGIME_B
-    modulus = params.e if regime_b else params.l
-    finite = modulus != INF
-    buckets: dict = {}
-    for component in (1, 2):
-        parts = bp[component - 1]
-        offset = params.multicharge[component - 1] if regime_b else 0
-        rows = len(parts)
-        marked = []
-        above = 0
-        for row, length in enumerate(parts, start=1):
-            if row == rows or parts[row] < length:
-                marked.append((row, length, REMOVABLE))
-            if row == 1 or above > length:
-                marked.append((row, length + 1, ADDABLE))
-            above = length
-        marked.append((rows + 1, 1, ADDABLE))
-        for row, col, kind in marked:
-            res = col - row + offset
-            if finite:
-                res %= modulus
-            step = res if regime_b else (component, res)
-            entry = ((component, row, col), kind)
-            bucket = buckets.get(step)
-            if bucket is None:
-                buckets[step] = [entry]
-            else:
-                bucket.append(entry)
-
     cells = {}
-    for step, entries in buckets.items():
-        removable = addable = None
-        # the reduced word is A...A R...R: the good addable cell is the last
-        # A, the good removable cell the first R
-        for cell, kind in _reduce(entries):
-            if kind == REMOVABLE:
-                removable = Node(*cell)
-                break
-            addable = cell
-        cells[step] = (removable, None if addable is None else Node(*addable))
+    for step, word1, word2 in _paired_words(bp, params):
+        if word1 is _NO_WORD and word2 is _NO_WORD:
+            continue  # a regime-B residue with no marked cell
+        words = (None, word1, word2)
+        side = _good_addable_side(word1[0], word1[1], word2[0])
+        addable = Node(side, *words[side][2]) if side else None
+        side = _good_removable_side(word1[1], word2[0], word2[1])
+        removable = Node(side, *words[side][3]) if side else None
+        cells[step] = (removable, addable)
     return cells
 
 
@@ -223,9 +312,10 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
     At most one cell per residue class (regime B) or per
     (component, residue) pair (regime A).
     """
-    cells = good_cells(bp, params)
     return [
-        (cells[step][0], step) for step in sorted(cells) if cells[step][0] is not None
+        (removable, step)
+        for step, (removable, _) in good_cells(bp, params).items()
+        if removable is not None
     ]
 
 
@@ -271,7 +361,7 @@ class Lattice:
                     raise ShiftReplayError(
                         f"level {m} is not strictly increasing at {format_bipartition(bp)}"
                     )
-                if bipartition_size(bp) != m:
+                if sum(bp[0]) + sum(bp[1]) != m:
                     raise ShiftReplayError(
                         f"level {m} holds {format_bipartition(bp)} of another size"
                     )
@@ -281,12 +371,10 @@ class Lattice:
         for m, level_edges in enumerate(self.edges):
             last_parent = last_step = None
             for parent, step, child in level_edges:
-                if level_of.get(parent) != m - 1 or level_of.get(child) != m:
-                    raise ShiftReplayError(
-                        f"edge {format_bipartition(parent)} -> "
-                        f"{format_bipartition(child)} does not join level {m - 1} to {m}"
-                    )
+                # an edge's parent is checked when it differs from the last one
                 if parent != last_parent:
+                    if level_of.get(parent) != m - 1:
+                        raise _edge_off_level(parent, child, m)
                     if last_parent is not None and parent < last_parent:
                         raise ShiftReplayError(f"edges of level {m} are not sorted")
                     steps = children[parent] = {}
@@ -297,6 +385,8 @@ class Lattice:
                         if step == last_step
                         else f"edges of level {m} are not sorted"
                     )
+                if level_of.get(child) != m:
+                    raise _edge_off_level(parent, child, m)
                 steps[step] = child
                 last_step = step
             if m and len({edge[2] for edge in level_edges}) != len(self.levels[m]):
@@ -318,15 +408,15 @@ class Lattice:
         shift, e = self.params.l, self.params.e
         children, no_children = self._children, {}
         h = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
-        for level_edges in self.edges:
-            for parent, step, child in level_edges:
-                image_parent = h.get(parent)
-                if image_parent is None:
-                    raise ShiftReplayError(
-                        f"{format_bipartition(parent)} has no h image"
-                    )
+        # ``children`` holds every edge and was filled level by level
+        for parent, steps in children.items():
+            image_parent = h.get(parent)
+            if image_parent is None:
+                raise ShiftReplayError(f"{format_bipartition(parent)} has no h image")
+            image_steps = children.get(image_parent, no_children)
+            for step, child in steps.items():
                 target = (step + shift) % e
-                image = children.get(image_parent, no_children).get(target)
+                image = image_steps.get(target)
                 if image is None:
                     raise ShiftReplayError(
                         f"{format_bipartition(image_parent)} has no step {target}, "
@@ -348,10 +438,10 @@ class Lattice:
         ``(hat p, (3 - c, i), hat ch)`` among the children of ``hat p``.
         """
         children, no_children = self._children, {}
-        for level_edges in self.edges:
-            for parent, (component, i), child in level_edges:
-                mirror = children.get(hat(parent), no_children).get((3 - component, i))
-                if mirror != hat(child):
+        for parent, steps in children.items():
+            mirror_steps = children.get(hat(parent), no_children)
+            for (component, i), child in steps.items():
+                if mirror_steps.get((3 - component, i)) != hat(child):
                     raise ShiftReplayError(
                         f"edge {format_bipartition(parent)} --{component}:{i}--> "
                         f"{format_bipartition(child)} has no component-swap mirror"
@@ -401,10 +491,23 @@ class Lattice:
         )
 
 
+def _edge_off_level(parent: Bipartition, child: Bipartition, m: int) -> ShiftReplayError:
+    return ShiftReplayError(
+        f"edge {format_bipartition(parent)} -> "
+        f"{format_bipartition(child)} does not join level {m - 1} to {m}"
+    )
+
+
 def build_lattice(
     n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> Lattice:
-    """Breadth-first good additions from the empty bipartition up to level ``n``."""
+    """Breadth-first good additions from the empty bipartition up to level ``n``.
+
+    Each child is the memoised child of the component word that the
+    tensor-product rule picks, beside the other component.  Parents
+    go in canonical order and each parent's steps ascend, so every level's
+    edges come out sorted by ``(parent, step)``.
+    """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     levels = [(EMPTY_BIPARTITION,)]
@@ -414,10 +517,14 @@ def build_lattice(
         seen = set()
         level_edges = []
         for parent in levels[-1]:
-            for step, (_, node) in good_cells(parent, params).items():
-                if node is None:
+            for step, word1, word2 in _paired_words(parent, params):
+                side = _good_addable_side(word1[0], word1[1], word2[0])
+                if side == 1:
+                    child = (word1[4], parent[1])
+                elif side == 2:
+                    child = (parent[0], word2[4])
+                else:
                     continue
-                child = add_node(parent, node)
                 level_edges.append((parent, step, child))
                 seen.add(child)
         total += len(seen)
@@ -426,7 +533,6 @@ def build_lattice(
                 f"lattice exceeds the vertex budget of {max_vertices}"
             )
         levels.append(tuple(sorted(seen)))
-        level_edges.sort()
         edges.append(tuple(level_edges))
     return Lattice(params, levels, edges)
 
@@ -501,14 +607,13 @@ def shift_path(path, params: CrystalParams):
 
 def partition_crystal_levels(n: int, l: int | float) -> list[tuple[Partition, ...]]:
     """Levels of the single-partition crystal generated by good additions."""
-    params = regime_a_params(l)
+    modulus = regime_a_params(l).l
     levels: list[tuple[Partition, ...]] = [((),)]
     for _ in range(n):
         seen = set()
         for parts in levels[-1]:
-            bp = (parts, ())
-            for (component, _), (_, node) in good_cells(bp, params).items():
-                if component == 1 and node is not None:
-                    seen.add(add_node(bp, node)[0])
+            for a, _, _, _, child in component_word(parts, 0, modulus).values():
+                if a:
+                    seen.add(child)
         levels.append(tuple(sorted(seen)))
     return levels

@@ -352,6 +352,37 @@ def test_json_documents_match_golden_digests(capsys, command, e, n):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(command, e, n)]
 
 
+# SHA-256 of the JSON documents at points where regime-B signatures cancel
+# across the two components, recorded before the component-word build
+GOLDEN_WIDE = {
+    ("lattice", "8", "10"): "0e446c488811f6badd3a7520425d3722717ca72cfd1986ee7f433cc2e2d0b2b1",
+    ("labels", "8", "10"): "3c62df1a19464e8ee664d4f22f1503ae12cc5879e92860b461d8d63fc7b03f67",
+    ("branch", "8", "10"): "432daa3224fa0dd16264d634958c60bfe1a260d3c6318149e0b7366abc351d62",
+    ("lattice", "6", "12"): "22fbc0da445c3cccbcf271eec49ec58b9fba22b7445d8af25c39afe0c2051380",
+    ("labels", "6", "12"): "2d9810dd2242e9fad5cc3853867507f5bc264097acd6fd0a27c00062480b76bc",
+    ("branch", "6", "12"): "863cd60143d3c200090f4cf44636f49378c18ab1e02e1447a57f264db08a903d",
+    ("lattice", "4", "12"): "ba6fdd2596f3381d8e9aea097156c6fc068b618239216e99d2c51604568c552e",
+    ("labels", "4", "12"): "d2fb6bd65eec47f3e2c6d918ea0b13907cfcafd2c9b48b32a115f004fa623254",
+    ("branch", "4", "12"): "b37304b37c268c670fb808f3a79e81d8a871d3fa6ff0e7ea35299528ea5713a0",
+    ("lattice", "2", "14"): "6b1db18465329854f1d44aa61a34936f4e5898db7766a02c0b3ed0916b549916",
+    ("labels", "2", "14"): "7652f3d9ef328aa61ae6e5ba2c51e62dc3882fc9935d59daacf43c6eca16db3c",
+    ("branch", "2", "14"): "0e460ba491aa1f01c4c942eb3f94b65760d2df3187d0a480c2039ed0b47ed0cc",
+    ("lattice", "3", "12"): "d040dca82cc89d70fa17ff253739e5ff3cdc4dfda177fed2ddb902ed285914b6",
+    ("labels", "3", "12"): "fbe3c16937788eaba8095e2c80ee3266940d7ed6ffc7e11f01a4da0ac6503262",
+    ("branch", "3", "12"): "c45766f104e2f30b67628a2198f790f059fd628175711ea7d2646c5a01de68bd",
+    ("lattice", "inf", "11"): "1ad281453685b2e9f6b4efe11c7c04942afbe4a0c690b63bade06b1057c63c49",
+    ("labels", "inf", "11"): "fb7dc2ab947c41d5c988cd776e01d6a5f6e1ebd2b0926aff2814aa02f39216aa",
+    ("branch", "inf", "11"): "4319e373eed403d9c461445f0d95d1ed62bb287f92a6dc9e71a8dc04576d68ce",
+}
+
+
+@pytest.mark.parametrize("command, e, n", sorted(GOLDEN_WIDE))
+def test_json_documents_match_wide_golden_digests(capsys, command, e, n):
+    code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json", "--no-cache")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WIDE[(command, e, n)]
+
+
 # argv drawn from the real subcommands and flags plus junk; sizes stay at
 # most 6 and bipartition texts short, so every call is quick
 _VALUES = {

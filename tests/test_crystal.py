@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -8,7 +14,9 @@ from dnbranch.core import (
     REGIME_B,
     Node,
     addable_nodes,
+    bipartition_size,
     classify_regime,
+    hat,
     is_l_restricted,
     regime_a_params,
     remove_node,
@@ -19,8 +27,13 @@ from dnbranch.crystal import (
     ADDABLE,
     REMOVABLE,
     Lattice,
+    _good_addable_side,
+    _good_removable_side,
+    _reduce,
+    _word_side,
     build_lattice,
     canonical_path,
+    component_word,
     e_tilde,
     f_tilde,
     good_addable,
@@ -354,13 +367,27 @@ def _marked_steps(bp, params):
     return {(node.component, residue(node, params)) for node in nodes}
 
 
+def _alphabet(params, size):
+    """Every step that can mark a cell of a bipartition of at most ``size``."""
+    if params.regime == REGIME_B:
+        return list(range(params.e))
+    residues = range(-size - 1, size + 2) if params.l == INF else range(params.l)
+    return [(component, i) for component in (1, 2) for i in residues]
+
+
 def _assert_sweep_agrees(bp, params):
     cells = good_cells(bp, params)
     assert set(cells) == _marked_steps(bp, params)
+    assert list(cells) == sorted(cells)  # good_nodes reads the steps in this order
     for step, (removable, addable) in cells.items():
         assert removable == good_removable(bp, step, params)
         assert addable == good_addable(bp, step, params)
         assert all(type(node) is Node for node in (removable, addable) if node is not None)
+    # a step missing from the memo must have no good cell at all
+    for step in _alphabet(params, bipartition_size(bp)):
+        if step not in cells:
+            assert good_removable(bp, step, params) is None
+            assert good_addable(bp, step, params) is None
 
 
 @pytest.mark.parametrize(
@@ -380,3 +407,131 @@ def test_good_cells_agree_with_per_step_scan(params):
 def test_good_cells_agree_off_the_lattice(bp):
     for params in (regime_a_params(3), regime_a_params(INF), classify_regime(8, 4)):
         _assert_sweep_agrees(bp, params)
+
+
+def _regenerate(n, params):
+    """Levels and edges from the empty bipartition by ``f_tilde`` over the alphabet."""
+    levels = [[EMPTY_BIPARTITION]]
+    edges = [[]]
+    for m in range(n):
+        level_edges = [
+            (parent, step, child)
+            for parent in levels[-1]
+            for step in _alphabet(params, m)
+            if (child := f_tilde(parent, step, params)) is not None
+        ]
+        levels.append(sorted({child for _, _, child in level_edges}))
+        edges.append(sorted(level_edges))
+    return levels, edges
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 6, 8, INF])
+def test_lattice_regenerates_from_definitional_operators(e):
+    # f_tilde sorts every marked cell of the bipartition and never reads the
+    # component-word memo
+    n = 9
+    params = classify_regime(n, e)
+    lattice = build_lattice(n, params)
+    levels, edges = _regenerate(n, params)
+    assert [list(level) for level in lattice.levels] == levels
+    assert [list(level_edges) for level_edges in lattice.edges] == edges
+    if params.regime == REGIME_B:
+        h = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
+        for level_edges in edges:
+            for parent, step, child in level_edges:
+                image = f_tilde(h[parent], (step + params.l) % params.e, params)
+                assert h.setdefault(child, image) == image
+        assert lattice.h == h
+    else:
+        assert lattice.h is None
+        for level_edges in edges:
+            for parent, (component, i), child in level_edges:
+                assert f_tilde(hat(parent), (3 - component, i), params) == hat(child)
+
+
+def _summary(entries):
+    reduced = _reduce(entries)
+    a = sum(mark == ADDABLE for _, mark in reduced)
+    last_a = reduced[a - 1][0] if a else None
+    first_r = reduced[a][0] if a < len(reduced) else None
+    return a, len(reduced) - a, last_a, first_r
+
+
+@given(st.lists(st.sampled_from([ADDABLE, REMOVABLE]), max_size=16), st.data())
+@settings(max_examples=200)
+def test_tensor_rule_agrees_with_the_concatenated_word(marks, data):
+    word = list(enumerate(marks))
+    cut = data.draw(st.integers(min_value=0, max_value=len(word)))
+    a1, r1, last_a1, first_r1 = _summary(word[:cut])
+    a2, r2, last_a2, first_r2 = _summary(word[cut:])
+    _, _, last_a, first_r = _summary(word)
+    side = _good_addable_side(a1, r1, a2)
+    assert (None, last_a1, last_a2)[side] == last_a
+    side = _good_removable_side(r1, a2, r2)
+    assert (None, first_r1, first_r2)[side] == first_r
+
+
+def test_component_word_memo_serves_every_repeat():
+    params = classify_regime(10, 6)
+    component_word.cache_clear()
+    _word_side.cache_clear()
+    lattice = build_lattice(10, params)
+    distinct = {(bp[0], 0) for level in lattice.levels[:-1] for bp in level} | {
+        (bp[1], params.l) for level in lattice.levels[:-1] for bp in level
+    }
+    assert component_word.cache_info().currsize == len(distinct)
+    misses = _word_side.cache_info().misses
+    build_lattice(10, params)
+    assert _word_side.cache_info().misses == misses
+
+
+_DOCTOR_SCRIPT = """
+from dnbranch.core import classify_regime
+from dnbranch.crystal import Lattice, build_lattice
+from dnbranch.errors import ShiftReplayError
+
+assert False, "asserts are stripped"
+
+
+def doctorings(lattice):
+    levels = [list(level) for level in lattice.levels]
+    edges = [list(level_edges) for level_edges in lattice.edges]
+    first = edges[3][0]
+    second = next(edge for edge in edges[3] if edge[0] == first[0] and edge != first)
+    yield "unsorted level", levels[:3] + [levels[3][::-1]] + levels[4:], edges
+    yield "wrong size", levels[:3] + [sorted(levels[3] + [((4,), ())])] + levels[4:], edges
+    yield "stray child", levels, edges[:3] + [[(first[0], first[1], ((9,), ()))] + edges[3][1:]] + edges[4:]
+    yield "stray parent", levels, edges[:3] + [[(((9,), ()), first[1], first[2])] + edges[3][1:]] + edges[4:]
+    later = [(second[0], second[1], levels[2][0]) if edge == second else edge for edge in edges[3]]
+    yield "child one level down", levels, edges[:3] + [later] + edges[4:]
+    yield "unsorted edges", levels, edges[:3] + [edges[3][::-1]] + edges[4:]
+    yield "duplicate edge", levels, edges[:3] + [[first] + edges[3]] + edges[4:]
+    unreached = sorted(levels[4] + [((4,), ())])
+    yield "unreached vertex", levels[:4] + [unreached] + levels[5:], edges
+
+
+for e in (4, 3):
+    params = classify_regime(5, e)
+    for name, levels, edges in doctorings(build_lattice(5, params)):
+        try:
+            Lattice(params, levels, edges)
+        except ShiftReplayError:
+            print(e, name, "raised")
+"""
+
+
+def test_constructor_checks_raise_under_optimization():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _DOCTOR_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    names = [
+        "unsorted level", "wrong size", "stray child", "stray parent",
+        "child one level down", "unsorted edges", "duplicate edge", "unreached vertex",
+    ]
+    assert result.stdout.splitlines() == [
+        f"{e} {name} raised" for e in (4, 3) for name in names
+    ]
