@@ -19,7 +19,7 @@ safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidEError, NotRemovableError, ParseError
@@ -43,8 +43,59 @@ class Node(NamedTuple):
     col: int
 
 
-@dataclass(frozen=True)
-class CrystalParams:
+class Record:
+    """Base of the package's value classes, whose fields are their ``__slots__``.
+
+    Two records are equal when they are of the same class and their fields
+    are equal, and a record shows as ``Name(field=value, ...)``.  A record
+    can be changed and so has no hash; :class:`Frozen` makes it immutable
+    and hashable.  A subclass declares at least two fields, in the order of
+    its ``__init__`` parameters.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable, hashable :class:`Record`.
+
+    ``__init__`` sets each field once with ``object.__setattr__``; any
+    later assignment raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return (self.__class__, self._values(self))
+
+
+class CrystalParams(Frozen):
     """Crystal parameters derived from the quantum characteristic ``e``.
 
     Regime ``"B"``: ``e`` is finite and even, ``l = e // 2``, and the two
@@ -56,10 +107,15 @@ class CrystalParams:
     offset, and crystal operators act on each component independently.
     """
 
-    e: int | float
-    regime: str
-    l: int | float
-    multicharge: tuple[int, int] = (0, 0)
+    __slots__ = ("e", "regime", "l", "multicharge")
+
+    def __init__(
+        self, e: int | float, regime: str, l: int | float, multicharge: tuple[int, int] = (0, 0)
+    ) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "multicharge", multicharge)
 
 
 def _check_e(e: int | float) -> None:

@@ -45,7 +45,6 @@ membership and its path need no lattice; ``replay_path`` folds a path back.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 
@@ -53,6 +52,7 @@ from .core import (
     Bipartition,
     CrystalParams,
     EMPTY_BIPARTITION,
+    Frozen,
     INF,
     Node,
     Partition,
@@ -80,19 +80,28 @@ Path = tuple[Step, ...]
 DEFAULT_VERTEX_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Residue word of marked cells, before and after cancellation.
 
     ``reduced`` never has a removable entry directly before an addable one;
     ``eps`` counts surviving removable cells, ``phi`` surviving addable ones.
     """
 
-    residue: int
-    entries: tuple[tuple[Node, str], ...]
-    reduced: tuple[tuple[Node, str], ...]
-    eps: int
-    phi: int
+    __slots__ = ("residue", "entries", "reduced", "eps", "phi")
+
+    def __init__(
+        self,
+        residue: int,
+        entries: tuple[tuple[Node, str], ...],
+        reduced: tuple[tuple[Node, str], ...],
+        eps: int,
+        phi: int,
+    ) -> None:
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "phi", phi)
 
 
 def _reduce(entries: Iterable[tuple[Node, str]]) -> tuple[tuple[Node, str], ...]:

@@ -24,11 +24,11 @@ free sum read off from the good removable cells:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     Bipartition,
     CrystalParams,
+    Frozen,
     INF,
     Node,
     REGIME_A,
@@ -57,8 +57,7 @@ SPLIT = "split"
 _SIGN_ORDER = {"+": 0, "-": 1}
 
 
-@dataclass(frozen=True)
-class IrreducibleLabel:
+class IrreducibleLabel(Frozen):
     """Label of a simple module at level ``n = |rep|``.
 
     ``unsplit``: ``rep`` is the smaller element of its two-element orbit
@@ -67,9 +66,12 @@ class IrreducibleLabel:
     ``-``.
     """
 
-    kind: str
-    rep: Bipartition
-    sign: str | None = None
+    __slots__ = ("kind", "rep", "sign")
+
+    def __init__(self, kind: str, rep: Bipartition, sign: str | None = None) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "sign", sign)
 
     @property
     def n(self) -> int:
@@ -85,12 +87,14 @@ def format_label(label: IrreducibleLabel) -> str:
     return f"D{sign}({format_bipartition(label.rep)})"
 
 
-@dataclass(frozen=True)
-class SocleDecomposition:
+class SocleDecomposition(Frozen):
     """Socle of the restriction of ``source``, as a sorted duplicate-free sum."""
 
-    source: IrreducibleLabel
-    summands: tuple[IrreducibleLabel, ...]
+    __slots__ = ("source", "summands")
+
+    def __init__(self, source: IrreducibleLabel, summands: tuple[IrreducibleLabel, ...]) -> None:
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "summands", summands)
 
 
 def involution(

@@ -16,7 +16,6 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     INF,
     REGIME_A,
     REGIME_B,
+    Record,
     format_bipartition,
     format_partition,
     parse_bipartition,
@@ -41,13 +41,15 @@ KIND_BRANCHING = "branching"
 KIND_REPORT = "report"
 
 
-@dataclass
-class Document:
+class Document(Record):
     """A typed payload together with the crystal parameters it was made at."""
 
-    params: CrystalParams
-    kind: str
-    data: object
+    __slots__ = ("params", "kind", "data")
+
+    def __init__(self, params: CrystalParams, kind: str, data: object) -> None:
+        self.params = params
+        self.kind = kind
+        self.data = data
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +66,12 @@ def _extended_from_json(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise SchemaMismatchError(f"expected an integer or 'inf', got {value!r}")
+
+
+def _size_from_json(value, what: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+        return value
+    raise SchemaMismatchError(f"{what} {value!r} is not a size")
 
 
 def _step_to_json(step):
@@ -90,8 +98,13 @@ def _label_to_json(label: IrreducibleLabel):
 def _label_from_json(value) -> IrreducibleLabel:
     if not isinstance(value, dict) or "kind" not in value or "rep" not in value:
         raise SchemaMismatchError(f"malformed label {value!r}")
-    kind = value["kind"]
-    rep = parse_bipartition(value["rep"])
+    kind, text = value["kind"], value["rep"]
+    if not isinstance(text, str):
+        raise SchemaMismatchError(f"label rep {text!r} is not a string")
+    try:
+        rep = parse_bipartition(text)
+    except ParseError as exc:
+        raise SchemaMismatchError(f"malformed label rep: {exc}") from exc
     if kind == UNSPLIT:
         return IrreducibleLabel(UNSPLIT, rep)
     if kind == SPLIT:
@@ -157,11 +170,9 @@ def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) ->
     mismatch; the ``Lattice`` constructor checks the rest of the structure.
     """
     try:
-        n = data["n"]
+        n = _size_from_json(data["n"], "level count")
         level_texts = data["levels"]
         edge_lists = data["edges"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise SchemaMismatchError(f"level count {n!r} is not a size")
         if len(level_texts) != n + 1 or len(edge_lists) != n + 1:
             raise SchemaMismatchError("lattice payload has inconsistent level count")
         keep = n if depth is None else depth
@@ -209,7 +220,7 @@ def _labels_data(payload):
 def _labels_from_data(data):
     try:
         return {
-            "n": int(data["n"]),
+            "n": _size_from_json(data["n"], "label size"),
             "labels": [_label_from_json(v) for v in data["labels"]],
         }
     except (KeyError, TypeError) as exc:
@@ -238,7 +249,7 @@ def _branching_from_data(data):
             )
             for entry in data["entries"]
         ]
-        return {"n": int(data["n"]), "entries": entries}
+        return {"n": _size_from_json(data["n"], "branching size"), "entries": entries}
     except (KeyError, TypeError) as exc:
         raise SchemaMismatchError(f"malformed branching payload: {exc}") from exc
 
@@ -257,19 +268,35 @@ def _report_data(report: VerificationReport):
 
 def _report_from_data(params: CrystalParams, data) -> VerificationReport:
     try:
-        return VerificationReport(
-            suite=data["suite"],
-            e=params.e,
-            regime=params.regime,
-            l=params.l,
-            n=int(data["n"]),
-            cases=int(data["cases"]),
-            failures=[tuple(f) for f in data["failures"]],
-            elapsed=float(data["elapsed"]),
-            truncated=bool(data["truncated"]),
-        )
+        suite, failures = data["suite"], data["failures"]
+        elapsed, truncated = data["elapsed"], data["truncated"]
+        n = _size_from_json(data["n"], "report size")
+        cases = _size_from_json(data["cases"], "case count")
     except (KeyError, TypeError) as exc:
         raise SchemaMismatchError(f"malformed report payload: {exc}") from exc
+    if not (
+        isinstance(suite, str)
+        and isinstance(failures, list)
+        and all(
+            isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
+            for f in failures
+        )
+        and isinstance(elapsed, (int, float))
+        and not isinstance(elapsed, bool)
+        and isinstance(truncated, bool)
+    ):
+        raise SchemaMismatchError("malformed report payload")
+    return VerificationReport(
+        suite=suite,
+        e=params.e,
+        regime=params.regime,
+        l=params.l,
+        n=n,
+        cases=cases,
+        failures=[tuple(f) for f in failures],
+        elapsed=float(elapsed),
+        truncated=truncated,
+    )
 
 
 # ---------------------------------------------------------------------------

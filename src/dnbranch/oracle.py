@@ -10,7 +10,6 @@ the machinery they validate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import comb, factorial
 
 from .core import (
@@ -21,6 +20,7 @@ from .core import (
     Partition,
     REGIME_A,
     REGIME_B,
+    Record,
     bipartition_size,
     format_bipartition,
     format_node,
@@ -44,8 +44,7 @@ from .errors import InvariantError, NotSemisimpleError
 DEFAULT_PATH_CAP = 100_000
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verification suite.
 
     ``failures`` holds ``(input, expected, got)`` text triples; a truncated
@@ -53,15 +52,29 @@ class VerificationReport:
     than passing.
     """
 
-    suite: str
-    e: int | float
-    regime: str
-    l: int | float
-    n: int
-    cases: int = 0
-    failures: list[tuple[str, str, str]] = field(default_factory=list)
-    elapsed: float = 0.0
-    truncated: bool = False
+    __slots__ = ("suite", "e", "regime", "l", "n", "cases", "failures", "elapsed", "truncated")
+
+    def __init__(
+        self,
+        suite: str,
+        e: int | float,
+        regime: str,
+        l: int | float,
+        n: int,
+        cases: int = 0,
+        failures: list[tuple[str, str, str]] | None = None,
+        elapsed: float = 0.0,
+        truncated: bool = False,
+    ) -> None:
+        self.suite = suite
+        self.e = e
+        self.regime = regime
+        self.l = l
+        self.n = n
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.elapsed = elapsed
+        self.truncated = truncated
 
     @property
     def status(self) -> str:

@@ -1,6 +1,17 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and start-up stays lean.
+
+A point query is mostly interpreter start-up and import, so the package keeps
+``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``, about half of
+the package's import time) off its import path.  Every layer is still
+imported eagerly by ``dnbranch.cli``: the benchmark's tracer wraps only the
+modules loaded by that import.
+"""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +50,56 @@ def test_detector_sees_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detector_sees_imported_modules():
+    source = "import os.path, json as j\nfrom dataclasses import field\nfrom . import io\n"
+    assert imported_modules(source) == {"os", "json", "dataclasses"}
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_module_does_not_import_dataclasses(module):
+    assert "dataclasses" not in imported_modules((PACKAGE / module).read_text())
+
+
+HEAVY = ["dataclasses", "inspect", "ast", "dis"]
+LAYERS = [f"dnbranch.{name}" for name in ("core", "crystal", "dmod", "io", "oracle")]
+
+# -S: no site packages, so nothing but the package can load the heavy modules
+_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+seen = {}
+import dnbranch.cli
+seen["import"] = sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = dnbranch.cli.main(["involution", "--e", "4", "--n", "16",
+                              "--bipartition=2,1|3,2,2,2,1,1,1,1"])
+seen["involution"] = sorted(sys.modules)
+print(json.dumps({"code": code, "seen": seen}))
+"""
+
+
+def test_point_query_loads_every_layer_and_no_heavy_module():
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["code"] == 0
+    for stage, modules in out["seen"].items():
+        assert [name for name in HEAVY if name in modules] == [], stage
+        assert [name for name in LAYERS if name not in modules] == [], stage

@@ -74,6 +74,63 @@ def test_parse_rejections():
         dio.parse_json('{"schema":"dnbranch/1","e":4,"regime":"B","l":2,"kind":"labels"}')
 
 
+def _payload(kind):
+    """The parsed JSON of a small labels, branching or report document."""
+    params = classify_regime(3, 4)
+    lattice = build_lattice(3, params)
+    if kind == "labels":
+        doc = dio.labels_document(params, 3, equivalence_classes(lattice.levels[3], params, lattice))
+    elif kind == "branching":
+        doc = dio.branching_document(params, 3, branching_graph(3, params, lattice))
+    else:
+        report = verify_level1_calibration(4, 3)
+        report.failures.append(("input", "expected", "got"))
+        doc = dio.report_document(report)
+    return json.loads(dio.serialize_json(doc))
+
+
+# (document kind, path of keys and indices into the payload, doctored value)
+PAYLOAD_FAULTS = [
+    ("labels", ("n",), "x"),
+    ("labels", ("n",), 3.7),
+    ("labels", ("n",), -1),
+    ("labels", ("n",), True),
+    ("labels", ("labels", 0, "rep"), 5),
+    ("labels", ("labels", 0, "rep"), "1|2|3"),
+    ("branching", ("n",), "x"),
+    ("branching", ("n",), 3.0),
+    ("branching", ("entries", 0, "source", "rep"), 5),
+    ("branching", ("entries", 0, "summands", 0, "rep"), "x"),
+    ("report", ("n",), "x"),
+    ("report", ("n",), 3.7),
+    ("report", ("cases",), "x"),
+    ("report", ("cases",), -2),
+    ("report", ("suite",), 5),
+    ("report", ("elapsed",), "x"),
+    ("report", ("elapsed",), False),
+    ("report", ("truncated",), "no"),
+    ("report", ("failures",), "x"),
+    ("report", ("failures", 0), ["input", "expected"]),
+    ("report", ("failures", 0, 1), 7),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    PAYLOAD_FAULTS,
+    ids=[f"{kind}-{'.'.join(map(str, path))}={value!r}" for kind, path, value in PAYLOAD_FAULTS],
+)
+def test_payload_faults_are_schema_mismatches(kind, path, value):
+    doc = _payload(kind)
+    dio.parse_json(json.dumps(doc))
+    target = doc["data"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(json.dumps(doc))
+
+
 def test_dot_single_vertex_lattice():
     params = classify_regime(0, 4)
     lattice = build_lattice(0, params)
