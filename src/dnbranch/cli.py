@@ -23,7 +23,7 @@ from .core import (
     format_node,
     parse_bipartition,
 )
-from .crystal import Lattice, build_lattice
+from .crystal import build_lattice
 from .dmod import (
     SPLIT,
     UNSPLIT,
@@ -89,20 +89,6 @@ def _header(params: CrystalParams | VerificationReport, n: int) -> str:
     return f"# e={e_text} regime={params.regime} l={l_text} n={n}"
 
 
-def _get_lattice(params: CrystalParams, n: int, use_cache: bool) -> Lattice:
-    if use_cache:
-        cached = dio.cache_load(params, n)
-        if cached is not None:
-            return cached
-    lattice = build_lattice(n, params)
-    if use_cache:
-        try:
-            dio.cache_store(lattice)
-        except OSError as exc:
-            print(f"warning: could not write lattice cache: {exc}", file=sys.stderr)
-    return lattice
-
-
 def _parse_bipartition_arg(text: str, n: int):
     bp = parse_bipartition(text)
     if bipartition_size(bp) != n:
@@ -118,7 +104,7 @@ def _parse_bipartition_arg(text: str, n: int):
 
 def cmd_lattice(args) -> int:
     params = classify_regime(args.n, args.e)
-    lattice = _get_lattice(params, args.n, not args.no_cache)
+    lattice = build_lattice(args.n, params)
     if args.format == "dot":
         print(dio.emit_dot(lattice), end="")
     elif args.format == "json":
@@ -139,7 +125,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_labels(args) -> int:
     params = classify_regime(args.n, args.e)
-    lattice = _get_lattice(params, args.n, not args.no_cache)
+    lattice = build_lattice(args.n, params)
     labels = equivalence_classes(lattice.levels[args.n], params, lattice)
     if args.format == "json":
         print(dio.serialize_json(dio.labels_document(params, args.n, labels)), end="")
@@ -153,7 +139,7 @@ def cmd_labels(args) -> int:
 def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
-        lattice = _get_lattice(params, args.n, not args.no_cache)
+        lattice = build_lattice(args.n, params)
         entries = branching_graph(args.n, params, lattice)
     else:
         # a single label needs no lattice: membership and h come from its peel
@@ -210,9 +196,22 @@ def cmd_involution(args) -> int:
     return EXIT_OK
 
 
+def _decimal(value: int) -> str:
+    """Exact decimal text of ``value``, however many digits it has."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters before 3.10.7 have no digit limit
+        return str(value)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_dims(args) -> int:
     bp = parse_bipartition(args.bipartition)
-    print(bipartition_dimension(bp))
+    print(_decimal(bipartition_dimension(bp)))
     return EXIT_OK
 
 
@@ -271,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=_size_at_least(least_n), required=True, help=f"total size, at least {least_n}")
         if formats:
             p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--no-cache", action="store_true", help="skip the lattice cache; point queries never read or write it")
 
     p = sub.add_parser("lattice", help="print the good lattice up to level n")
     common(p, formats=("text", "json", "dot"))

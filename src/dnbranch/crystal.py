@@ -342,13 +342,13 @@ class Lattice:
     at equal parameters compare equal.
 
     Construction checks that canonical form in one pass over the vertices
-    and edges, raising ``ShiftReplayError`` unless every level is strictly
-    increasing and holds only bipartitions of its own size, every edge joins
-    level ``m - 1`` to level ``m``, the edges of each level are strictly
-    sorted by ``(parent, step)`` (so no parent has two edges with one step),
-    and every vertex above level 0 is the child of an edge.  Children are
-    indexed by step for each parent; parents are indexed on the first call
-    of ``parents``.
+    and edges, raising ``ShiftReplayError`` unless there is one edge list
+    per level, every level is strictly increasing and holds only
+    bipartitions of its own size, every edge joins level ``m - 1`` to level
+    ``m``, the edges of each level are strictly sorted by ``(parent, step)``
+    (so no parent has two edges with one step), and every vertex above
+    level 0 is the child of an edge.  Children are indexed by step for each
+    parent; parents are indexed on the first call of ``parents``.
 
     In regime B, ``h`` maps every vertex to its image under the label
     involution, read off the edges once at construction: ``h(empty) =
@@ -362,10 +362,17 @@ class Lattice:
         self.params = params
         self.levels = tuple(tuple(level) for level in levels)
         self.edges = tuple(tuple(level_edges) for level_edges in edges)
-        self._level_of = level_of = {}
+        if len(self.edges) != len(self.levels):
+            raise ShiftReplayError(
+                f"{len(self.levels)} levels but {len(self.edges)} edge lists"
+            )
+        # every vertex's position in level order: level m holds the
+        # positions first[m] .. first[m + 1] - 1
+        position = {}
+        first = [0]
         for m, level in enumerate(self.levels):
             previous = None
-            for bp in level:
+            for k, bp in enumerate(level, first[m]):
                 if previous is not None and bp <= previous:
                     raise ShiftReplayError(
                         f"level {m} is not strictly increasing at {format_bipartition(bp)}"
@@ -374,15 +381,21 @@ class Lattice:
                     raise ShiftReplayError(
                         f"level {m} holds {format_bipartition(bp)} of another size"
                     )
-                level_of[bp] = m
+                position[bp] = k
                 previous = bp
+            first.append(first[m] + len(level))
         self._children = children = {}
+        # one lookup per endpoint checks its level; a child's also marks it reached
+        reached = bytearray(len(position))
         for m, level_edges in enumerate(self.edges):
+            low, high = first[m], first[m + 1]
+            parent_low = first[m - 1] if m else low
             last_parent = last_step = None
             for parent, step, child in level_edges:
                 # an edge's parent is checked when it differs from the last one
                 if parent != last_parent:
-                    if level_of.get(parent) != m - 1:
+                    k = position.get(parent, -1)
+                    if k < parent_low or k >= low:
                         raise _edge_off_level(parent, child, m)
                     if last_parent is not None and parent < last_parent:
                         raise ShiftReplayError(f"edges of level {m} are not sorted")
@@ -394,12 +407,17 @@ class Lattice:
                         if step == last_step
                         else f"edges of level {m} are not sorted"
                     )
-                if level_of.get(child) != m:
+                k = position.get(child, -1)
+                if k < low or k >= high:
                     raise _edge_off_level(parent, child, m)
+                reached[k] = 1
                 steps[step] = child
                 last_step = step
-            if m and len({edge[2] for edge in level_edges}) != len(self.levels[m]):
+            if m and reached.find(0, low, high) >= 0:
                 raise ShiftReplayError(f"level {m} has a vertex that no edge reaches")
+        # keep the vertices only: thousands of live position ints would hold
+        # on to about 1.5 MB of memory at n = 16
+        self._vertices = dict.fromkeys(position)
         self._parents = None
         if params.regime == REGIME_B:
             self.h = self._shift_table()
@@ -436,7 +454,7 @@ class Lattice:
                     raise ShiftReplayError(
                         f"edges into {format_bipartition(child)} give two h images"
                     )
-        if h.keys() != self._level_of.keys():
+        if h.keys() != self._vertices.keys():
             raise ShiftReplayError("some lattice vertices have no h image")
         return h
 
@@ -450,7 +468,7 @@ class Lattice:
         for parent, steps in children.items():
             mirror_steps = children.get(hat(parent), no_children)
             for (component, i), child in steps.items():
-                if mirror_steps.get((3 - component, i)) != hat(child):
+                if mirror_steps.get((3 - component, i)) != (child[1], child[0]):
                     raise ShiftReplayError(
                         f"edge {format_bipartition(parent)} --{component}:{i}--> "
                         f"{format_bipartition(child)} has no component-swap mirror"
@@ -461,15 +479,16 @@ class Lattice:
         return len(self.levels) - 1
 
     def __contains__(self, bp: Bipartition) -> bool:
-        return bp in self._level_of
+        return bp in self._vertices
 
     def level_of(self, bp: Bipartition) -> int | None:
-        return self._level_of.get(bp)
+        # construction checked that a vertex's level is its size
+        return sum(bp[0]) + sum(bp[1]) if bp in self._vertices else None
 
     def parents(self, bp: Bipartition):
         """``(parent, step)`` pairs of the edges into ``bp``, in edge order."""
         if self._parents is None:
-            parents: dict = {vertex: [] for vertex in self._level_of}
+            parents: dict = {vertex: [] for vertex in self._vertices}
             for level_edges in self.edges:
                 for parent, step, child in level_edges:
                     parents[child].append((parent, step))
@@ -478,12 +497,12 @@ class Lattice:
 
     def children(self, bp: Bipartition):
         """``(step, child)`` pairs of the edges leaving ``bp``, in edge order."""
-        if bp not in self._level_of:
+        if bp not in self._vertices:
             raise KeyError(bp)
         return tuple(self._children.get(bp, {}).items())
 
     def vertex_count(self) -> int:
-        return len(self._level_of)
+        return len(self._vertices)
 
     def __eq__(self, other) -> bool:
         return (
@@ -559,7 +578,8 @@ def require_member(bp: Bipartition, lattice: Lattice) -> None:
         raise ValueError(
             f"lattice only covers sizes up to {lattice.n}, got size {m}"
         )
-    if lattice.level_of(bp) != m:
+    # a vertex's level is its size, so membership is the whole check
+    if bp not in lattice:
         raise _not_kleshchev(bp)
 
 

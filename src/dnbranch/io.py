@@ -1,4 +1,4 @@
-"""Canonical JSON serialization, DOT export and the lattice cache.
+"""Canonical JSON serialization and DOT export.
 
 Documents share the top-level shape
 ``{"schema": "dnbranch/1", "e": ..., "regime": ..., "l": ..., "kind": ...,
@@ -13,10 +13,6 @@ documents are byte identical.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-import warnings
-from pathlib import Path
 
 from .core import (
     CrystalParams,
@@ -159,10 +155,10 @@ def _lattice_data(lattice: Lattice):
     }
 
 
-def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) -> Lattice:
-    """The lattice of a payload, or only its levels ``0..depth``.
+def _lattice_from_data(params: CrystalParams, data) -> Lattice:
+    """The lattice of a payload.
 
-    The level counts of the whole payload are checked.  Each distinct
+    The level counts are checked first.  Each distinct
     component text is parsed once: a vertex text whose two components have
     both been seen reuses their tuples, any other text goes through
     ``parse_bipartition`` and its full validation.  Edge endpoints are looked
@@ -175,13 +171,12 @@ def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) ->
         edge_lists = data["edges"]
         if len(level_texts) != n + 1 or len(edge_lists) != n + 1:
             raise SchemaMismatchError("lattice payload has inconsistent level count")
-        keep = n if depth is None else depth
         # components only enter ``parts`` from a text that parsed, so they
         # hold no '|' and are never empty: two hits mean exactly one '|'
         parts: dict = {}
         vertices = {}
         levels = []
-        for level in level_texts[: keep + 1]:
+        for level in level_texts:
             parsed = []
             for text in level:
                 if not isinstance(text, str):
@@ -203,7 +198,7 @@ def _lattice_from_data(params: CrystalParams, data, depth: int | None = None) ->
                 (vertices[p], _step_from_json(s, regime), vertices[c])
                 for p, s, c in level_edges
             ]
-            for level_edges in edge_lists[: keep + 1]
+            for level_edges in edge_lists
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"malformed lattice payload: {exc}") from exc
@@ -345,8 +340,8 @@ def serialize_json(doc: Document) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _parse_envelope(text: str):
-    """``(params, kind, data)`` of a document whose envelope is well formed."""
+def parse_json(text: str) -> Document:
+    """Parse a canonical document, rejecting unknown schemas and shapes."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -360,12 +355,7 @@ def _parse_envelope(text: str):
     for key in ("e", "regime", "l", "kind", "data"):
         if key not in obj:
             raise SchemaMismatchError(f"missing key {key!r}")
-    return _params_from_header(obj), obj["kind"], obj["data"]
-
-
-def parse_json(text: str) -> Document:
-    """Parse a canonical document, rejecting unknown schemas and shapes."""
-    params, kind, data = _parse_envelope(text)
+    params, kind, data = _params_from_header(obj), obj["kind"], obj["data"]
     if kind == KIND_LATTICE:
         return Document(params, kind, _lattice_from_data(params, data))
     if kind == KIND_LABELS:
@@ -418,66 +408,3 @@ def emit_dot(obj) -> str:
                 )
         lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# lattice cache
-
-
-def default_cache_dir() -> Path:
-    env = os.environ.get("DNBRANCH_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "dnbranch"
-
-
-def _cache_path(cache_dir: Path, params: CrystalParams) -> Path:
-    e_text = "inf" if params.e == INF else str(int(params.e))
-    return cache_dir / f"lattice-e{e_text}-{params.regime}.json"
-
-
-def cache_store(lattice: Lattice, cache_dir: Path | None = None) -> Path:
-    """Atomically persist a lattice, keyed by (e, regime)."""
-    cache_dir = cache_dir or default_cache_dir()
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(cache_dir, lattice.params)
-    text = serialize_json(lattice_document(lattice))
-    fd, tmp_name = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-    return path
-
-
-def cache_load(
-    params: CrystalParams, n: int, cache_dir: Path | None = None
-) -> Lattice | None:
-    """Load a cached lattice covering at least ``n`` levels.
-
-    A missing or too-shallow cache is a miss (``None``); a corrupted file is
-    reported with a warning and treated as a miss; genuine I/O failures
-    propagate.
-    """
-    cache_dir = cache_dir or default_cache_dir()
-    path = _cache_path(cache_dir, params)
-    if not path.exists():
-        return None
-    text = path.read_text()
-    try:
-        found, kind, data = _parse_envelope(text)
-        if kind != KIND_LATTICE or found != params:
-            warnings.warn(f"ignoring mismatched lattice cache {path}")
-            return None
-        # a deeper cache serves a prefix: only levels 0..n are parsed and built
-        depth = data.get("n") if isinstance(data, dict) else None
-        if isinstance(depth, int) and depth < n:
-            return None
-        return _lattice_from_data(params, data, n)
-    except (ParseError, SchemaMismatchError) as exc:
-        warnings.warn(f"ignoring corrupted lattice cache {path}: {exc}")
-        return None

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
 import io
-import json
+import math
 import os
-from unittest import mock
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -20,14 +22,14 @@ def run(capsys, *argv):
 
 
 def test_lattice_dot_contains_example_vertex(capsys):
-    code, out, _ = run(capsys, "lattice", "--e", "4", "--n", "5", "--format", "dot", "--no-cache")
+    code, out, _ = run(capsys, "lattice", "--e", "4", "--n", "5", "--format", "dot")
     assert code == 0
     assert '"1|2,2"' in out
     assert '"2|1,1,1"' in out
 
 
 def test_lattice_text_level_counts(capsys):
-    code, out, _ = run(capsys, "lattice", "--e", "inf", "--n", "2", "--format", "text", "--no-cache")
+    code, out, _ = run(capsys, "lattice", "--e", "inf", "--n", "2", "--format", "text")
     assert code == 0
     level2 = next(line for line in out.splitlines() if line.startswith("level 2:"))
     assert len(level2.split()[2:]) == 5
@@ -35,13 +37,13 @@ def test_lattice_text_level_counts(capsys):
 
 
 def test_lattice_invalid_e(capsys):
-    code, _, err = run(capsys, "lattice", "--e", "1", "--n", "3", "--no-cache")
+    code, _, err = run(capsys, "lattice", "--e", "1", "--n", "3")
     assert code == 2
     assert "quantum characteristic" in err
 
 
 def test_lattice_json_round_trips(capsys):
-    code, out, _ = run(capsys, "lattice", "--e", "4", "--n", "3", "--format", "json", "--no-cache")
+    code, out, _ = run(capsys, "lattice", "--e", "4", "--n", "3", "--format", "json")
     assert code == 0
     doc = dio.parse_json(out)
     assert doc.kind == dio.KIND_LATTICE
@@ -49,14 +51,14 @@ def test_lattice_json_round_trips(capsys):
 
 
 def test_labels_text(capsys):
-    code, out, _ = run(capsys, "labels", "--e", "inf", "--n", "2", "--no-cache")
+    code, out, _ = run(capsys, "labels", "--e", "inf", "--n", "2")
     assert code == 0
     lines = out.splitlines()[1:]
     assert lines == ["D(-|1,1)", "D(-|2)", "D+(1|1)", "D-(1|1)"]
 
 
 def test_labels_json_round_trips(capsys):
-    code, out, _ = run(capsys, "labels", "--e", "inf", "--n", "2", "--format", "json", "--no-cache")
+    code, out, _ = run(capsys, "labels", "--e", "inf", "--n", "2", "--format", "json")
     assert code == 0
     doc = dio.parse_json(out)
     assert doc.kind == dio.KIND_LABELS
@@ -66,7 +68,7 @@ def test_labels_json_round_trips(capsys):
 
 def test_branch_single_bipartition(capsys):
     code, out, _ = run(
-        capsys, "branch", "--e", "inf", "--n", "5", "--bipartition", "2,1|1,1", "--no-cache"
+        capsys, "branch", "--e", "inf", "--n", "5", "--bipartition", "2,1|1,1"
     )
     assert code == 0
     assert "source: D(1,1|2,1)" in out
@@ -78,7 +80,6 @@ def test_branch_split_label_with_sign(capsys):
     code, out, _ = run(
         capsys,
         "branch", "--e", "inf", "--n", "6", "--bipartition", "2,1|2,1", "--sign", "+",
-        "--no-cache",
     )
     assert code == 0
     body = {line.strip() for line in out.splitlines() if line.startswith("  ")}
@@ -87,7 +88,7 @@ def test_branch_split_label_with_sign(capsys):
 
 def test_branch_regime_b_example(capsys):
     code, out, _ = run(
-        capsys, "branch", "--e", "4", "--n", "5", "--bipartition", "2|1,1,1", "--no-cache"
+        capsys, "branch", "--e", "4", "--n", "5", "--bipartition", "2|1,1,1"
     )
     assert code == 0
     body = [line.strip() for line in out.splitlines() if line.startswith("  ")]
@@ -99,7 +100,6 @@ def test_branch_sign_on_non_fixed_is_usage_error(capsys):
     code, _, err = run(
         capsys,
         "branch", "--e", "inf", "--n", "5", "--bipartition", "2,1|1,1", "--sign", "+",
-        "--no-cache",
     )
     assert code == 2
     assert "fixed point" in err
@@ -107,14 +107,14 @@ def test_branch_sign_on_non_fixed_is_usage_error(capsys):
 
 def test_branch_non_kleshchev_is_domain_error(capsys):
     code, _, err = run(
-        capsys, "branch", "--e", "2", "--n", "2", "--bipartition", "1,1|-", "--no-cache"
+        capsys, "branch", "--e", "2", "--n", "2", "--bipartition", "1,1|-"
     )
     assert code == 3
     assert "Kleshchev" in err
 
 
 def test_branch_whole_level_json(capsys):
-    code, out, _ = run(capsys, "branch", "--e", "4", "--n", "4", "--format", "json", "--no-cache")
+    code, out, _ = run(capsys, "branch", "--e", "4", "--n", "4", "--format", "json")
     assert code == 0
     doc = dio.parse_json(out)
     assert doc.kind == dio.KIND_BRANCHING
@@ -123,7 +123,7 @@ def test_branch_whole_level_json(capsys):
 
 def test_involution_fixed_point(capsys):
     code, out, _ = run(
-        capsys, "involution", "--e", "4", "--n", "4", "--bipartition", "1|2,1", "--no-cache"
+        capsys, "involution", "--e", "4", "--n", "4", "--bipartition", "1|2,1"
     )
     assert code == 0
     assert "fixed: yes" in out
@@ -133,7 +133,7 @@ def test_involution_fixed_point(capsys):
 
 def test_involution_almost_symmetric_output(capsys):
     code, out, _ = run(
-        capsys, "involution", "--e", "4", "--n", "5", "--bipartition", "1|2,2", "--no-cache"
+        capsys, "involution", "--e", "4", "--n", "5", "--bipartition", "1|2,2"
     )
     assert code == 0
     assert "almost-symmetric: yes, special node (2,2,2)" in out
@@ -146,6 +146,22 @@ def test_dims(capsys):
     assert out.strip() == "20"
 
 
+def test_dims_prints_every_digit_of_a_large_count(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = get_limit()
+    # about 4 800 digits, past the interpreter's default int-to-str limit
+    code, out, err = run(capsys, "dims", "--bipartition=8000|8000")
+    assert (code, err) == (0, "")
+    assert get_limit() == limit
+    digits = out.strip()
+    assert digits.isdigit()
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == math.comb(16000, 8000)
+
+
 def test_dims_parse_error_position(capsys):
     code, _, err = run(capsys, "dims", "--bipartition", "2,x|1")
     assert code == 2
@@ -154,7 +170,7 @@ def test_dims_parse_error_position(capsys):
 
 def test_verify_pass(capsys):
     code, out, _ = run(
-        capsys, "verify", "--suite", "path-independence", "--e", "4", "--n", "5", "--no-cache"
+        capsys, "verify", "--suite", "path-independence", "--e", "4", "--n", "5"
     )
     assert code == 0
     assert "status: pass" in out
@@ -164,7 +180,7 @@ def test_verify_json_report(capsys):
     code, out, _ = run(
         capsys,
         "verify", "--suite", "level1-calibration", "--e", "3", "--n", "6",
-        "--format", "json", "--no-cache",
+        "--format", "json",
     )
     assert code == 0
     doc = dio.parse_json(out)
@@ -174,7 +190,7 @@ def test_verify_json_report(capsys):
 
 def test_verify_semisimple_rejects_bad_params(capsys):
     code, _, err = run(
-        capsys, "verify", "--suite", "semisimple-branching", "--e", "4", "--n", "5", "--no-cache"
+        capsys, "verify", "--suite", "semisimple-branching", "--e", "4", "--n", "5"
     )
     assert code == 2
     assert "not semisimple" in err
@@ -190,7 +206,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 def test_branch_fixed_point_without_sign(capsys):
     # both signs restrict identically, so one table is printed
     code, out, _ = run(
-        capsys, "branch", "--e", "inf", "--n", "6", "--bipartition", "2,1|2,1", "--no-cache"
+        capsys, "branch", "--e", "inf", "--n", "6", "--bipartition", "2,1|2,1"
     )
     assert code == 0
     assert "source: D+(2,1|2,1)" in out
@@ -206,36 +222,58 @@ def test_resource_limit_maps_to_exit_1(capsys, monkeypatch):
         raise ResourceLimitError("budget exceeded")
 
     monkeypatch.setattr(cli, "build_lattice", explode)
-    code, _, err = run(capsys, "lattice", "--e", "4", "--n", "3", "--no-cache")
+    code, _, err = run(capsys, "lattice", "--e", "4", "--n", "3")
     assert code == 1
     assert "budget" in err
 
 
 def test_bipartition_size_mismatch_is_usage_error(capsys):
     code, _, err = run(
-        capsys, "branch", "--e", "inf", "--n", "4", "--bipartition", "2,1|1,1", "--no-cache"
+        capsys, "branch", "--e", "inf", "--n", "4", "--bipartition", "2,1|1,1"
     )
     assert code == 2
     assert "size" in err
 
 
-def test_cli_uses_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    code, first, _ = run(capsys, "lattice", "--e", "4", "--n", "4", "--format", "json")
-    assert code == 0
-    assert list(tmp_path.glob("*.json"))
-    code, second, _ = run(capsys, "lattice", "--e", "4", "--n", "4", "--format", "json")
-    assert code == 0
-    assert first == second
-    # a deeper cached lattice serves shallower requests byte-identically
-    code, third, _ = run(capsys, "lattice", "--e", "4", "--n", "3", "--format", "json")
-    direct = run(capsys, "lattice", "--e", "4", "--n", "3", "--format", "json", "--no-cache")
-    assert third == direct[1]
+def test_no_cache_is_an_unknown_argument(capsys):
+    for argv in (
+        ["lattice", "--e", "4", "--n", "3"],
+        ["involution", "--e", "4", "--n", "3", "--bipartition=1|2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-cache"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+
+def test_commands_write_no_files(tmp_path):
+    homes = {name: tmp_path / name for name in ("HOME", "TMPDIR", "DNBRANCH_CACHE")}
+    for path in homes.values():
+        path.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.update({name: str(path) for name, path in homes.items()})
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    for argv in (
+        ["lattice", "--e", "4", "--n", "5", "--format", "json"],
+        ["labels", "--e", "3", "--n", "5"],
+        ["branch", "--e", "4", "--n", "5", "--format", "json"],
+        ["involution", "--e", "4", "--n", "5", "--bipartition=1|2,2"],
+        ["dims", "--bipartition=2,1|1,1"],
+        ["verify", "--suite", "path-independence", "--e", "4", "--n", "5"],
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "dnbranch.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, (argv, result.stderr)
+    assert {name: list(path.iterdir()) for name, path in homes.items()} == {
+        name: [] for name in homes
+    }
 
 
 def test_output_is_byte_stable(capsys):
-    first = run(capsys, "branch", "--e", "4", "--n", "5", "--format", "json", "--no-cache")
-    second = run(capsys, "branch", "--e", "4", "--n", "5", "--format", "json", "--no-cache")
+    first = run(capsys, "branch", "--e", "4", "--n", "5", "--format", "json")
+    second = run(capsys, "branch", "--e", "4", "--n", "5", "--format", "json")
     assert first == second
 
 
@@ -252,73 +290,15 @@ def test_output_is_byte_stable(capsys):
 )
 def test_out_of_range_n_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--no-cache"])
+        main(argv)
     assert exc.value.code == 2
     assert "error: argument --n" in capsys.readouterr().err
 
 
 def test_bipartition_starting_with_dash_is_attached(capsys):
-    code, out, _ = run(capsys, "involution", "--e", "inf", "--n", "3", "--bipartition=-|2,1", "--no-cache")
+    code, out, _ = run(capsys, "involution", "--e", "inf", "--n", "3", "--bipartition=-|2,1")
     assert code == 0
     assert "h: 2,1|-" in out
-
-
-def test_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    argv = ("branch", "--e", "4", "--n", "5", "--format", "json")
-    code, expected, _ = run(capsys, *argv, "--no-cache")
-    assert code == 0
-    assert run(capsys, *argv)[1] == expected
-    (path,) = tmp_path.glob("*.json")
-    doc = json.loads(path.read_text())
-    doc["data"]["edges"][3][0][2] = "9|9"  # an edge naming a missing vertex
-    path.write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == expected
-
-
-def test_doctored_regime_a_cache_is_a_miss(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    argv = ("lattice", "--e", "3", "--n", "4", "--format", "json")
-    code, expected, _ = run(capsys, *argv, "--no-cache")
-    assert code == 0
-    assert run(capsys, *argv)[1] == expected
-    (path,) = tmp_path.glob("*.json")
-    doc = json.loads(path.read_text())
-    component, i = doc["data"]["edges"][3][0][1]
-    doc["data"]["edges"][3][0][1] = [component, (i + 1) % 3]  # a wrong step label
-    path.write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == expected
-
-
-def _reverse_level_3(data):
-    data["levels"][3].reverse()
-
-
-def _duplicate_level_3_edge(data):
-    data["edges"][3].insert(0, data["edges"][3][0])
-
-
-@pytest.mark.parametrize("doctor", [_reverse_level_3, _duplicate_level_3_edge])
-def test_cache_out_of_canonical_form_is_a_miss(capsys, tmp_path, monkeypatch, doctor):
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    argv = ("lattice", "--e", "4", "--n", "5", "--format", "json")
-    code, expected, _ = run(capsys, *argv, "--no-cache")
-    assert code == 0
-    assert run(capsys, *argv)[1] == expected
-    (path,) = tmp_path.glob("*.json")
-    doc = json.loads(path.read_text())
-    doctor(doc["data"])
-    path.write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == expected
 
 
 @pytest.mark.parametrize(
@@ -326,7 +306,7 @@ def test_cache_out_of_canonical_form_is_a_miss(capsys, tmp_path, monkeypatch, do
     [("semisimple-branching", "0"), ("semisimple-branching", "1"), ("uniqueness-distinctness", "0")],
 )
 def test_verify_without_cases_is_inconclusive(capsys, suite, n):
-    code, out, _ = run(capsys, "verify", "--suite", suite, "--e", "inf", "--n", n, "--no-cache")
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--e", "inf", "--n", n)
     assert code == 1
     assert "cases: 0" in out
     assert "status: inconclusive" in out
@@ -347,7 +327,7 @@ GOLDEN = {
 
 @pytest.mark.parametrize("command, e, n", sorted(GOLDEN))
 def test_json_documents_match_golden_digests(capsys, command, e, n):
-    code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json", "--no-cache")
+    code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[(command, e, n)]
 
@@ -378,7 +358,7 @@ GOLDEN_WIDE = {
 
 @pytest.mark.parametrize("command, e, n", sorted(GOLDEN_WIDE))
 def test_json_documents_match_wide_golden_digests(capsys, command, e, n):
-    code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json", "--no-cache")
+    code, out, _ = run(capsys, command, "--e", e, "--n", n, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_WIDE[(command, e, n)]
 
@@ -440,14 +420,12 @@ def _argvs(draw):
 
 @given(argv=_argvs())
 @settings(max_examples=50, deadline=None)
-def test_cli_exit_codes_on_arbitrary_argv(tmp_path_factory, argv):
+def test_cli_exit_codes_on_arbitrary_argv(argv):
     out, err = io.StringIO(), io.StringIO()
-    cache = tmp_path_factory.mktemp("cache")
-    with mock.patch.dict(os.environ, {"DNBRANCH_CACHE": str(cache)}):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse usage errors and --help
-                code = exc.code
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()

@@ -293,6 +293,15 @@ def test_unreached_vertex_fails_construction():
         Lattice(params, levels, lattice.edges)
 
 
+def test_edge_lists_must_match_the_levels():
+    # one list short would leave the top level's vertices unchecked
+    params = classify_regime(5, 3)
+    lattice = build_lattice(5, params)
+    for edges in (lattice.edges[:-1], lattice.edges + ((),)):
+        with pytest.raises(ShiftReplayError, match="edge lists"):
+            Lattice(params, lattice.levels, edges)
+
+
 def test_shift_path_rejected_in_regime_a():
     params = classify_regime(4, INF)
     with pytest.raises(ValueError):

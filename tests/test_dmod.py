@@ -1,14 +1,17 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dnbranch.core import (
     EMPTY_BIPARTITION,
+    INF,
     Node,
     classify_regime,
+    format_bipartition,
     hat,
     parse_bipartition,
 )
@@ -286,3 +289,43 @@ def test_format_label():
     assert format_label(unsplit("1,1|2,1")) == "D(1,1|2,1)"
     assert format_label(split("1|2,1", "+")) == "D+(1|2,1)"
     assert format_label(split("1|2,1", "-")) == "D-(1|2,1)"
+
+
+# The paper's route from type B to type D, checked with no code of the socle
+# logic.  In type B the socle of the restriction of D^lam is the sum of
+# D^(lam - A) over the good removable cells A, and a type-B simple D^mu
+# restricts to type D as D(mu) when h(mu) != mu and as D(mu,+) + D(mu,-) when
+# h(mu) = mu.  The socle commutes with that index-2 restriction, so an
+# unsplit label's socle, and the two socles of a split pair together, are the
+# multiset of Res(lam - A).  The good removals are the lattice's parent edges.
+CLIFFORD_POINTS = [(4, 10), (6, 10), (2, 12), (8, 10), (INF, 8), (3, 9)]
+
+
+def _h(mu, lattice):
+    return hat(mu) if lattice.h is None else lattice.h[mu]
+
+
+def _type_d_restriction(mu, lattice):
+    image = _h(mu, lattice)
+    if image == mu:
+        return [IrreducibleLabel(SPLIT, mu, "+"), IrreducibleLabel(SPLIT, mu, "-")]
+    return [IrreducibleLabel(UNSPLIT, min(mu, image))]
+
+
+@pytest.mark.parametrize("e, n", CLIFFORD_POINTS)
+def test_socles_satisfy_the_clifford_identity(e, n):
+    # every level from 2, so even e is checked in both regimes
+    for m in range(2, n + 1):
+        params = classify_regime(m, e)
+        lattice = build_lattice(m, params)
+        # the two signs of a split label share a representative, so they merge
+        engine: dict = {}
+        for entry in branching_graph(m, params, lattice):
+            engine.setdefault(entry.source.rep, Counter()).update(entry.summands)
+        level = lattice.levels[m]
+        assert engine.keys() == {min(lam, _h(lam, lattice)) for lam in level}
+        for lam, socle in engine.items():
+            expected = Counter()
+            for mu, _ in lattice.parents(lam):
+                expected.update(_type_d_restriction(mu, lattice))
+            assert socle == expected, (m, format_bipartition(lam))

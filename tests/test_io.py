@@ -171,79 +171,6 @@ def test_dot_branching(b4_n5):
     assert '"D+(1|2,1)"' in dot and '"D-(1|2,1)"' in dot
 
 
-def test_cache_round_trip(tmp_path, b4_n5):
-    params, lattice = b4_n5
-    path = dio.cache_store(lattice, tmp_path)
-    assert path.exists()
-    loaded = dio.cache_load(params, 5, tmp_path)
-    assert loaded == lattice
-
-
-def test_cache_miss_on_empty_dir(tmp_path):
-    params = classify_regime(5, 4)
-    assert dio.cache_load(params, 5, tmp_path) is None
-
-
-def test_cache_prefix_serves_smaller_n(tmp_path, b4_n5):
-    params, lattice = b4_n5
-    dio.cache_store(lattice, tmp_path)
-    small = dio.cache_load(params, 3, tmp_path)
-    assert small is not None and small.n == 3
-    assert small == build_lattice(3, params)
-    # too-shallow caches are misses
-    assert dio.cache_load(params, 7, tmp_path) is None
-
-
-def test_cache_prefix_builds_and_parses_only_the_prefix(tmp_path, b4_n5, monkeypatch):
-    params, lattice = b4_n5
-    path = dio.cache_store(lattice, tmp_path)
-    doc = json.loads(path.read_text())
-    doc["data"]["levels"][5][0] = "not a vertex"  # beyond the served prefix
-    path.write_text(json.dumps(doc))
-    built = []
-
-    class CountingLattice(dio.Lattice):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(dio, "Lattice", CountingLattice)
-    small = dio.cache_load(params, 3, tmp_path)
-    assert small == build_lattice(3, params)
-    assert len(built) == 1
-
-
-def test_cache_prefix_keeps_whole_payload_level_count(tmp_path, b4_n5):
-    params, lattice = b4_n5
-    path = dio.cache_store(lattice, tmp_path)
-    doc = json.loads(path.read_text())
-    del doc["data"]["levels"][5]
-    path.write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        assert dio.cache_load(params, 3, tmp_path) is None
-
-
-def test_cache_prefix_checks_served_edges(tmp_path, b4_n5):
-    params, lattice = b4_n5
-    path = dio.cache_store(lattice, tmp_path)
-    doc = json.loads(path.read_text())
-    doc["data"]["edges"][2][0][2] = "5|-"
-    path.write_text(json.dumps(doc))
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        assert dio.cache_load(params, 3, tmp_path) is None
-
-
-def test_cache_ignores_corruption_with_warning(tmp_path, b4_n5):
-    params, lattice = b4_n5
-    path = dio.cache_store(lattice, tmp_path)
-    path.write_text("{broken")
-    with pytest.warns(UserWarning):
-        assert dio.cache_load(params, 5, tmp_path) is None
-    path.write_text('{"schema":"other"}')
-    with pytest.warns(UserWarning):
-        assert dio.cache_load(params, 5, tmp_path) is None
-
-
 def _missing_endpoint(data):
     data["edges"][2][0][2] = "5|-"
 
@@ -262,6 +189,10 @@ def _non_string_vertex(data):
 
 def _non_integer_level_count(data):
     data["n"] = "5"
+
+
+def _missing_level(data):
+    del data["levels"][5]
 
 
 def _reversed_level(data):
@@ -292,6 +223,7 @@ def _vertex_in_lower_level(data):
         _regime_a_step,
         _non_string_vertex,
         _non_integer_level_count,
+        _missing_level,
         _reversed_level,
         _duplicate_vertex,
         _reversed_edges,
@@ -299,50 +231,33 @@ def _vertex_in_lower_level(data):
         _vertex_in_lower_level,
     ],
 )
-def test_lattice_payload_faults_are_schema_mismatches(tmp_path, b4_n5, doctor):
-    params, lattice = b4_n5
+def test_lattice_payload_faults_are_schema_mismatches(b4_n5, doctor):
+    _, lattice = b4_n5
     doc = json.loads(dio.serialize_json(dio.lattice_document(lattice)))
     doctor(doc["data"])
-    text = json.dumps(doc)
     with pytest.raises(SchemaMismatchError):
-        dio.parse_json(text)
-    path = dio.cache_store(lattice, tmp_path)
-    path.write_text(text)
-    with pytest.warns(UserWarning):
-        assert dio.cache_load(params, 5, tmp_path) is None
+        dio.parse_json(json.dumps(doc))
 
 
-def test_regime_b_header_with_infinite_l_is_a_miss(tmp_path, b4_n5):
-    params, lattice = b4_n5
-    path = dio.cache_store(lattice, tmp_path)
-    path.write_text(path.read_text().replace('"l":2', '"l":"inf"'))
+def test_regime_b_header_with_infinite_l_is_a_miss(b4_n5):
+    _, lattice = b4_n5
+    text = dio.serialize_json(dio.lattice_document(lattice))
     with pytest.raises(SchemaMismatchError):
-        dio.parse_json(path.read_text())
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        assert dio.cache_load(params, 5, tmp_path) is None
-
-
-def test_cache_respects_environment_variable(tmp_path, monkeypatch, b4_n5):
-    params, lattice = b4_n5
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    dio.cache_store(lattice)
-    assert dio.cache_load(params, 5) == lattice
+        dio.parse_json(text.replace('"l":2', '"l":"inf"'))
 
 
 @pytest.mark.parametrize("e, n", [(4, 8), (6, 9), (3, 8), (INF, 7)])
-def test_cache_round_trip_rebuilds_the_index(tmp_path, e, n):
+def test_cache_round_trip_rebuilds_the_index(e, n):
+    # a parsed lattice document rebuilds the same index as the build
     params = classify_regime(n, e)
-    lattice = build_lattice(n, params)
-    dio.cache_store(lattice, tmp_path)
-    for depth in (n, n - 3):
-        built = lattice if depth == n else build_lattice(depth, params)
-        loaded = dio.cache_load(params, depth, tmp_path)
-        assert loaded == built
-        assert loaded.h == built.h
-        for level in built.levels:
-            for bp in level:
-                assert loaded.children(bp) == built.children(bp)
-                assert loaded.parents(bp) == built.parents(bp)
+    built = build_lattice(n, params)
+    loaded = dio.parse_json(dio.serialize_json(dio.lattice_document(built))).data
+    assert loaded == built
+    assert loaded.h == built.h
+    for level in built.levels:
+        for bp in level:
+            assert loaded.children(bp) == built.children(bp)
+            assert loaded.parents(bp) == built.parents(bp)
 
 
 def test_decode_shares_equal_components(b4_n5):

@@ -3,11 +3,9 @@
 import contextlib
 import hashlib
 import io
-import warnings
 
 import pytest
 
-from dnbranch import io as dio
 from dnbranch.cli import main
 from dnbranch.core import EMPTY_BIPARTITION, INF, classify_regime, format_bipartition, hat
 from dnbranch.crystal import build_lattice, canonical_path, peel_path
@@ -24,13 +22,13 @@ from dnbranch.oracle import enumerate_bipartitions
 # every bipartition of size n, member or not, at each of these points
 GRID = [(4, 7), (6, 7), (INF, 6), (3, 7), (2, 8)]
 
-# SHA-256 of the point-command transcript over GRID, recorded while the point
-# commands still read a lattice
-GRID_DIGEST = "3575b66a6a809e34be80fa51b7df715ad61eac1d0d2714f0495ea69117bd170a"
+# SHA-256 of the point-command transcript over GRID, recorded while the
+# program still had a lattice cache, which point commands never read
+GRID_DIGEST = "873508c19226a1f64830a024266c9c7ad26a7ed61c129f68350577ace13c62eb"
 
 
 def _point_argvs(e_text: str, n: int, text: str):
-    common = ["--e", e_text, "--n", str(n), f"--bipartition={text}", "--no-cache"]
+    common = ["--e", e_text, "--n", str(n), f"--bipartition={text}"]
     return [
         ["involution"] + common,
         ["branch"] + common,
@@ -165,37 +163,16 @@ def _point_commands(e="4", n="6", member="2,1|2,1", stranger="4|1,1"):
     ]
 
 
-def test_point_commands_leave_the_cache_alone(tmp_path, monkeypatch):
+def test_point_commands_leave_the_cache_alone(monkeypatch):
+    # a point query builds no lattice
     import dnbranch.cli as cli
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a point query acquired a lattice")
+        raise AssertionError("a point query built a lattice")
 
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    for name in ("_get_lattice", "build_lattice"):
-        monkeypatch.setattr(cli, name, forbidden)
-    monkeypatch.setattr(dio, "cache_load", forbidden)
+    monkeypatch.setattr(cli, "build_lattice", forbidden)
     codes = [_run(argv)[0] for argv in _point_commands()]
     assert codes == [0, 3, 0, 3]
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_point_commands_ignore_a_corrupted_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path))
-    assert _run(["lattice", "--e", "4", "--n", "6"])[0] == 0
-    (cache_file,) = tmp_path.iterdir()
-    cache_file.write_text("{ not json")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for argv in _point_commands():
-            code, out, err = _run(argv)
-            assert "warning" not in err
-            assert (code == 3) == (err != "")
-    assert caught == []
-    assert cache_file.read_text() == "{ not json"
-    # the same file is reported on a full-level command
-    with pytest.warns(UserWarning, match="corrupted lattice cache"):
-        assert _run(["labels", "--e", "4", "--n", "6"])[0] == 0
 
 
 def test_non_member_is_a_domain_error_under_optimisation():
