@@ -1,10 +1,12 @@
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 
 from dnbranch import io as dio
 from dnbranch.cli import main
+from dnbranch.errors import SchemaMismatchError
 
 
 def run(capsys, *argv):
@@ -299,6 +302,77 @@ def test_bipartition_starting_with_dash_is_attached(capsys):
     code, out, _ = run(capsys, "involution", "--e", "inf", "--n", "3", "--bipartition=-|2,1")
     assert code == 0
     assert "h: 2,1|-" in out
+
+
+def _plant_doctored_cache(capsys, tmp_path, monkeypatch, e, n, doctor):
+    """Put a doctored lattice document where the former lattice cache kept it.
+
+    The file goes under both former cache directories, ``$DNBRANCH_CACHE``
+    and ``~/.cache/dnbranch``, with the name the cache gave it.  parse_json
+    must reject the document.
+    """
+    code, text, _ = run(capsys, "lattice", "--e", e, "--n", n, "--format", "json")
+    assert code == 0
+    params = dio.parse_json(text).data.params
+    doc = json.loads(text)
+    doctor(doc["data"])
+    doctored = json.dumps(doc)
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(doctored)
+    paths = []
+    for directory in (tmp_path / "cache", tmp_path / "home" / ".cache" / "dnbranch"):
+        directory.mkdir(parents=True)
+        paths.append(directory / f"lattice-e{e}-{params.regime}.json")
+        paths[-1].write_text(doctored)
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    return doctored, paths
+
+
+def _assert_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch, argv, doctor):
+    # the command builds its lattice: the planted file is neither read nor touched
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    e, n = argv[argv.index("--e") + 1], argv[argv.index("--n") + 1]
+    doctored, paths = _plant_doctored_cache(capsys, tmp_path, monkeypatch, e, n, doctor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+    assert [path.read_text() for path in paths] == [doctored, doctored]
+
+
+def _missing_endpoint(data):
+    data["edges"][3][0][2] = "9|9"  # an edge naming a missing vertex
+
+
+def _wrong_step_label(data):
+    component, i = data["edges"][3][0][1]
+    data["edges"][3][0][1] = [component, (i + 1) % 3]
+
+
+def test_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch):
+    argv = ("branch", "--e", "4", "--n", "5", "--format", "json")
+    _assert_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch, argv, _missing_endpoint)
+
+
+def test_doctored_regime_a_cache_is_a_miss(capsys, tmp_path, monkeypatch):
+    argv = ("lattice", "--e", "3", "--n", "4", "--format", "json")
+    _assert_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch, argv, _wrong_step_label)
+
+
+def _reverse_level_3(data):
+    data["levels"][3].reverse()
+
+
+def _duplicate_level_3_edge(data):
+    data["edges"][3].insert(0, data["edges"][3][0])
+
+
+@pytest.mark.parametrize("doctor", [_reverse_level_3, _duplicate_level_3_edge])
+def test_cache_out_of_canonical_form_is_a_miss(capsys, tmp_path, monkeypatch, doctor):
+    argv = ("lattice", "--e", "4", "--n", "5", "--format", "json")
+    _assert_doctored_cache_is_a_miss(capsys, tmp_path, monkeypatch, argv, doctor)
 
 
 @pytest.mark.parametrize(

@@ -175,6 +175,29 @@ def test_point_commands_leave_the_cache_alone(monkeypatch):
     assert codes == [0, 3, 0, 3]
 
 
+def test_point_commands_ignore_a_corrupted_cache(tmp_path, monkeypatch):
+    # a corrupted file under the former cache's name and directories changes
+    # no output and draws no warning, on point and full-level commands alike
+    import warnings
+
+    commands = _point_commands() + [["labels", "--e", "4", "--n", "6"]]
+    expected = [_run(argv) for argv in commands]
+    cache_files = [
+        tmp_path / "cache" / "lattice-e4-B.json",
+        tmp_path / "home" / ".cache" / "dnbranch" / "lattice-e4-B.json",
+    ]
+    for cache_file in cache_files:
+        cache_file.parent.mkdir(parents=True)
+        cache_file.write_text("{ not json")
+    monkeypatch.setenv("DNBRANCH_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [_run(argv) for argv in commands] == expected
+    assert [code for code, _, _ in expected] == [0, 3, 0, 3, 0]
+    assert [cache_file.read_text() for cache_file in cache_files] == ["{ not json"] * 2
+
+
 def test_non_member_is_a_domain_error_under_optimisation():
     import os
     import subprocess
