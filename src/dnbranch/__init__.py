@@ -36,7 +36,6 @@ from .crystal import (
     Lattice,
     Signature,
     build_lattice,
-    canonical_path,
     e_tilde,
     f_tilde,
     good_addable,

@@ -60,7 +60,6 @@ from .core import (
     REGIME_B,
     add_node,
     addable_nodes,
-    bipartition_size,
     format_bipartition,
     hat,
     regime_a_params,
@@ -78,6 +77,8 @@ Step = int | tuple[int, int]
 Path = tuple[Step, ...]
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
+# most residues a finite alphabet may have where every residue is listed
+MAX_RESIDUE_ALPHABET = 10_000
 
 
 class Signature(Frozen):
@@ -481,10 +482,6 @@ class Lattice:
     def __contains__(self, bp: Bipartition) -> bool:
         return bp in self._vertices
 
-    def level_of(self, bp: Bipartition) -> int | None:
-        # construction checked that a vertex's level is its size
-        return sum(bp[0]) + sum(bp[1]) if bp in self._vertices else None
-
     def parents(self, bp: Bipartition):
         """``(parent, step)`` pairs of the edges into ``bp``, in edge order."""
         if self._parents is None:
@@ -571,18 +568,6 @@ def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:
     )
 
 
-def require_member(bp: Bipartition, lattice: Lattice) -> None:
-    """Raise ``NotKleshchevError`` unless ``bp`` is a lattice vertex."""
-    m = bipartition_size(bp)
-    if m > lattice.n:
-        raise ValueError(
-            f"lattice only covers sizes up to {lattice.n}, got size {m}"
-        )
-    # a vertex's level is its size, so membership is the whole check
-    if bp not in lattice:
-        raise _not_kleshchev(bp)
-
-
 def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
     """Addition-order step sequence of the canonical peel of ``bp``.
 
@@ -592,7 +577,7 @@ def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
     bipartition is the only highest-weight vertex of the crystal the lattice
     spans, and ``e_tilde`` undoes ``f_tilde``, so the peel reaches it exactly
     from lattice vertices.  Raises ``NotKleshchevError``, with the message
-    of ``require_member``, when the peel strands above it.
+    of ``dmod.involution``'s lattice check, when the peel strands above it.
     """
     steps = []
     current = bp
@@ -605,12 +590,6 @@ def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
         current = remove_node(current, node)
     steps.reverse()
     return tuple(steps)
-
-
-def canonical_path(bp: Bipartition, params: CrystalParams, lattice: Lattice) -> Path:
-    """``peel_path`` of a vertex of ``lattice``, checked against it first."""
-    require_member(bp, lattice)
-    return peel_path(bp, params)
 
 
 def replay_path(path, params: CrystalParams) -> Bipartition | None:

@@ -8,9 +8,12 @@ maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
 a single label without a lattice replays its own canonical peel shifted by
-``l``.  ``h`` of each good removal of a label is then read off that image
-along the shifted step.  A single combinatorial ``h`` serves every base
-field of characteristic != 2.
+``l``.  The socle engine reads ``h`` of each good removal of a label by one
+rule, with or without a lattice: ``h`` carries the crystal operator of step
+``s`` to that of the shifted step, so the removal along ``s`` maps to the
+label's image less its good removable cell at the shifted step.  A lattice
+reaches the engine only through ``involution``, which gives that image.  A
+single combinatorial ``h`` serves every base field of characteristic != 2.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -41,15 +44,22 @@ from .core import (
     residue,
 )
 from .crystal import (
+    MAX_RESIDUE_ALPHABET,
     Lattice,
+    _not_kleshchev,
     good_cells,
     good_nodes,
     peel_path,
     replay_path,
-    require_member,
     shift_path,
 )
-from .errors import FixedPointError, InvariantError, MultipleSpecialNodesError, ShiftReplayError
+from .errors import (
+    FixedPointError,
+    InvariantError,
+    MultipleSpecialNodesError,
+    ResourceLimitError,
+    ShiftReplayError,
+)
 
 UNSPLIT = "unsplit"
 SPLIT = "split"
@@ -106,7 +116,9 @@ def involution(
     its table, built from its edges: ``h(c)`` is the child of ``h(p)`` along
     step ``(i + l) mod e`` for every edge ``(p, i, c)``.  Without one, the
     canonical peel of ``bp`` is replayed from the empty bipartition with
-    every residue shifted by ``l``.  Either way ``bp`` must be Kleshchev.
+    every residue shifted by ``l``.  Either way this is the membership
+    check: ``NotKleshchevError`` unless ``bp`` is Kleshchev, and with a
+    lattice ``ValueError`` when ``bp`` lies above its top level.
     """
     if lattice is None:
         path = peel_path(bp, params)
@@ -120,7 +132,12 @@ def involution(
         return image
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
-    require_member(bp, lattice)
+    m = bipartition_size(bp)
+    if m > lattice.n:
+        raise ValueError(f"lattice only covers sizes up to {lattice.n}, got size {m}")
+    # a vertex's level is its size, so membership is the whole check
+    if bp not in lattice:
+        raise _not_kleshchev(bp)
     if params.regime == REGIME_A:
         return hat(bp)
     return lattice.h[bp]
@@ -167,21 +184,14 @@ def _good_removals(
 ) -> list[tuple[Node, Bipartition, Bipartition]]:
     """``(cell, removal, h of the removal)`` for every good removable cell.
 
-    Also the membership check of ``bp``.  With a lattice, ``h`` of each
-    removal is read from it.  Without one, ``h`` carries the crystal
+    Also the membership check of ``bp``: ``involution`` makes it, with or
+    without a lattice, and gives ``h(bp)``.  ``h`` carries the crystal
     operator of step ``s`` to that of the shifted step (``(s + l) mod e`` in
     regime B, the other component in regime A), so ``h`` of the removal
     along ``s`` is ``h(bp)`` less its good removable cell at the shifted
-    step: one peel of ``bp`` serves every removal.
+    step: one image of ``bp`` serves every removal.
     """
-    if lattice is not None:
-        require_member(bp, lattice)
-        removals = []
-        for node, _ in good_nodes(bp, params):
-            child = remove_node(bp, node)
-            removals.append((node, child, involution(child, params, lattice)))
-        return removals
-    image = involution(bp, params)
+    image = involution(bp, params, lattice)
     image_cells = good_cells(image, params)
     removals = []
     for node, step in good_nodes(bp, params):
@@ -222,8 +232,9 @@ def socle_restriction(
 ) -> SocleDecomposition:
     """Socle of the restriction of ``label`` one level down.
 
-    Reads ``h`` of the good removals from ``lattice`` when given, and off
-    ``h`` of the label's representative otherwise.
+    ``h`` of every good removal is read off ``h`` of the label's
+    representative along the shifted step; ``lattice``, when given, only
+    supplies that image and the membership check.
     """
     n = label.n
     if n < 2:
@@ -254,10 +265,19 @@ def socle_restriction(
 
 
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
-    """Number of cells per residue; finite alphabets include explicit zeros."""
+    """Number of cells per residue; finite alphabets include explicit zeros.
+
+    Raises ``ResourceLimitError`` when a finite alphabet has more than
+    ``MAX_RESIDUE_ALPHABET`` residues, before listing any of them.
+    """
     counts = Counter(residue(node, params) for node in nodes_of(bp))
     modulus = params.e if params.regime == REGIME_B else params.l
     if modulus != INF:
+        if modulus > MAX_RESIDUE_ALPHABET:
+            raise ResourceLimitError(
+                f"the residue alphabet of {modulus} letters exceeds the limit "
+                f"of {MAX_RESIDUE_ALPHABET}"
+            )
         for k in range(int(modulus)):
             counts.setdefault(k, 0)
     return dict(sorted(counts.items()))

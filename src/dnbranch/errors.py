@@ -14,7 +14,7 @@ class NotRemovableError(DnBranchError, ValueError):
 
 
 class ResourceLimitError(DnBranchError, RuntimeError):
-    """A configured vertex budget was exceeded during lattice construction."""
+    """A size limit was exceeded: the lattice vertex budget or the residue alphabet."""
 
 
 class NotKleshchevError(DnBranchError, ValueError):

@@ -111,14 +111,22 @@ def _label_from_json(value) -> IrreducibleLabel:
 
 
 def _params_from_header(obj) -> CrystalParams:
+    """The crystal parameters of a header, if some command can make them.
+
+    Those are the parameters of ``classify_regime`` and ``regime_a_params``:
+    regime B needs a finite even ``e >= 2`` with ``l = e // 2``, and regime
+    A needs ``l = e`` with ``e`` an integer ``>= 2`` or ``inf``.
+    """
     e = _extended_from_json(obj["e"])
     l = _extended_from_json(obj["l"])
     regime = obj["regime"]
     if regime == REGIME_B:
-        if l == INF:
-            raise SchemaMismatchError("regime B needs a finite l")
-        return CrystalParams(e=e, regime=REGIME_B, l=l, multicharge=(0, int(l)))
+        if e == INF or e < 2 or e % 2 or l != e // 2:
+            raise SchemaMismatchError(f"no regime-B parameters have e={e!r}, l={l!r}")
+        return CrystalParams(e=e, regime=REGIME_B, l=l, multicharge=(0, l))
     if regime == REGIME_A:
+        if l != e or e < 2:
+            raise SchemaMismatchError(f"no regime-A parameters have e={e!r}, l={l!r}")
         return CrystalParams(e=e, regime=REGIME_A, l=l)
     raise SchemaMismatchError(f"unknown regime {regime!r}")
 
@@ -158,12 +166,10 @@ def _lattice_data(lattice: Lattice):
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
     """The lattice of a payload.
 
-    The level counts are checked first.  Each distinct
-    component text is parsed once: a vertex text whose two components have
-    both been seen reuses their tuples, any other text goes through
-    ``parse_bipartition`` and its full validation.  Edge endpoints are looked
-    up by their text, so an endpoint that is not a listed vertex is a schema
-    mismatch; the ``Lattice`` constructor checks the rest of the structure.
+    The level counts are checked first and every vertex text goes through
+    ``parse_bipartition``.  Edge endpoints are looked up by their text, so
+    an endpoint that is not a listed vertex is a schema mismatch; the
+    ``Lattice`` constructor checks the rest of the structure.
     """
     try:
         n = _size_from_json(data["n"], "level count")
@@ -171,9 +177,6 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
         edge_lists = data["edges"]
         if len(level_texts) != n + 1 or len(edge_lists) != n + 1:
             raise SchemaMismatchError("lattice payload has inconsistent level count")
-        # components only enter ``parts`` from a text that parsed, so they
-        # hold no '|' and are never empty: two hits mean exactly one '|'
-        parts: dict = {}
         vertices = {}
         levels = []
         for level in level_texts:
@@ -181,15 +184,7 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
             for text in level:
                 if not isinstance(text, str):
                     raise SchemaMismatchError(f"vertex {text!r} is not a string")
-                left, _, right = text.partition("|")
-                left_parts = parts.get(left)
-                right_parts = parts.get(right)
-                if left_parts is None or right_parts is None:
-                    bp = parse_bipartition(text)
-                    parts[left], parts[right] = bp
-                else:
-                    bp = (left_parts, right_parts)
-                vertices[text] = bp
+                bp = vertices[text] = parse_bipartition(text)
                 parsed.append(bp)
             levels.append(parsed)
         regime = params.regime

@@ -230,6 +230,41 @@ def test_resource_limit_maps_to_exit_1(capsys, monkeypatch):
     assert "budget" in err
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_residue_alphabet_is_a_resource_limit():
+    # a run that lists every residue fails under the 1 GiB cap instead of
+    # taking the test run's memory with it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "dnbranch.cli", "involution",
+         "--e", "99999999999999999999", "--n", "3", "--bipartition=1|1,1"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_residue_alphabet_limit_is_inclusive(capsys):
+    from dnbranch.crystal import MAX_RESIDUE_ALPHABET
+
+    # at n = 3 any e > 6 is regime A with one residue per letter of Z/eZ
+    top = MAX_RESIDUE_ALPHABET
+    code, out, _ = run(capsys, "involution", "--e", str(top), "--n", "3", "--bipartition=1|1,1")
+    assert code == 0
+    residues = next(line for line in out.splitlines() if line.startswith("residues: "))
+    assert len(residues.split()) == 1 + top
+    code, out, err = run(capsys, "involution", "--e", str(top + 1), "--n", "3", "--bipartition=1|1,1")
+    assert (code, out) == (1, "")
+    assert "residue alphabet" in err
+
+
 def test_bipartition_size_mismatch_is_usage_error(capsys):
     code, _, err = run(
         capsys, "branch", "--e", "inf", "--n", "4", "--bipartition", "2,1|1,1"

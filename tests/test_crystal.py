@@ -32,7 +32,6 @@ from dnbranch.crystal import (
     _reduce,
     _word_side,
     build_lattice,
-    canonical_path,
     component_word,
     e_tilde,
     f_tilde,
@@ -42,9 +41,11 @@ from dnbranch.crystal import (
     good_removable,
     i_signature,
     partition_crystal_levels,
+    peel_path,
     replay_path,
     shift_path,
 )
+from dnbranch.dmod import involution
 from dnbranch.errors import NotKleshchevError, ResourceLimitError, ShiftReplayError
 from dnbranch.oracle import enumerate_bipartitions, enumerate_partitions
 
@@ -157,7 +158,7 @@ def test_build_lattice_example_vertices_regime_b():
     lattice = build_lattice(5, params)
     assert ((1,), (2, 2)) in lattice
     assert ((2,), (1, 1, 1)) in lattice
-    assert lattice.level_of(((1,), (2, 2))) == 5
+    assert ((1,), (2, 2)) in lattice.levels[5]
 
 
 def test_build_lattice_is_deterministic():
@@ -177,26 +178,34 @@ def test_build_lattice_vertex_budget():
 def test_canonical_path_examples():
     params = classify_regime(5, 4)
     lattice = build_lattice(5, params)
-    assert canonical_path(EMPTY_BIPARTITION, params, lattice) == ()
-    assert canonical_path(((1,), ()), params, lattice) == (0,)
-    assert canonical_path(((), (1,)), params, lattice) == (2,)
-    assert canonical_path(((1,), (2, 2)), params, lattice) == (2, 0, 3, 1, 2)
+    for bp, path in [
+        (EMPTY_BIPARTITION, ()),
+        (((1,), ()), (0,)),
+        (((), (1,)), (2,)),
+        (((1,), (2, 2)), (2, 0, 3, 1, 2)),
+    ]:
+        assert bp in lattice
+        assert peel_path(bp, params) == path
 
 
 def test_canonical_path_rejects_non_members():
     params = classify_regime(3, 2)
     lattice = build_lattice(3, params)
+    assert ((1, 1), ()) not in lattice
     with pytest.raises(NotKleshchevError):
-        canonical_path(((1, 1), ()), params, lattice)
-    with pytest.raises(ValueError):
-        canonical_path(((4, 4), (4,)), params, lattice)
+        peel_path(((1, 1), ()), params)
+    with pytest.raises(NotKleshchevError):
+        involution(((1, 1), ()), params, lattice)
+    # above the lattice's top level
+    with pytest.raises(ValueError, match="lattice only covers sizes up to 3, got size 12"):
+        involution(((4, 4), (4,)), params, lattice)
 
 
 def test_replay_inverts_canonical_path(lattice_e4_n6):
     params, lattice = lattice_e4_n6
     for level in lattice.levels:
         for bp in level:
-            assert replay_path(canonical_path(bp, params, lattice), params) == bp
+            assert replay_path(peel_path(bp, params), params) == bp
 
 
 def test_replay_path_edge_cases():
@@ -212,7 +221,7 @@ def test_shift_symmetry_on_canonical_paths(lattice_e4_n6):
     params, lattice = lattice_e4_n6
     for level in lattice.levels:
         for bp in level:
-            shifted = shift_path(canonical_path(bp, params, lattice), params)
+            shifted = shift_path(peel_path(bp, params), params)
             assert replay_path(shifted, params) is not None
 
 
@@ -223,7 +232,7 @@ def test_h_table_equals_canonical_path_replay(e):
     assert len(lattice.h) == lattice.vertex_count()
     for level in lattice.levels:
         for bp in level:
-            shifted = shift_path(canonical_path(bp, params, lattice), params)
+            shifted = shift_path(peel_path(bp, params), params)
             assert lattice.h[bp] == replay_path(shifted, params)
 
 

@@ -53,6 +53,48 @@ def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_``-prefixed functions and classes that no source reads.
+
+    Dunder names are left out.  A name counts as read where it appears as a
+    name, an attribute or an imported name anywhere in ``sources``.
+    """
+    defined = set()
+    used = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.add(node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(defined - used)
+
+
+def test_detector_sees_unused_private_names():
+    sources = [
+        "def _dead(): pass\n"
+        "def _called(): pass\n"
+        "class _Unused: pass\n"
+        "def __getattr__(name): pass\n"
+        "def public(): return _called()\n",
+        "from .a import _imported\nimport m\nm._attribute\n",
+        "def _imported(): pass\ndef _attribute(): pass\n",
+    ]
+    assert unused_private_names(sources) == ["_Unused", "_dead"]
+
+
+def test_every_private_helper_has_a_caller():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the absolute imports in ``source``."""
     names = set()

@@ -260,11 +260,19 @@ def test_cache_round_trip_rebuilds_the_index(e, n):
             assert loaded.parents(bp) == built.parents(bp)
 
 
-def test_decode_shares_equal_components(b4_n5):
-    _, lattice = b4_n5
-    loaded = dio.parse_json(dio.serialize_json(dio.lattice_document(lattice))).data
-    components = {}
-    for level in loaded.levels:
-        for bp in level:
-            for parts in bp:
-                assert components.setdefault(parts, parts) is parts
+def test_lattice_header_with_l_zero_is_a_miss():
+    # at l = 0 the shift table would make h the identity
+    params = classify_regime(3, 4)
+    text = dio.serialize_json(dio.lattice_document(build_lattice(3, params)))
+    assert dio.parse_json(text).params == params
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(text.replace('"l":2', '"l":0'))
+
+
+@pytest.mark.parametrize("e, regime, l", [(5, "B", 2), (6, "B", 2), (1, "A", 1), (0, "A", 7)])
+def test_headers_no_command_makes_are_misses(e, regime, l):
+    doc = _payload("labels")
+    dio.parse_json(json.dumps(doc))
+    doc.update(e=e, regime=regime, l=l)
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(json.dumps(doc))

@@ -8,7 +8,7 @@ import pytest
 
 from dnbranch.cli import main
 from dnbranch.core import EMPTY_BIPARTITION, INF, classify_regime, format_bipartition, hat
-from dnbranch.crystal import build_lattice, canonical_path, peel_path
+from dnbranch.crystal import build_lattice, peel_path, replay_path
 from dnbranch.dmod import (
     _good_removals,
     almost_symmetric,
@@ -79,7 +79,7 @@ def test_peel_succeeds_exactly_on_lattice_vertices(lattice):
         for bp in enumerate_bipartitions(m):
             if bp in lat:
                 members += 1
-                assert peel_path(bp, params) == canonical_path(bp, params, lat)
+                assert replay_path(peel_path(bp, params), params) == bp
             else:
                 with pytest.raises(NotKleshchevError) as exc:
                     peel_path(bp, params)
@@ -111,12 +111,14 @@ def test_socle_without_lattice_matches_the_lattice(lattice):
 
 
 def test_removal_images_without_lattice_match_the_table(lattice):
-    # h of each good removal is read off h of the vertex along the shifted step
+    # h of each good removal is read off h of the vertex along the shifted
+    # step, whether that image comes from a peel or from the lattice
     params, lat = lattice
     for level in lat.levels:
         for bp in level:
-            for _, child, image in _good_removals(bp, params, None):
-                assert image == (hat(child) if lat.h is None else lat.h[child])
+            for given in (None, lat):
+                for _, child, image in _good_removals(bp, params, given):
+                    assert image == (hat(child) if lat.h is None else lat.h[child])
 
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
