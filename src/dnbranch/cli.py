@@ -21,18 +21,19 @@ from .core import (
     classify_regime,
     format_bipartition,
     format_node,
+    hat,
     parse_bipartition,
 )
-from .crystal import build_lattice
+from .crystal import build_lattice, iter_levels
 from .dmod import (
     SPLIT,
     UNSPLIT,
     IrreducibleLabel,
     almost_symmetric,
-    branching_graph,
     equivalence_classes,
     format_label,
     involution,
+    level_socles,
     residue_counts,
     socle_restriction,
 )
@@ -102,13 +103,21 @@ def _parse_bipartition_arg(text: str, n: int):
 # commands
 
 
+def _top_level(n: int, params: CrystalParams):
+    """Level ``n`` and ``h`` on it as a function, streamed two levels at a time."""
+    for level, _, h in iter_levels(n, params):
+        pass
+    return level, (hat if h is None else h.__getitem__)
+
+
 def cmd_lattice(args) -> int:
     params = classify_regime(args.n, args.e)
+    if args.format == "json":
+        dio.write_lattice_json(params, iter_levels(args.n, params), sys.stdout.write)
+        return EXIT_OK
     lattice = build_lattice(args.n, params)
     if args.format == "dot":
         print(dio.emit_dot(lattice), end="")
-    elif args.format == "json":
-        print(dio.serialize_json(dio.lattice_document(lattice)), end="")
     else:
         print(_header(params, args.n))
         for m, level in enumerate(lattice.levels):
@@ -125,8 +134,8 @@ def cmd_lattice(args) -> int:
 
 def cmd_labels(args) -> int:
     params = classify_regime(args.n, args.e)
-    lattice = build_lattice(args.n, params)
-    labels = equivalence_classes(lattice.levels[args.n], params, lattice)
+    level, image_of = _top_level(args.n, params)
+    labels = equivalence_classes(level, params, image_of=image_of)
     if args.format == "json":
         print(dio.serialize_json(dio.labels_document(params, args.n, labels)), end="")
     else:
@@ -139,10 +148,10 @@ def cmd_labels(args) -> int:
 def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
-        lattice = build_lattice(args.n, params)
-        entries = branching_graph(args.n, params, lattice)
+        level, image_of = _top_level(args.n, params)
+        entries = level_socles(level, params, image_of)
     else:
-        # a single label needs no lattice: membership and h come from its peel
+        # a single label needs no lattice: membership and h come from one peel
         bp = _parse_bipartition_arg(args.bipartition, args.n)
         image = involution(bp, params)
         fixed = image == bp
@@ -158,7 +167,8 @@ def cmd_branch(args) -> int:
             label = IrreducibleLabel(SPLIT, bp, sign)
         else:
             label = IrreducibleLabel(UNSPLIT, min(bp, image))
-        entries = [socle_restriction(label, params)]
+        rep_image = bp if label.rep == image else image  # h swaps bp and its image
+        entries = [socle_restriction(label, params, image=rep_image)]
     if args.format == "json":
         doc = dio.branching_document(params, args.n, entries)
         print(dio.serialize_json(doc), end="")
@@ -177,7 +187,7 @@ def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
     bp = _parse_bipartition_arg(args.bipartition, args.n)
     image = involution(bp, params)
-    special = almost_symmetric(bp, params)
+    special = almost_symmetric(bp, params, image=image)
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")

@@ -33,10 +33,16 @@ combine:
   component 2's first ``R`` if ``r2 > 0``.
 
 ``good_cells`` (and through it ``good_nodes``, the peel and the socle
-engine) and ``build_lattice`` read the combined words.  ``i_signature`` and
-the operators built on it (``good_removable``, ``good_addable``,
-``e_tilde``, ``f_tilde``) are the per-residue definitional scan: they list
-and sort all marked cells of the bipartition and keep one residue.
+engine), ``good_removable_at`` and the level generator read the combined
+words.  ``i_signature`` and the operators built on it (``good_removable``,
+``good_addable``, ``e_tilde``, ``f_tilde``) are the per-residue definitional
+scan: they list and sort all marked cells of the bipartition and keep one
+residue.
+
+``iter_levels`` is the engine's one level generator: each level with its
+edges and, in regime B, ``h`` on it, holding only the level below, so a
+consumer that keeps no level holds at most two.  Each level passes
+``_next_images``, the per-level check the ``Lattice`` constructor makes.
 
 ``peel_path`` peels a single bipartition down to the empty one, so its
 membership and its path need no lattice; ``replay_path`` folds a path back.
@@ -316,6 +322,18 @@ def good_cells(
     return cells
 
 
+def good_removable_at(bp: Bipartition, step, params: CrystalParams) -> Node | None:
+    """Good removable cell of one step, from the memo; agrees with ``good_cells``."""
+    if params.regime == REGIME_A:
+        component, i = step
+        first_r = component_word(bp[component - 1], 0, params.l).get(i, _NO_WORD)[3]
+        return None if first_r is None else Node(component, *first_r)
+    word1 = _word_side(bp[0], 0, params.e, 0)[step]
+    word2 = _word_side(bp[1], params.multicharge[1], params.e, 0)[step]
+    side = _good_removable_side(word1[1], word2[0], word2[1])
+    return Node(side, *(word1 if side == 1 else word2)[3]) if side else None
+
+
 def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]]:
     """All good removable cells with their steps, in ascending step order.
 
@@ -331,6 +349,48 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
 
 # ---------------------------------------------------------------------------
 # lattice
+
+
+def _next_images(params: CrystalParams, children: dict, images: dict | None) -> dict | None:
+    """Check one level's edges against ``h`` and return ``h`` on that level.
+
+    ``children`` indexes the edges into the level by parent, then step, and
+    ``images`` is ``h`` on the level below.  Regime B builds the level's
+    table by the edge recurrence; regime A checks each edge's swap mirror
+    and returns ``None`` (see ``Lattice``).  Raises ``ShiftReplayError``.
+    """
+    no_children = {}
+    if params.regime == REGIME_A:
+        for parent, steps in children.items():
+            mirror_steps = children.get(hat(parent), no_children)
+            for (component, i), child in steps.items():
+                if mirror_steps.get((3 - component, i)) != (child[1], child[0]):
+                    raise ShiftReplayError(
+                        f"edge {format_bipartition(parent)} --{component}:{i}--> "
+                        f"{format_bipartition(child)} has no component-swap mirror"
+                    )
+        return None
+    shift, e = params.l, params.e
+    level_images = {}
+    for parent, steps in children.items():
+        image_parent = images.get(parent)
+        if image_parent is None:
+            raise ShiftReplayError(f"{format_bipartition(parent)} has no h image")
+        image_steps = children.get(image_parent, no_children)
+        for step, child in steps.items():
+            target = (step + shift) % e
+            image = image_steps.get(target)
+            if image is None:
+                raise ShiftReplayError(
+                    f"{format_bipartition(image_parent)} has no step {target}, "
+                    f"the shift of edge {format_bipartition(parent)} --{step}--> "
+                    f"{format_bipartition(child)}"
+                )
+            if level_images.setdefault(child, image) != image:
+                raise ShiftReplayError(
+                    f"edges into {format_bipartition(child)} give two h images"
+                )
+    return level_images
 
 
 class Lattice:
@@ -356,7 +416,8 @@ class Lattice:
     empty``, and for each edge ``(p, i, c)``, ``h(c)`` is the child of
     ``h(p)`` along step ``(i + l) mod e``.  In regime A, where the
     involution is the component swap, ``h`` is ``None`` and construction
-    checks instead that the edges are closed under the swap.
+    checks instead that the edges are closed under the swap.  Both run per
+    level, in ``_next_images``, after the level's canonical form.
     """
 
     def __init__(self, params: CrystalParams, levels, edges):
@@ -385,13 +446,17 @@ class Lattice:
                 position[bp] = k
                 previous = bp
             first.append(first[m] + len(level))
-        self._children = children = {}
+        self._children = {}
+        self.h = images = _level_zero_images(params)
+        if images and self.levels[:1] != ((EMPTY_BIPARTITION,),):
+            raise ShiftReplayError("some lattice vertices have no h image")
         # one lookup per endpoint checks its level; a child's also marks it reached
         reached = bytearray(len(position))
         for m, level_edges in enumerate(self.edges):
             low, high = first[m], first[m + 1]
             parent_low = first[m - 1] if m else low
             last_parent = last_step = None
+            children = {}
             for parent, step, child in level_edges:
                 # an edge's parent is checked when it differs from the last one
                 if parent != last_parent:
@@ -414,66 +479,17 @@ class Lattice:
                 reached[k] = 1
                 steps[step] = child
                 last_step = step
-            if m and reached.find(0, low, high) >= 0:
-                raise ShiftReplayError(f"level {m} has a vertex that no edge reaches")
+            if m:
+                if reached.find(0, low, high) >= 0:
+                    raise ShiftReplayError(f"level {m} has a vertex that no edge reaches")
+                images = _next_images(params, children, images)
+                if images is not None:
+                    self.h.update(images)
+            self._children.update(children)
         # keep the vertices only: thousands of live position ints would hold
         # on to about 1.5 MB of memory at n = 16
         self._vertices = dict.fromkeys(position)
         self._parents = None
-        if params.regime == REGIME_B:
-            self.h = self._shift_table()
-        else:
-            self.h = None
-            self._check_swap()
-
-    def _shift_table(self) -> dict:
-        """The involution as a table, by the edge recurrence.
-
-        Walks the edges in level order, so ``h(p)`` is known before any edge
-        leaving ``p``.  Raises ``ShiftReplayError`` when a shifted step is
-        missing, two edges into one vertex disagree, or a vertex has no image.
-        """
-        shift, e = self.params.l, self.params.e
-        children, no_children = self._children, {}
-        h = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
-        # ``children`` holds every edge and was filled level by level
-        for parent, steps in children.items():
-            image_parent = h.get(parent)
-            if image_parent is None:
-                raise ShiftReplayError(f"{format_bipartition(parent)} has no h image")
-            image_steps = children.get(image_parent, no_children)
-            for step, child in steps.items():
-                target = (step + shift) % e
-                image = image_steps.get(target)
-                if image is None:
-                    raise ShiftReplayError(
-                        f"{format_bipartition(image_parent)} has no step {target}, "
-                        f"the shift of edge {format_bipartition(parent)} --{step}--> "
-                        f"{format_bipartition(child)}"
-                    )
-                if h.setdefault(child, image) != image:
-                    raise ShiftReplayError(
-                        f"edges into {format_bipartition(child)} give two h images"
-                    )
-        if h.keys() != self._vertices.keys():
-            raise ShiftReplayError("some lattice vertices have no h image")
-        return h
-
-    def _check_swap(self) -> None:
-        """Regime A: every edge has its component-swap mirror.
-
-        Raises ``ShiftReplayError`` unless each edge ``(p, (c, i), ch)`` has
-        ``(hat p, (3 - c, i), hat ch)`` among the children of ``hat p``.
-        """
-        children, no_children = self._children, {}
-        for parent, steps in children.items():
-            mirror_steps = children.get(hat(parent), no_children)
-            for (component, i), child in steps.items():
-                if mirror_steps.get((3 - component, i)) != (child[1], child[0]):
-                    raise ShiftReplayError(
-                        f"edge {format_bipartition(parent)} --{component}:{i}--> "
-                        f"{format_bipartition(child)} has no component-swap mirror"
-                    )
 
     @property
     def n(self) -> int:
@@ -523,25 +539,25 @@ def _edge_off_level(parent: Bipartition, child: Bipartition, m: int) -> ShiftRep
     )
 
 
-def build_lattice(
-    n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET
-) -> Lattice:
-    """Breadth-first good additions from the empty bipartition up to level ``n``.
+def _grow(n: int, params: CrystalParams, max_vertices: int):
+    """Yield ``(vertices, edges, children)`` for levels 0..n, unchecked.
 
-    Each child is the memoised child of the component word that the
-    tensor-product rule picks, beside the other component.  Parents
-    go in canonical order and each parent's steps ascend, so every level's
-    edges come out sorted by ``(parent, step)``.
+    Breadth-first good additions from the empty bipartition: each child is
+    the memoised child of the component word that the tensor-product rule
+    picks, beside the other component.  Parents go in canonical order and
+    each parent's steps ascend, so the edges come out sorted by ``(parent,
+    step)``; ``children`` indexes them by parent, then step.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    levels = [(EMPTY_BIPARTITION,)]
-    edges: list[tuple] = [()]
+    level = (EMPTY_BIPARTITION,)
+    yield level, (), {}
     total = 1
     for _ in range(n):
-        seen = set()
-        level_edges = []
-        for parent in levels[-1]:
+        children = {}
+        edges = []
+        for parent in level:
+            steps = {}
             for step, word1, word2 in _paired_words(parent, params):
                 side = _good_addable_side(word1[0], word1[1], word2[0])
                 if side == 1:
@@ -550,16 +566,48 @@ def build_lattice(
                     child = (parent[0], word2[4])
                 else:
                     continue
-                level_edges.append((parent, step, child))
-                seen.add(child)
-        total += len(seen)
+                edges.append((parent, step, child))
+                steps[step] = child
+            if steps:
+                children[parent] = steps
+        level = tuple(sorted({child for _, _, child in edges}))
+        total += len(level)
         if total > max_vertices:
             raise ResourceLimitError(
                 f"lattice exceeds the vertex budget of {max_vertices}"
             )
-        levels.append(tuple(sorted(seen)))
-        edges.append(tuple(level_edges))
+        yield level, tuple(edges), children
+
+
+def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET):
+    """Yield ``(vertices, edges, h)`` for levels 0..n of the good lattice.
+
+    A level's vertices come in canonical order and its ``(parent, step,
+    child)`` edges from the level below sorted by ``(parent, step)``, as
+    ``Lattice`` holds them; ``h`` is the involution on the level, a table in
+    regime B and ``None`` in regime A.  Each level passes ``_next_images``.
+    Raises ``ResourceLimitError`` once the levels hold over ``max_vertices``.
+    """
+    images = _level_zero_images(params)
+    for m, (vertices, edges, children) in enumerate(_grow(n, params, max_vertices)):
+        if m:
+            images = _next_images(params, children, images)
+        yield vertices, edges, images
+
+
+def build_lattice(
+    n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET
+) -> Lattice:
+    """The ``Lattice`` of the levels ``iter_levels`` grows, checked once."""
+    levels, edges = [], []
+    for vertices, level_edges, _ in _grow(n, params, max_vertices):
+        levels.append(vertices)
+        edges.append(level_edges)
     return Lattice(params, levels, edges)
+
+
+def _level_zero_images(params: CrystalParams) -> dict | None:
+    return {EMPTY_BIPARTITION: EMPTY_BIPARTITION} if params.regime == REGIME_B else None
 
 
 def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:

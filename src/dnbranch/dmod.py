@@ -47,8 +47,8 @@ from .crystal import (
     MAX_RESIDUE_ALPHABET,
     Lattice,
     _not_kleshchev,
-    good_cells,
     good_nodes,
+    good_removable_at,
     peel_path,
     replay_path,
     shift_path,
@@ -144,17 +144,19 @@ def involution(
 
 
 def equivalence_classes(
-    level, params: CrystalParams, lattice: Lattice
+    level, params: CrystalParams, lattice: Lattice | None = None, image_of=None
 ) -> list[IrreducibleLabel]:
     """Labels of the simple modules indexed by a full lattice level.
 
     One unsplit label per two-element orbit, a ``+``/``-`` pair per fixed
     point.  The empty bipartition at level 0 gets a single degenerate
-    unsplit label.  Output is sorted by representative.
+    unsplit label.  Output is sorted by representative.  Each vertex goes
+    through ``involution``, its membership check, unless ``image_of`` gives
+    ``h`` on the level.
     """
     labels = []
     for bp in sorted(level):
-        partner = involution(bp, params, lattice)
+        partner = involution(bp, params, lattice) if image_of is None else image_of(bp)
         if bp < partner:
             labels.append(IrreducibleLabel(UNSPLIT, bp))
         elif bp == partner:
@@ -180,26 +182,30 @@ def unsplit_class(
 
 
 def _good_removals(
-    bp: Bipartition, params: CrystalParams, lattice: Lattice | None
+    bp: Bipartition,
+    params: CrystalParams,
+    lattice: Lattice | None,
+    image: Bipartition | None = None,
 ) -> list[tuple[Node, Bipartition, Bipartition]]:
     """``(cell, removal, h of the removal)`` for every good removable cell.
 
-    Also the membership check of ``bp``: ``involution`` makes it, with or
-    without a lattice, and gives ``h(bp)``.  ``h`` carries the crystal
-    operator of step ``s`` to that of the shifted step (``(s + l) mod e`` in
-    regime B, the other component in regime A), so ``h`` of the removal
-    along ``s`` is ``h(bp)`` less its good removable cell at the shifted
-    step: one image of ``bp`` serves every removal.
+    ``image`` is ``h(bp)`` when the caller already holds it; otherwise
+    ``involution`` gives it and makes the membership check of ``bp``, with
+    or without a lattice.  ``h`` carries the crystal operator of step ``s``
+    to that of the shifted step (``(s + l) mod e`` in regime B, the other
+    component in regime A), so ``h`` of the removal along ``s`` is ``h(bp)``
+    less its good removable cell at the shifted step: one image of ``bp``
+    serves every removal.
     """
-    image = involution(bp, params, lattice)
-    image_cells = good_cells(image, params)
+    if image is None:
+        image = involution(bp, params, lattice)
     removals = []
     for node, step in good_nodes(bp, params):
         if params.regime == REGIME_B:
             shifted = (step + params.l) % params.e
         else:
             shifted = (3 - step[0], step[1])
-        twin = image_cells.get(shifted, (None, None))[0]
+        twin = good_removable_at(image, shifted, params)
         if twin is None:
             raise ShiftReplayError(
                 f"{format_bipartition(image)}, the h image of "
@@ -221,20 +227,30 @@ def _special_cell(bp: Bipartition, removals) -> Node | None:
 
 
 def almost_symmetric(
-    bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
+    bp: Bipartition,
+    params: CrystalParams,
+    lattice: Lattice | None = None,
+    image: Bipartition | None = None,
 ) -> Node | None:
-    """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    return _special_cell(bp, _good_removals(bp, params, lattice))
+    """The unique good cell whose removal is ``h``-fixed, if one exists.
+
+    ``image``, when given, is ``h(bp)`` and spares the membership check.
+    """
+    return _special_cell(bp, _good_removals(bp, params, lattice, image))
 
 
 def socle_restriction(
-    label: IrreducibleLabel, params: CrystalParams, lattice: Lattice | None = None
+    label: IrreducibleLabel,
+    params: CrystalParams,
+    lattice: Lattice | None = None,
+    image: Bipartition | None = None,
 ) -> SocleDecomposition:
     """Socle of the restriction of ``label`` one level down.
 
     ``h`` of every good removal is read off ``h`` of the label's
-    representative along the shifted step; ``lattice``, when given, only
-    supplies that image and the membership check.
+    representative along the shifted step.  ``image``, when given, is that
+    ``h`` and no membership check is made; otherwise ``involution`` gives
+    it, with ``lattice`` when one is given.
     """
     n = label.n
     if n < 2:
@@ -245,11 +261,11 @@ def socle_restriction(
         # one unsplit label per orbit of good removals; identical for both signs
         classes = {
             _orbit_label(child, image)
-            for _, child, image in _good_removals(lam, params, lattice)
+            for _, child, image in _good_removals(lam, params, lattice, image)
         }
         summands = sorted(classes, key=label_sort_key)
     else:
-        removals = _good_removals(lam, params, lattice)
+        removals = _good_removals(lam, params, lattice, image)
         special = _special_cell(lam, removals)
         summands = []
         for node, child, image in removals:
@@ -283,6 +299,18 @@ def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
+def level_socles(level, params: CrystalParams, image_of) -> list[SocleDecomposition]:
+    """Socle decompositions of every label of a full level, in label order.
+
+    ``image_of`` gives ``h`` on the level; each socle takes ``h`` of its
+    label's representative from it, so no membership check is made.
+    """
+    return [
+        socle_restriction(label, params, image=image_of(label.rep))
+        for label in equivalence_classes(level, params, image_of=image_of)
+    ]
+
+
 def branching_graph(
     n: int, params: CrystalParams, lattice: Lattice
 ) -> list[SocleDecomposition]:
@@ -291,5 +319,7 @@ def branching_graph(
         raise ValueError("branching needs level n >= 2")
     if n > lattice.n:
         raise ValueError(f"lattice only covers sizes up to {lattice.n}")
-    labels = equivalence_classes(lattice.levels[n], params, lattice)
-    return [socle_restriction(label, params, lattice) for label in labels]
+    if params != lattice.params:
+        raise ValueError("params do not match the lattice they came with")
+    image_of = hat if lattice.h is None else lattice.h.__getitem__
+    return level_socles(lattice.levels[n], params, image_of)

@@ -8,6 +8,12 @@ or ``report``.  Bipartitions are stored in the core text form, an infinite
 ``[component, residue]`` pairs.  Serialization is canonical: keys sorted,
 no insignificant whitespace, one trailing newline, so semantically equal
 documents are byte identical.
+
+Lattice documents have one encoder, ``write_lattice_json``.  It takes the
+levels as ``crystal.iter_levels`` yields them and writes each level's edges
+as it arrives, keeping only the vertex texts, so ``lattice --format json``
+never holds the lattice or its JSON tree; ``serialize_json`` runs it over a
+built lattice's levels.
 """
 
 from __future__ import annotations
@@ -135,32 +141,64 @@ def _params_from_header(obj) -> CrystalParams:
 # payload encoders
 
 
-def _vertex_texts(lattice: Lattice) -> dict:
-    """Text form of every vertex, formatting each distinct component once."""
-    parts: dict = {}
+def _level_texts(level, parts: dict) -> dict:
+    """Text form of each vertex of a level; ``parts`` memoises component texts."""
     texts = {}
-    for level in lattice.levels:
-        for bp in level:
-            for part in bp:
-                if part not in parts:
-                    parts[part] = format_partition(part)
-            texts[bp] = f"{parts[bp[0]]}|{parts[bp[1]]}"
+    for bp in level:
+        for part in bp:
+            if part not in parts:
+                parts[part] = format_partition(part)
+        texts[bp] = f"{parts[bp[0]]}|{parts[bp[1]]}"
     return texts
 
 
-def _lattice_data(lattice: Lattice):
-    text = _vertex_texts(lattice)
-    return {
-        "n": lattice.n,
-        "levels": [[text[bp] for bp in level] for level in lattice.levels],
-        "edges": [
-            [
-                [text[parent], _step_to_json(step), text[child]]
-                for parent, step, child in level_edges
-            ]
-            for level_edges in lattice.edges
-        ],
-    }
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _envelope(params: CrystalParams, kind: str) -> tuple[str, str]:
+    """The canonical text before and after a document's ``data`` value.
+
+    ``data`` sorts first among the top-level keys, so the head is
+    ``{"data":`` and the tail holds the other keys and the newline.
+    """
+    head, tail = _dumps(
+        {
+            "schema": SCHEMA,
+            "e": _extended_to_json(params.e),
+            "regime": params.regime,
+            "l": _extended_to_json(params.l),
+            "kind": kind,
+            "data": 0,
+        }
+    ).split("0", 1)
+    return head, tail + "\n"
+
+
+def write_lattice_json(params: CrystalParams, levels, write) -> None:
+    """Write the canonical lattice document through ``write``, level by level.
+
+    ``levels`` yields ``(vertices, edges, ...)`` for levels 0..n in order, as
+    ``iter_levels`` does.  The payload's keys sort as ``edges``, ``levels``,
+    ``n``, so each level's edges are encoded as the level arrives; only the
+    vertex texts are kept, for ``levels``, with those of the level below for
+    the edges' parents.
+    """
+    head, tail = _envelope(params, KIND_LATTICE)
+    write(head + '{"edges":[')
+    parts: dict = {}
+    level_texts = []
+    below: dict = {}
+    for m, (vertices, edges, *_) in enumerate(levels):
+        texts = _level_texts(vertices, parts)
+        level_edges = [
+            [below[parent], _step_to_json(step), texts[child]]
+            for parent, step, child in edges
+        ]
+        write(("," if m else "") + _dumps(level_edges))
+        level_texts.append(list(texts.values()))
+        below = texts
+    write(f'],"levels":{_dumps(level_texts)},"n":{len(level_texts) - 1}}}{tail}')
 
 
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
@@ -315,8 +353,11 @@ def report_document(report: VerificationReport) -> Document:
 def serialize_json(doc: Document) -> str:
     """Canonical text of a document: sorted keys, compact, newline terminated."""
     if doc.kind == KIND_LATTICE:
-        data = _lattice_data(doc.data)
-    elif doc.kind == KIND_LABELS:
+        chunks: list[str] = []
+        lattice = doc.data
+        write_lattice_json(doc.params, zip(lattice.levels, lattice.edges), chunks.append)
+        return "".join(chunks)
+    if doc.kind == KIND_LABELS:
         data = _labels_data(doc.data)
     elif doc.kind == KIND_BRANCHING:
         data = _branching_data(doc.data)
@@ -324,15 +365,8 @@ def serialize_json(doc: Document) -> str:
         data = _report_data(doc.data)
     else:
         raise ValueError(f"unknown document kind {doc.kind!r}")
-    obj = {
-        "schema": SCHEMA,
-        "e": _extended_to_json(doc.params.e),
-        "regime": doc.params.regime,
-        "l": _extended_to_json(doc.params.l),
-        "kind": doc.kind,
-        "data": data,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    head, tail = _envelope(doc.params, doc.kind)
+    return head + _dumps(data) + tail
 
 
 def parse_json(text: str) -> Document:
@@ -376,10 +410,12 @@ def emit_dot(obj) -> str:
     if isinstance(obj, Lattice):
         lines.append("digraph good_lattice {")
         lines.append("  rankdir=BT;")
-        text = _vertex_texts(obj)
+        parts: dict = {}
+        text = {}
         for level in obj.levels:
-            for bp in level:
-                lines.append(f'  "{text[bp]}";')
+            text.update(_level_texts(level, parts))
+        for name in text.values():
+            lines.append(f'  "{name}";')
         for level_edges in obj.edges:
             for parent, step, child in level_edges:
                 lines.append(
