@@ -43,6 +43,7 @@ from .crystal import (
     good_nodes,
     good_removable,
     i_signature,
+    iter_levels,
     partition_crystal_levels,
     peel_path,
     replay_path,
@@ -58,6 +59,7 @@ from .dmod import (
     equivalence_classes,
     format_label,
     involution,
+    level_socles,
     residue_counts,
     socle_restriction,
     unsplit_class,

@@ -32,9 +32,10 @@ combine:
   removable cell is component 1's first ``R`` if ``r1 > a2``, else
   component 2's first ``R`` if ``r2 > 0``.
 
-``good_cells`` (and through it ``good_nodes``, the peel and the socle
-engine), ``good_removable_at`` and the level generator read the combined
-words.  ``i_signature`` and the operators built on it (``good_removable``,
+``good_cells``, ``good_nodes`` (the peel and the socle engine),
+``good_removable_at`` and the level generator read the combined words;
+``good_nodes`` and ``good_removable_at`` build only good removable cells.
+``i_signature`` and the operators built on it (``good_removable``,
 ``good_addable``, ``e_tilde``, ``f_tilde``) are the per-residue definitional
 scan: they list and sort all marked cells of the bipartition and keep one
 residue.
@@ -299,6 +300,12 @@ def _paired_words(bp: Bipartition, params: CrystalParams):
     return _word_side(bp[0], 0, params.l, 1) + _word_side(bp[1], 0, params.l, 2)
 
 
+def _good_removable_cell(word1: tuple, word2: tuple) -> Node | None:
+    """The good removable cell of a step, from its two component words."""
+    side = _good_removable_side(word1[1], word2[0], word2[1])
+    return Node(side, *(word1 if side == 1 else word2)[3]) if side else None
+
+
 def good_cells(
     bp: Bipartition, params: CrystalParams
 ) -> dict[Step, tuple[Node | None, Node | None]]:
@@ -313,12 +320,9 @@ def good_cells(
     for step, word1, word2 in _paired_words(bp, params):
         if word1 is _NO_WORD and word2 is _NO_WORD:
             continue  # a regime-B residue with no marked cell
-        words = (None, word1, word2)
         side = _good_addable_side(word1[0], word1[1], word2[0])
-        addable = Node(side, *words[side][2]) if side else None
-        side = _good_removable_side(word1[1], word2[0], word2[1])
-        removable = Node(side, *words[side][3]) if side else None
-        cells[step] = (removable, addable)
+        addable = Node(side, *(word1 if side == 1 else word2)[2]) if side else None
+        cells[step] = (_good_removable_cell(word1, word2), addable)
     return cells
 
 
@@ -328,27 +332,33 @@ def good_removable_at(bp: Bipartition, step, params: CrystalParams) -> Node | No
         component, i = step
         first_r = component_word(bp[component - 1], 0, params.l).get(i, _NO_WORD)[3]
         return None if first_r is None else Node(component, *first_r)
-    word1 = _word_side(bp[0], 0, params.e, 0)[step]
-    word2 = _word_side(bp[1], params.multicharge[1], params.e, 0)[step]
-    side = _good_removable_side(word1[1], word2[0], word2[1])
-    return Node(side, *(word1 if side == 1 else word2)[3]) if side else None
+    e = params.e
+    return _good_removable_cell(
+        _word_side(bp[0], 0, e, 0)[step], _word_side(bp[1], params.multicharge[1], e, 0)[step]
+    )
 
 
 def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]]:
     """All good removable cells with their steps, in ascending step order.
 
     At most one cell per residue class (regime B) or per
-    (component, residue) pair (regime A).
+    (component, residue) pair (regime A); no good addable cell is built.
     """
-    return [
-        (removable, step)
-        for step, (removable, _) in good_cells(bp, params).items()
-        if removable is not None
-    ]
+    nodes = []
+    for step, word1, word2 in _paired_words(bp, params):
+        removable = _good_removable_cell(word1, word2)
+        if removable is not None:
+            nodes.append((removable, step))
+    return nodes
 
 
 # ---------------------------------------------------------------------------
 # lattice
+
+
+def _level_zero_images(params: CrystalParams) -> dict | None:
+    """``h`` on level 0 as ``_next_images`` gives it: the empty bipartition is fixed."""
+    return {EMPTY_BIPARTITION: EMPTY_BIPARTITION} if params.regime == REGIME_B else None
 
 
 def _next_images(params: CrystalParams, children: dict, images: dict | None) -> dict | None:
@@ -556,8 +566,9 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     for _ in range(n):
         children = {}
         edges = []
+        seen = set()
         for parent in level:
-            steps = {}
+            steps = children[parent] = {}
             for step, word1, word2 in _paired_words(parent, params):
                 side = _good_addable_side(word1[0], word1[1], word2[0])
                 if side == 1:
@@ -568,9 +579,8 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
                     continue
                 edges.append((parent, step, child))
                 steps[step] = child
-            if steps:
-                children[parent] = steps
-        level = tuple(sorted({child for _, _, child in edges}))
+                seen.add(child)
+        level = tuple(sorted(seen))
         total += len(level)
         if total > max_vertices:
             raise ResourceLimitError(
@@ -604,10 +614,6 @@ def build_lattice(
         levels.append(vertices)
         edges.append(level_edges)
     return Lattice(params, levels, edges)
-
-
-def _level_zero_images(params: CrystalParams) -> dict | None:
-    return {EMPTY_BIPARTITION: EMPTY_BIPARTITION} if params.regime == REGIME_B else None
 
 
 def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:
