@@ -39,6 +39,7 @@ from dnbranch.crystal import (
     good_cells,
     good_nodes,
     good_removable,
+    good_removable_at,
     i_signature,
     partition_crystal_levels,
     peel_path,
@@ -399,12 +400,14 @@ def _assert_sweep_agrees(bp, params):
     assert list(cells) == sorted(cells)  # good_nodes reads the steps in this order
     for step, (removable, addable) in cells.items():
         assert removable == good_removable(bp, step, params)
+        assert removable == good_removable_at(bp, step, params)
         assert addable == good_addable(bp, step, params)
         assert all(type(node) is Node for node in (removable, addable) if node is not None)
     # a step missing from the memo must have no good cell at all
     for step in _alphabet(params, bipartition_size(bp)):
         if step not in cells:
             assert good_removable(bp, step, params) is None
+            assert good_removable_at(bp, step, params) is None
             assert good_addable(bp, step, params) is None
 
 
