@@ -549,26 +549,29 @@ def _edge_off_level(parent: Bipartition, child: Bipartition, m: int) -> ShiftRep
     )
 
 
-def _grow(n: int, params: CrystalParams, max_vertices: int):
+def _grow(n: int, params: CrystalParams, max_vertices: int, index: bool):
     """Yield ``(vertices, edges, children)`` for levels 0..n, unchecked.
 
     Breadth-first good additions from the empty bipartition: each child is
     the memoised child of the component word that the tensor-product rule
     picks, beside the other component.  Parents go in canonical order and
     each parent's steps ascend, so the edges come out sorted by ``(parent,
-    step)``; ``children`` indexes them by parent, then step.
+    step)``.  With ``index``, ``children`` indexes them by parent, then
+    step; without it (the ``Lattice`` constructor builds its own) it is
+    ``None``.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     level = (EMPTY_BIPARTITION,)
-    yield level, (), {}
+    yield level, (), {} if index else None
     total = 1
     for _ in range(n):
-        children = {}
+        children = {} if index else None
         edges = []
         seen = set()
         for parent in level:
-            steps = children[parent] = {}
+            if index:
+                steps = children[parent] = {}
             for step, word1, word2 in _paired_words(parent, params):
                 side = _good_addable_side(word1[0], word1[1], word2[0])
                 if side == 1:
@@ -578,7 +581,8 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
                 else:
                     continue
                 edges.append((parent, step, child))
-                steps[step] = child
+                if index:
+                    steps[step] = child
                 seen.add(child)
         level = tuple(sorted(seen))
         total += len(level)
@@ -599,7 +603,7 @@ def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTE
     Raises ``ResourceLimitError`` once the levels hold over ``max_vertices``.
     """
     images = _level_zero_images(params)
-    for m, (vertices, edges, children) in enumerate(_grow(n, params, max_vertices)):
+    for m, (vertices, edges, children) in enumerate(_grow(n, params, max_vertices, True)):
         if m:
             images = _next_images(params, children, images)
         yield vertices, edges, images
@@ -610,7 +614,7 @@ def build_lattice(
 ) -> Lattice:
     """The ``Lattice`` of the levels ``iter_levels`` grows, checked once."""
     levels, edges = [], []
-    for vertices, level_edges, _ in _grow(n, params, max_vertices):
+    for vertices, level_edges, _ in _grow(n, params, max_vertices, False):
         levels.append(vertices)
         edges.append(level_edges)
     return Lattice(params, levels, edges)

@@ -9,11 +9,12 @@ or ``report``.  Bipartitions are stored in the core text form, an infinite
 no insignificant whitespace, one trailing newline, so semantically equal
 documents are byte identical.
 
-Lattice documents have one encoder, ``write_lattice_json``.  It takes the
-levels as ``crystal.iter_levels`` yields them and writes each level's edges
-as it arrives, keeping only the vertex texts, so ``lattice --format json``
-never holds the lattice or its JSON tree; ``serialize_json`` runs it over a
-built lattice's levels.
+Documents are written as text, not as JSON trees: each vertex, step and
+label text is formatted once and joined.  Lattice documents have one
+encoder, ``write_lattice_json``, which writes each level's edges as
+``crystal.iter_levels`` yields it, keeping only the vertex texts, and which
+``serialize_json`` runs over a built lattice; labels and branching
+documents share one label writer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     REGIME_A,
     REGIME_B,
     Record,
-    format_bipartition,
     format_partition,
     parse_bipartition,
 )
@@ -90,13 +90,6 @@ def _step_from_json(value, regime: str):
     raise SchemaMismatchError(f"malformed regime-{regime} step {value!r}")
 
 
-def _label_to_json(label: IrreducibleLabel):
-    out = {"kind": label.kind, "rep": format_bipartition(label.rep)}
-    if label.kind == SPLIT:
-        out["sign"] = label.sign
-    return out
-
-
 def _label_from_json(value) -> IrreducibleLabel:
     if not isinstance(value, dict) or "kind" not in value or "rep" not in value:
         raise SchemaMismatchError(f"malformed label {value!r}")
@@ -141,15 +134,20 @@ def _params_from_header(obj) -> CrystalParams:
 # payload encoders
 
 
-def _level_texts(level, parts: dict) -> dict:
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _level_texts(level, parts: _Memo) -> dict:
     """Text form of each vertex of a level; ``parts`` memoises component texts."""
-    texts = {}
-    for bp in level:
-        for part in bp:
-            if part not in parts:
-                parts[part] = format_partition(part)
-        texts[bp] = f"{parts[bp[0]]}|{parts[bp[1]]}"
-    return texts
+    return {bp: f"{parts[bp[0]]}|{parts[bp[1]]}" for bp in level}
 
 
 def _dumps(value) -> str:
@@ -182,23 +180,22 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     ``iter_levels`` does.  The payload's keys sort as ``edges``, ``levels``,
     ``n``, so each level's edges are encoded as the level arrives; only the
     vertex texts are kept, for ``levels``, with those of the level below for
-    the edges' parents.
+    the edges' parents.  Vertex and step JSON texts are made once each.
     """
     head, tail = _envelope(params, KIND_LATTICE)
     write(head + '{"edges":[')
-    parts: dict = {}
+    parts = _Memo(format_partition)
+    steps = _Memo(lambda step: _dumps(_step_to_json(step)))
     level_texts = []
     below: dict = {}
     for m, (vertices, edges, *_) in enumerate(levels):
-        texts = _level_texts(vertices, parts)
-        level_edges = [
-            [below[parent], _step_to_json(step), texts[child]]
-            for parent, step, child in edges
-        ]
-        write(("," if m else "") + _dumps(level_edges))
-        level_texts.append(list(texts.values()))
+        # a string's JSON needs no key order or separators: plain dumps is canonical
+        texts = {bp: json.dumps(text) for bp, text in _level_texts(vertices, parts).items()}
+        joined = ",".join([f"[{below[p]},{steps[s]},{texts[c]}]" for p, s, c in edges])
+        write(f"{',' if m else ''}[{joined}]")
+        level_texts.append(f"[{','.join(texts.values())}]")
         below = texts
-    write(f'],"levels":{_dumps(level_texts)},"n":{len(level_texts) - 1}}}{tail}')
+    write(f'],"levels":[{",".join(level_texts)}],"n":{len(level_texts) - 1}}}{tail}')
 
 
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
@@ -241,8 +238,24 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
         raise SchemaMismatchError(f"lattice payload is inconsistent: {exc}") from exc
 
 
-def _labels_data(payload):
-    return {"n": payload["n"], "labels": [_label_to_json(lbl) for lbl in payload["labels"]]}
+def _label_writer():
+    """Canonical text of a label, ``{"kind":…,"rep":…[,"sign":…]}``, made once
+    per distinct label from memoised component texts."""
+    parts = _Memo(format_partition)
+
+    def label_text(key) -> str:
+        kind, (left, right), sign = key
+        signed = f',"sign":{json.dumps(sign)}' if kind == SPLIT else ""
+        rep = json.dumps(f"{parts[left]}|{parts[right]}")
+        return f'{{"kind":{json.dumps(kind)},"rep":{rep}{signed}}}'
+
+    texts = _Memo(label_text)
+    return lambda label: texts[label.kind, label.rep, label.sign]
+
+
+def _labels_json(payload) -> str:
+    labels = ",".join(map(_label_writer(), payload["labels"]))
+    return f'{{"labels":[{labels}],"n":{_dumps(payload["n"])}}}'
 
 
 def _labels_from_data(data):
@@ -255,17 +268,16 @@ def _labels_from_data(data):
         raise SchemaMismatchError(f"malformed labels payload: {exc}") from exc
 
 
-def _branching_data(payload):
-    return {
-        "n": payload["n"],
-        "entries": [
-            {
-                "source": _label_to_json(entry.source),
-                "summands": [_label_to_json(s) for s in entry.summands],
-            }
+def _branching_json(payload) -> str:
+    label = _label_writer()
+    entries = ",".join(
+        [
+            f'{{"source":{label(entry.source)},'
+            f'"summands":[{",".join(map(label, entry.summands))}]}}'
             for entry in payload["entries"]
-        ],
-    }
+        ]
+    )
+    return f'{{"entries":[{entries}],"n":{_dumps(payload["n"])}}}'
 
 
 def _branching_from_data(data):
@@ -358,15 +370,15 @@ def serialize_json(doc: Document) -> str:
         write_lattice_json(doc.params, zip(lattice.levels, lattice.edges), chunks.append)
         return "".join(chunks)
     if doc.kind == KIND_LABELS:
-        data = _labels_data(doc.data)
+        data = _labels_json(doc.data)
     elif doc.kind == KIND_BRANCHING:
-        data = _branching_data(doc.data)
+        data = _branching_json(doc.data)
     elif doc.kind == KIND_REPORT:
-        data = _report_data(doc.data)
+        data = _dumps(_report_data(doc.data))
     else:
         raise ValueError(f"unknown document kind {doc.kind!r}")
     head, tail = _envelope(doc.params, doc.kind)
-    return head + _dumps(data) + tail
+    return head + data + tail
 
 
 def parse_json(text: str) -> Document:
@@ -410,7 +422,7 @@ def emit_dot(obj) -> str:
     if isinstance(obj, Lattice):
         lines.append("digraph good_lattice {")
         lines.append("  rankdir=BT;")
-        parts: dict = {}
+        parts = _Memo(format_partition)
         text = {}
         for level in obj.levels:
             text.update(_level_texts(level, parts))

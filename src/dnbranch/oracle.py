@@ -4,7 +4,8 @@ Every suite here checks the crystal and branching engines against
 straight-from-definition recomputations (restricted-partition filters, a
 deliberately naive signature scan, exhaustive path enumeration, exact
 integer dimension bookkeeping).  The verifiers never share code paths with
-the machinery they validate.
+the machinery they validate.  A suite computes each fact it compares once per
+run; what it compares, its cases and its failures are those of naive loops.
 """
 
 from __future__ import annotations
@@ -109,9 +110,11 @@ def enumerate_partitions(n: int, max_part: int | None = None):
 
 
 def enumerate_bipartitions(n: int):
+    """All bipartitions of ``n``, right-hand partitions listed once per size."""
     for k in range(n + 1):
+        rights = list(enumerate_partitions(n - k))
         for left in enumerate_partitions(k):
-            for right in enumerate_partitions(n - k):
+            for right in rights:
                 yield (left, right)
 
 
@@ -294,11 +297,6 @@ def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationRe
     return report
 
 
-def _removal_fixed(bp, node, params, lattice) -> bool:
-    child = remove_node(bp, node)
-    return child == involution(child, params, lattice)
-
-
 def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> VerificationReport:
     """Special-node uniqueness and pairwise distinctness of removals.
 
@@ -307,6 +305,10 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
     removals are pairwise inequivalent (checked against all removable cells
     in regime A, against good cells in regime B); a non-almost-symmetric,
     non-fixed vertex has pairwise inequivalent good removals.
+
+    Each removal and partner image is computed once per cell; the ordered
+    pairs count as cases and are compared, in order, only when some removal
+    equals some partner image.
     """
     report = _new_report("uniqueness-distinctness", params, n)
     start = time.perf_counter()
@@ -322,7 +324,10 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
     for m in range(1, n + 1):
         for bp in lattice.levels[m]:
             good = [node for node, _ in good_nodes(bp, params)]
-            special = [node for node in good if _removal_fixed(bp, node, params, lattice)]
+            removal = {node: remove_node(bp, node) for node in good}
+            special = [
+                b for b, child in removal.items() if child == involution(child, params, lattice)
+            ]
             report.cases += 1
             if len(special) > 1:
                 report.failures.append(
@@ -340,12 +345,14 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
                 pool, skipped = good, None
             else:
                 continue
+            removal.update((c, remove_node(bp, c)) for c in pool if c not in removal)
+            partners = {c: image(removal[c]) for c in pool if c != skipped}
+            report.cases += len(pool) * len(partners)
+            if {removal[b] for b in pool}.isdisjoint(partners.values()):
+                continue
             for b in pool:
-                for c in pool:
-                    if c == skipped:
-                        continue
-                    report.cases += 1
-                    if remove_node(bp, b) == image(remove_node(bp, c)):
+                for c, partner in partners.items():
+                    if removal[b] == partner:
                         report.failures.append(
                             (
                                 format_bipartition(bp),
@@ -411,12 +418,14 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
 
     Level ``m`` of the regime-A lattice must be exactly the pairs of
     ``l``-restricted partitions of total size ``m``, and the engine's good
-    cells must match the union of the per-component recomputation.
+    cells must match the union of the per-component recomputation, which
+    runs once per distinct partition.
     """
     params = regime_a_params(l)
     report = _new_report("regime-a-decoupling", params, n)
     start = time.perf_counter()
     lattice = build_lattice(n, params)
+    references: dict = {}
     for m in range(n + 1):
         got = set(lattice.levels[m])
         expected = restricted_bipartitions(m, l)
@@ -436,12 +445,13 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
                 (node.component, step[1], node.row, node.col)
                 for node, step in good_nodes(bp, params)
             }
+            for parts in bp:
+                if parts not in references:
+                    references[parts] = _reference_good_removables(parts, l)
             reference = {
                 (component, res, row, col)
                 for component in (1, 2)
-                for res, (row, col) in _reference_good_removables(
-                    bp[component - 1], l
-                )
+                for res, (row, col) in references[bp[component - 1]]
             }
             report.cases += 1
             if engine != reference:

@@ -8,7 +8,9 @@ from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
     classify_regime,
+    format_partition,
     hat,
+    is_l_restricted,
     regime_a_params,
     remove_node,
     removable_nodes,
@@ -230,3 +232,31 @@ def test_dimension_positive_and_split_halves_are_integral(bp):
     assert dim >= 1
     if bp[0] == bp[1] and bp[0]:
         assert dim % 2 == 0
+
+
+@pytest.mark.parametrize("l, n, doctored", [(3, 10, (2, 1)), (INF, 8, (1,)), (2, 9, (2, 1))])
+def test_regime_a_reference_is_compared_at_every_vertex(monkeypatch, l, n, doctored):
+    import dnbranch.oracle as oracle
+
+    naive = oracle._reference_good_removables
+    calls = []
+
+    def reference(parts, l):
+        calls.append(parts)
+        return [] if parts == doctored else naive(parts, l)
+
+    monkeypatch.setattr(oracle, "_reference_good_removables", reference)
+    report = verify_regime_a_decoupling(n, l)
+    # brute force: the pairs of l-restricted partitions of total size <= n,
+    # and those with the doctored partition as a component
+    restricted = [
+        p for m in range(n + 1) for p in enumerate_partitions(m) if is_l_restricted(p, l)
+    ]
+    pairs = [(a, b) for a in restricted for b in restricted if sum(a) + sum(b) <= n]
+    hit = [
+        f"{format_partition(a)}|{format_partition(b)}" for a, b in pairs if doctored in (a, b)
+    ]
+    assert naive(doctored, l)  # the doctored partition has good cells to lose
+    assert report.cases == n + 1 + len(pairs)
+    assert sorted(f[0] for f in report.failures) == sorted(hit)
+    assert sorted(calls) == sorted(restricted)  # the scan runs once per partition

@@ -1,6 +1,7 @@
 """Full-level commands stream the lattice level by level (``crystal.iter_levels``)."""
 
 import contextlib
+import functools
 import io
 import json
 import tracemalloc
@@ -13,7 +14,7 @@ from dnbranch.cli import main
 from dnbranch.core import INF, classify_regime, format_bipartition
 from dnbranch.crystal import build_lattice, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label
-from dnbranch.errors import ResourceLimitError
+from dnbranch.errors import ParseError, ResourceLimitError
 
 # the perfbench grid, both regimes
 POINTS = [(4, 16), (6, 16), (8, 16), (2, 20), (3, 16), (INF, 14)]
@@ -170,3 +171,26 @@ def test_streamed_commands_hold_less_than_the_built_lattice(e, n):
     streamed = _peak_mb(lambda: _cli(["lattice", *argv]))
     whole = _peak_mb(lambda: _parent_style_encode(n, params))
     assert streamed <= 0.75 * whole
+
+
+def test_budget_stop_leaves_a_truncated_document_and_exit_1(monkeypatch):
+    import dnbranch.cli as cli
+
+    params = classify_regime(8, 4)
+    lattice = build_lattice(8, params)
+    budget = sum(map(len, lattice.levels[:6]))  # level 6 is over budget
+    monkeypatch.setattr(cli, "iter_levels", functools.partial(iter_levels, max_vertices=budget))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["lattice", "--e", "4", "--n", "8", "--format", "json"]) == 1
+    assert err.getvalue() == f"error: lattice exceeds the vertex budget of {budget}\n"
+    # stdout holds the edges of levels 0..5: a prefix of the whole document
+    text = out.getvalue()
+    head = '{"data":{"edges":'
+    assert text.startswith(head)
+    assert [len(level) for level in json.loads(text[len(head):] + "]")] == [
+        len(level_edges) for level_edges in lattice.edges[:6]
+    ]
+    assert dio.serialize_json(dio.lattice_document(lattice)).startswith(text)
+    with pytest.raises(ParseError):
+        dio.parse_json(text)
