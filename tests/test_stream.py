@@ -4,6 +4,7 @@ import contextlib
 import functools
 import io
 import json
+import os
 import tracemalloc
 
 import pytest
@@ -66,6 +67,77 @@ def test_streamed_outputs_match_the_built_lattice(e, n):
         + "".join(f"  {format_label(s)}\n" for s in entry.summands)
         for entry in entries
     )
+
+
+# the canonical form, pinned by an encoder that builds JSON trees
+def _tree_document(params, kind, data) -> str:
+    """A document as ``json.dumps`` writes the whole tree, canonically."""
+    header = {
+        "schema": "dnbranch/1",
+        "e": "inf" if params.e == INF else params.e,
+        "regime": params.regime,
+        "l": "inf" if params.l == INF else params.l,
+        "kind": kind,
+        "data": data,
+    }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _label_tree(label):
+    out = {"kind": label.kind, "rep": format_bipartition(label.rep)}
+    if label.kind == "split":
+        out["sign"] = label.sign
+    return out
+
+
+def _assert_same(got: str, expected: str) -> None:
+    # a plain flag: pytest's diff of two megabyte documents takes minutes
+    same = got == expected
+    assert same, f"documents differ from character {len(os.path.commonprefix([got, expected]))}"
+
+
+@pytest.mark.parametrize("e, n", POINTS)
+def test_documents_match_an_independent_tree_encoder(e, n):
+    params = classify_regime(n, e)
+    lattice = build_lattice(n, params)
+    argv = ["--e", _e_text(e), "--n", str(n), "--format", "json"]
+
+    lattice_tree = {
+        "n": n,
+        "levels": [[format_bipartition(bp) for bp in level] for level in lattice.levels],
+        "edges": [
+            [
+                [format_bipartition(p), list(s) if isinstance(s, tuple) else s, format_bipartition(c)]
+                for p, s, c in level_edges
+            ]
+            for level_edges in lattice.edges
+        ],
+    }
+    text = _run(["lattice", *argv])
+    _assert_same(text, _tree_document(params, "lattice", lattice_tree))
+    assert '"-|-"' in text  # the empty component
+    if params.regime == "A":
+        assert ',[1,0],"1|-"]' in text and ',[2,0],"-|1"]' in text
+
+    labels = equivalence_classes(lattice.levels[n], params, lattice)
+    labels_tree = {"n": n, "labels": [_label_tree(label) for label in labels]}
+    _assert_same(_run(["labels", *argv]), _tree_document(params, "labels", labels_tree))
+
+    entries = branching_graph(n, params, lattice)
+    branching_tree = {
+        "n": n,
+        "entries": [
+            {
+                "source": _label_tree(entry.source),
+                "summands": [_label_tree(s) for s in entry.summands],
+            }
+            for entry in entries
+        ],
+    }
+    text = _run(["branch", *argv])
+    _assert_same(text, _tree_document(params, "branching", branching_tree))
+    if (e, n) != (2, 20):  # at e = 2 no label of level 20 or 19 is split
+        assert '"sign":"+"' in text and '"sign":"-"' in text
 
 
 @pytest.mark.parametrize("e, n", [(4, 9), (INF, 8), (3, 9)])
