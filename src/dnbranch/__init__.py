@@ -37,6 +37,7 @@ from .crystal import (
     Signature,
     build_lattice,
     e_tilde,
+    edges_of,
     f_tilde,
     good_addable,
     good_cells,

@@ -24,7 +24,7 @@ from .core import (
     hat,
     parse_bipartition,
 )
-from .crystal import build_lattice, iter_levels
+from .crystal import build_lattice, edges_of, iter_levels
 from .dmod import (
     SPLIT,
     UNSPLIT,
@@ -113,7 +113,8 @@ def _top_level(n: int, params: CrystalParams):
 def cmd_lattice(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.format == "json":
-        dio.write_lattice_json(params, iter_levels(args.n, params), sys.stdout.write)
+        levels = ((v, edges_of(children)) for v, children, _ in iter_levels(args.n, params))
+        dio.write_lattice_json(params, levels, sys.stdout.write)
         return EXIT_OK
     lattice = build_lattice(args.n, params)
     if args.format == "dot":

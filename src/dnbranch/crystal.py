@@ -42,8 +42,9 @@ residue.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
-consumer that keeps no level holds at most two.  Each level passes
-``_next_images``, the per-level check the ``Lattice`` constructor makes.
+consumer that keeps no level holds at most two.  A level's only edge
+structure is its children index; ``edges_of`` flattens it.  Each level
+passes ``_next_images``, the per-level check the ``Lattice`` constructor makes.
 
 ``peel_path`` peels a single bipartition down to the empty one, so its
 membership and its path need no lattice; ``replay_path`` folds a path back.
@@ -252,16 +253,20 @@ def component_word(
 
     word = {}
     for res in sorted(buckets):
-        reduced = _reduce(buckets[res])
-        a = sum(kind == ADDABLE for _, kind in reduced)
-        last_a = first_r = child = None
+        # reduce as the cells come: an A cancels the last surviving R, else survives
+        a, last_a, removable = 0, None, []
+        for cell, kind in buckets[res]:
+            if kind is REMOVABLE:
+                removable.append(cell)
+            elif removable:
+                removable.pop()
+            else:
+                a, last_a = a + 1, cell
+        child = None
         if a:
-            last_a = reduced[a - 1][0]
             row, col = last_a
             child = parts[: row - 1] + (col,) + parts[row:]
-        if a < len(reduced):
-            first_r = reduced[a][0]
-        word[res] = (a, len(reduced) - a, last_a, first_r, child)
+        word[res] = (a, len(removable), last_a, removable[0] if removable else None, child)
     return MappingProxyType(word)
 
 
@@ -380,7 +385,8 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
                         f"{format_bipartition(child)} has no component-swap mirror"
                     )
         return None
-    shift, e = params.l, params.e
+    e = params.e
+    shifted = [(i + params.l) % e for i in range(e)]
     level_images = {}
     for parent, steps in children.items():
         image_parent = images.get(parent)
@@ -388,7 +394,7 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
             raise ShiftReplayError(f"{format_bipartition(parent)} has no h image")
         image_steps = children.get(image_parent, no_children)
         for step, child in steps.items():
-            target = (step + shift) % e
+            target = shifted[step]
             image = image_steps.get(target)
             if image is None:
                 raise ShiftReplayError(
@@ -549,74 +555,81 @@ def _edge_off_level(parent: Bipartition, child: Bipartition, m: int) -> ShiftRep
     )
 
 
-def _grow(n: int, params: CrystalParams, max_vertices: int, index: bool):
-    """Yield ``(vertices, edges, children)`` for levels 0..n, unchecked.
+def _grow(n: int, params: CrystalParams, max_vertices: int):
+    """Yield ``(vertices, children)`` for levels 0..n, unchecked.
 
     Breadth-first good additions from the empty bipartition: each child is
     the memoised child of the component word that the tensor-product rule
-    picks, beside the other component.  Parents go in canonical order and
-    each parent's steps ascend, so the edges come out sorted by ``(parent,
-    step)``.  With ``index``, ``children`` indexes them by parent, then
-    step; without it (the ``Lattice`` constructor builds its own) it is
-    ``None``.
+    picks (component 2's last ``A`` unless ``R^r1`` cancels it), beside the
+    other component.  ``children``, the level's only edge structure, indexes
+    its edges from the level below by parent, then step: parents go in
+    canonical order and each parent's steps ascend, so ``edges_of`` walks it
+    in ``(parent, step)`` order.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     level = (EMPTY_BIPARTITION,)
-    yield level, (), {} if index else None
+    yield level, {}
     total = 1
+    regime_b, e, l, shift = params.regime == REGIME_B, params.e, params.l, params.multicharge[1]
     for _ in range(n):
-        children = {} if index else None
-        edges = []
+        children = {}
         seen = set()
         for parent in level:
-            if index:
-                steps = children[parent] = {}
-            for step, word1, word2 in _paired_words(parent, params):
-                side = _good_addable_side(word1[0], word1[1], word2[0])
-                if side == 1:
-                    child = (word1[4], parent[1])
-                elif side == 2:
-                    child = (parent[0], word2[4])
-                else:
-                    continue
-                edges.append((parent, step, child))
-                if index:
-                    steps[step] = child
-                seen.add(child)
+            steps = children[parent] = {}
+            left, right = parent
+            if regime_b:
+                words = zip(_word_side(left, 0, e, 0), _word_side(right, shift, e, 0))
+                for i, (word1, word2) in enumerate(words):
+                    if word2[0] > word1[1]:
+                        steps[i] = (left, word2[4])
+                    elif word1[0]:
+                        steps[i] = (word1[4], right)
+            else:
+                for step, word, _ in _word_side(left, 0, l, 1):
+                    if word[0]:
+                        steps[step] = (word[4], right)
+                for step, _, word in _word_side(right, 0, l, 2):
+                    if word[0]:
+                        steps[step] = (left, word[4])
+            seen.update(steps.values())
         level = tuple(sorted(seen))
         total += len(level)
         if total > max_vertices:
             raise ResourceLimitError(
                 f"lattice exceeds the vertex budget of {max_vertices}"
             )
-        yield level, tuple(edges), children
+        yield level, children
+
+
+def edges_of(children: dict) -> tuple:
+    """The ``(parent, step, child)`` edges of a children index, in index order,
+    as a tuple, which ``Lattice`` keeps without a copy."""
+    return tuple([(p, step, c) for p, steps in children.items() for step, c in steps.items()])
 
 
 def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET):
-    """Yield ``(vertices, edges, h)`` for levels 0..n of the good lattice.
+    """Yield ``(vertices, children, h)`` for levels 0..n of the good lattice.
 
-    A level's vertices come in canonical order and its ``(parent, step,
-    child)`` edges from the level below sorted by ``(parent, step)``, as
-    ``Lattice`` holds them; ``h`` is the involution on the level, a table in
-    regime B and ``None`` in regime A.  Each level passes ``_next_images``.
-    Raises ``ResourceLimitError`` once the levels hold over ``max_vertices``.
+    Vertices come in canonical order; ``children`` indexes the edges from
+    the level below as ``_grow`` builds it.  ``h`` is the involution on the
+    level, a table in regime B and ``None`` in regime A.  Each level passes
+    ``_next_images``.  Raises ``ResourceLimitError`` once the levels hold
+    over ``max_vertices``.
     """
     images = _level_zero_images(params)
-    for m, (vertices, edges, children) in enumerate(_grow(n, params, max_vertices, True)):
+    for m, (vertices, children) in enumerate(_grow(n, params, max_vertices)):
         if m:
             images = _next_images(params, children, images)
-        yield vertices, edges, images
+        yield vertices, children, images
 
 
 def build_lattice(
     n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> Lattice:
-    """The ``Lattice`` of the levels ``iter_levels`` grows, checked once."""
-    levels, edges = [], []
-    for vertices, level_edges, _ in _grow(n, params, max_vertices, False):
-        levels.append(vertices)
-        edges.append(level_edges)
+    """The ``Lattice`` of the levels ``iter_levels`` grows, flattened by ``edges_of``."""
+    # no children index outlives its flattening into the constructor's edges
+    levels, edges = zip(*[(v, edges_of(c)) for v, c in _grow(n, params, max_vertices)])
     return Lattice(params, levels, edges)
 
 

@@ -12,8 +12,8 @@ documents are byte identical.
 Documents are written as text, not as JSON trees: each vertex, step and
 label text is formatted once and joined.  Lattice documents have one
 encoder, ``write_lattice_json``, which writes each level's edges as
-``crystal.iter_levels`` yields it, keeping only the vertex texts, and which
-``serialize_json`` runs over a built lattice; labels and branching
+``crystal.iter_levels`` yields the level, keeping only the vertex texts, and
+which ``serialize_json`` runs over a built lattice; labels and branching
 documents share one label writer.
 """
 
@@ -176,8 +176,9 @@ def _envelope(params: CrystalParams, kind: str) -> tuple[str, str]:
 def write_lattice_json(params: CrystalParams, levels, write) -> None:
     """Write the canonical lattice document through ``write``, level by level.
 
-    ``levels`` yields ``(vertices, edges, ...)`` for levels 0..n in order, as
-    ``iter_levels`` does.  The payload's keys sort as ``edges``, ``levels``,
+    ``levels`` yields each level's ``(vertices, edges)`` as ``Lattice`` holds
+    them, for levels 0..n in order (``crystal.edges_of`` flattens a children
+    index into such edges).  The payload's keys sort as ``edges``, ``levels``,
     ``n``, so each level's edges are encoded as the level arrives; only the
     vertex texts are kept, for ``levels``, with those of the level below for
     the edges' parents.  Vertex and step JSON texts are made once each.
@@ -188,7 +189,7 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     steps = _Memo(lambda step: _dumps(_step_to_json(step)))
     level_texts = []
     below: dict = {}
-    for m, (vertices, edges, *_) in enumerate(levels):
+    for m, (vertices, edges) in enumerate(levels):
         # a string's JSON needs no key order or separators: plain dumps is canonical
         texts = {bp: json.dumps(text) for bp, text in _level_texts(vertices, parts).items()}
         joined = ",".join([f"[{below[p]},{steps[s]},{texts[c]}]" for p, s, c in edges])

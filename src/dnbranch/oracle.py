@@ -11,6 +11,7 @@ run; what it compares, its cases and its failures are those of naive loops.
 from __future__ import annotations
 
 import time
+from functools import cache
 from math import comb, factorial
 
 from .core import (
@@ -191,9 +192,10 @@ def _shifted_step(step, params: CrystalParams):
     return (3 - component, i)
 
 
-def _check_shifted_paths(report, params, lattice, images, cap) -> None:
+def _check_shifted_paths(report, params, lattice, images, cap, replay) -> None:
     """Replay every path shifted from the empty bipartition, as a left fold
-    along the path tree; ``None`` marks a replay that broke."""
+    along the path tree; ``None`` marks a replay that broke.  ``replay`` is
+    ``f_tilde`` memoised, so each (endpoint, step) is replayed once."""
     reached: dict = {}
     path: list = []
 
@@ -213,7 +215,7 @@ def _check_shifted_paths(report, params, lattice, images, cap) -> None:
             )
         for step, child in lattice.children(vertex):
             if endpoint is not None:
-                shifted = f_tilde(endpoint, _shifted_step(step, params), params)
+                shifted = replay(endpoint, _shifted_step(step, params))
             else:
                 shifted = None
             path.append(step)
@@ -235,13 +237,14 @@ def verify_h_path_independence(
     path, replayed shifted from the empty bipartition, is also checked as
     the small-``n`` definitional check: a depth-first walk of the path tree
     along the lattice edges extends the shifted endpoint by one crystal
-    operator per tree node, so each shared prefix is replayed once.  A
-    vertex reached by more than ``cap`` paths is not expanded further and
-    makes the run inconclusive.
+    operator per tree node; it and the edge check share one ``f_tilde`` per
+    (endpoint, step).  A vertex reached by more than ``cap`` paths is not
+    expanded further and makes the run inconclusive.
     """
     report = _new_report("path-independence", params, n)
     start = time.perf_counter()
     lattice = build_lattice(n, params)
+    replay = cache(lambda bp, step: f_tilde(bp, step, params))
     images = {}
     for m in range(n + 1):
         for bp in lattice.levels[m]:
@@ -253,12 +256,12 @@ def verify_h_path_independence(
                     (format_bipartition(bp), format_bipartition(bp), format_bipartition(back))
                 )
     if params.regime == REGIME_B:
-        _check_shifted_paths(report, params, lattice, images, cap)
+        _check_shifted_paths(report, params, lattice, images, cap, replay)
     for level_edges in lattice.edges:
         for parent, step, child in level_edges:
             expected = involution(child, params, lattice)
             shifted = _shifted_step(step, params)
-            got = f_tilde(involution(parent, params, lattice), shifted, params)
+            got = replay(involution(parent, params, lattice), shifted)
             report.cases += 1
             if got != expected:
                 report.failures.append(

@@ -33,6 +33,7 @@ from dnbranch.crystal import (
     _word_side,
     build_lattice,
     component_word,
+    edges_of,
     e_tilde,
     f_tilde,
     good_addable,
@@ -41,6 +42,7 @@ from dnbranch.crystal import (
     good_removable,
     good_removable_at,
     i_signature,
+    iter_levels,
     partition_crystal_levels,
     peel_path,
     replay_path,
@@ -261,6 +263,52 @@ def test_doctored_step_label_fails_swap_check():
             edges[m][k] = (parent, (component, (i + 1) % 3), child)
             with pytest.raises(ShiftReplayError):
                 Lattice(params, lattice.levels, edges)
+
+
+def _relabel(children, parent, step, e):
+    """The index with edge ``(parent, step)`` moved to the next step ``parent`` lacks."""
+    steps = dict(children[parent])
+    if isinstance(step, int):
+        moves = [(step + k) % e for k in range(1, e)]
+    else:
+        moves = [(step[0], (step[1] + k) % e) for k in range(1, e)]
+    target = next((s for s in moves if s not in steps), None)
+    if target is None:
+        return None
+    steps[target] = steps.pop(step)
+    doctored = dict(children)
+    doctored[parent] = dict(sorted(steps.items()))
+    return doctored
+
+
+@pytest.mark.parametrize("e", [4, 3])
+def test_stream_catches_a_doctored_step_with_the_constructor_message(monkeypatch, e):
+    # regime B at e = 4, regime A at e = 3: the generator's per-level check
+    # sees the relabelled edge and words it as the constructor does
+    import dnbranch.crystal as crystal
+
+    params = classify_regime(5, e)
+    lattice = build_lattice(5, params)
+    grown = list(crystal._grow(5, params, 10**6))
+    doctorings = 0
+    for m in range(1, 6):
+        children = grown[m][1]
+        for parent, step, _ in edges_of(children):
+            doctored = _relabel(children, parent, step, e)
+            if doctored is None:
+                continue
+            levels = [(v, doctored if k == m else index) for k, (v, index) in enumerate(grown)]
+            monkeypatch.setattr(crystal, "_grow", lambda n, params, max_vertices: iter(levels))
+            with pytest.raises(ShiftReplayError) as streamed:
+                for _ in iter_levels(5, params):
+                    pass
+            edges = [list(level_edges) for level_edges in lattice.edges]
+            edges[m] = edges_of(doctored)
+            with pytest.raises(ShiftReplayError) as built:
+                Lattice(params, lattice.levels, edges)
+            assert str(streamed.value) == str(built.value)
+            doctorings += 1
+    assert doctorings >= len(edges_of(grown[5][1]))
 
 
 @pytest.mark.parametrize("e", [4, 3])

@@ -8,6 +8,7 @@ from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
     classify_regime,
+    format_bipartition,
     format_partition,
     hat,
     is_l_restricted,
@@ -139,6 +140,90 @@ def test_path_independence_inconclusive_when_capped():
     assert report.truncated
     assert report.status == "inconclusive"
     assert not report.passed
+
+
+def _unmemoised_path_independence(n, params, cap, f_tilde):
+    """The path-independence suite as naive loops: ``f_tilde`` at every tree node and edge."""
+    lattice = build_lattice(n, params)
+    cases, failures, truncated = 0, [], False
+    images = {bp: involution(bp, params, lattice) for level in lattice.levels for bp in level}
+    assert all(images[images[bp]] == bp for bp in images)
+    cases += len(images)
+    reached = {}
+
+    def walk(vertex, endpoint, path):
+        nonlocal cases, truncated
+        reached[vertex] = reached.get(vertex, 0) + 1
+        if reached[vertex] > cap:
+            truncated = True
+            return
+        cases += 1
+        if endpoint != images[vertex]:
+            got = "replay failed" if endpoint is None else format_bipartition(endpoint)
+            item = f"{format_bipartition(vertex)} path {path}"
+            failures.append((item, format_bipartition(images[vertex]), got))
+        for step, child in lattice.children(vertex):
+            shifted = (step + params.l) % params.e
+            nxt = None if endpoint is None else f_tilde(endpoint, shifted, params)
+            walk(child, nxt, path + [step])
+
+    walk(EMPTY_BIPARTITION, EMPTY_BIPARTITION, [])
+    for level_edges in lattice.edges:
+        for parent, step, child in level_edges:
+            shifted = (step + params.l) % params.e
+            got = f_tilde(images[parent], shifted, params)
+            cases += 1
+            if got != images[child]:
+                failures.append(
+                    (
+                        f"edge {format_bipartition(parent)} --{step}--> "
+                        f"{format_bipartition(child)} shifted to {shifted}",
+                        format_bipartition(images[child]),
+                        "no good addable cell" if got is None else format_bipartition(got),
+                    )
+                )
+    return cases, failures, truncated
+
+
+@pytest.mark.parametrize("cap", [100_000, 2])
+@pytest.mark.parametrize("wrong", ["none", "other"])
+def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
+    # one (endpoint, shifted step) replays wrongly: the suite must report it
+    # at every tree node and edge that reaches it, as naive loops do
+    import dnbranch.oracle as oracle
+
+    params = classify_regime(7, 4)
+    lattice = build_lattice(7, params)
+    parent, step, child = lattice.edges[4][1]
+    bad = (lattice.h[parent], (step + params.l) % params.e)
+    real = oracle.f_tilde
+
+    def doctored(bp, step, params):
+        if (bp, step) == bad:
+            return None if wrong == "none" else lattice.h[parent]
+        return real(bp, step, params)
+
+    naive = []
+
+    def naive_f_tilde(bp, step, params):
+        naive.append((bp, step))
+        return doctored(bp, step, params)
+
+    expected = _unmemoised_path_independence(7, params, cap, naive_f_tilde)
+    calls = []
+
+    def counting(bp, step, params):
+        calls.append((bp, step))
+        return doctored(bp, step, params)
+
+    monkeypatch.setattr(oracle, "f_tilde", counting)
+    report = verify_h_path_independence(7, params, cap=cap)
+    assert (report.cases, report.failures, report.truncated) == expected
+    assert expected[1] and expected[2] == (cap == 2)
+    assert sum(1 for item, _, _ in expected[1] if " path [" in item) > 1
+    # one replay per distinct (endpoint, step), and only those the naive loops make
+    assert len(calls) == len(set(calls)) and set(calls) == set(naive)
+    assert len(naive) > len(calls)
 
 
 def test_semisimple_branching_suite():

@@ -13,7 +13,7 @@ import dnbranch.dmod as dmod
 from dnbranch import io as dio
 from dnbranch.cli import main
 from dnbranch.core import INF, classify_regime, format_bipartition
-from dnbranch.crystal import build_lattice, iter_levels
+from dnbranch.crystal import build_lattice, edges_of, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label
 from dnbranch.errors import ParseError, ResourceLimitError
 
@@ -37,6 +37,12 @@ def _header(params, n) -> str:
     return f"# e={_e_text(params.e)} regime={params.regime} l={l_text} n={n}\n"
 
 
+def _assert_same(got: str, expected: str) -> None:
+    # a plain flag: pytest's diff of two megabyte documents takes minutes
+    same = got == expected
+    assert same, f"documents differ from character {len(os.path.commonprefix([got, expected]))}"
+
+
 @pytest.mark.parametrize("e, n", POINTS)
 def test_streamed_outputs_match_the_built_lattice(e, n):
     params = classify_regime(n, e)
@@ -46,26 +52,33 @@ def test_streamed_outputs_match_the_built_lattice(e, n):
     # the streamed lattice document passes every constructor check on the way back
     text = _run(["lattice", *common, "json"])
     assert dio.parse_json(text).data == lattice
-    assert text == dio.serialize_json(dio.lattice_document(lattice))
+    _assert_same(text, dio.serialize_json(dio.lattice_document(lattice)))
 
     labels = equivalence_classes(lattice.levels[n], params, lattice)
-    assert _run(["labels", *common, "json"]) == dio.serialize_json(
-        dio.labels_document(params, n, labels)
+    _assert_same(
+        _run(["labels", *common, "json"]),
+        dio.serialize_json(dio.labels_document(params, n, labels)),
     )
-    assert _run(["labels", *common, "text"]) == _header(params, n) + "".join(
-        format_label(label) + "\n" for label in labels
+    _assert_same(
+        _run(["labels", *common, "text"]),
+        _header(params, n) + "".join(format_label(label) + "\n" for label in labels),
     )
 
     entries = branching_graph(n, params, lattice)
     assert [entry.source for entry in entries] == labels
-    assert _run(["branch", *common, "json"]) == dio.serialize_json(
-        dio.branching_document(params, n, entries)
+    _assert_same(
+        _run(["branch", *common, "json"]),
+        dio.serialize_json(dio.branching_document(params, n, entries)),
     )
-    assert _run(["branch", *common, "dot"]) == dio.emit_dot(entries)
-    assert _run(["branch", *common, "text"]) == _header(params, n) + "".join(
-        f"source: {format_label(entry.source)}\n"
-        + "".join(f"  {format_label(s)}\n" for s in entry.summands)
-        for entry in entries
+    _assert_same(_run(["branch", *common, "dot"]), dio.emit_dot(entries))
+    _assert_same(
+        _run(["branch", *common, "text"]),
+        _header(params, n)
+        + "".join(
+            f"source: {format_label(entry.source)}\n"
+            + "".join(f"  {format_label(s)}\n" for s in entry.summands)
+            for entry in entries
+        ),
     )
 
 
@@ -88,12 +101,6 @@ def _label_tree(label):
     if label.kind == "split":
         out["sign"] = label.sign
     return out
-
-
-def _assert_same(got: str, expected: str) -> None:
-    # a plain flag: pytest's diff of two megabyte documents takes minutes
-    same = got == expected
-    assert same, f"documents differ from character {len(os.path.commonprefix([got, expected]))}"
 
 
 @pytest.mark.parametrize("e, n", POINTS)
@@ -146,7 +153,15 @@ def test_stream_yields_the_levels_edges_and_h_of_the_lattice(e, n):
     lattice = build_lattice(n, params)
     levels = list(iter_levels(n, params))
     assert [vertices for vertices, _, _ in levels] == list(lattice.levels)
-    assert [edges for _, edges, _ in levels] == list(lattice.edges)
+    # the children index flattens, level by level, to the lattice's sorted edges
+    assert [edges_of(children) for _, children, _ in levels] == list(lattice.edges)
+    below = ()
+    for vertices, children, _ in levels:
+        # a parent for every vertex of the level below, in order, each with steps ascending
+        assert tuple(children) == below
+        for steps in children.values():
+            assert list(steps) == sorted(steps)
+        below = vertices
     for vertices, _, h in levels:
         if lattice.h is None:
             assert h is None
