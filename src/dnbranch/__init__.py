@@ -40,7 +40,6 @@ from .crystal import (
     edges_of,
     f_tilde,
     good_addable,
-    good_cells,
     good_nodes,
     good_removable,
     i_signature,

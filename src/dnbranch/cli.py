@@ -24,7 +24,7 @@ from .core import (
     hat,
     parse_bipartition,
 )
-from .crystal import build_lattice, edges_of, iter_levels
+from .crystal import build_lattice, iter_levels
 from .dmod import (
     SPLIT,
     UNSPLIT,
@@ -113,7 +113,7 @@ def _top_level(n: int, params: CrystalParams):
 def cmd_lattice(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.format == "json":
-        levels = ((v, edges_of(children)) for v, children, _ in iter_levels(args.n, params))
+        levels = ((v, children) for v, children, _ in iter_levels(args.n, params))
         dio.write_lattice_json(params, levels, sys.stdout.write)
         return EXIT_OK
     lattice = build_lattice(args.n, params)
@@ -123,13 +123,13 @@ def cmd_lattice(args) -> int:
         print(_header(params, args.n))
         for m, level in enumerate(lattice.levels):
             print(f"level {m}: " + " ".join(format_bipartition(bp) for bp in level))
-        for level_edges in lattice.edges:
-            for parent, step, child in level_edges:
-                label = dio.step_label(step)
-                print(
-                    f"edge: {format_bipartition(parent)} --{label}--> "
-                    f"{format_bipartition(child)}"
-                )
+        for children in lattice.index:
+            for parent, steps in children.items():
+                for step, child in steps.items():
+                    print(
+                        f"edge: {format_bipartition(parent)} --{dio.step_label(step)}--> "
+                        f"{format_bipartition(child)}"
+                    )
     return EXIT_OK
 
 

@@ -32,19 +32,19 @@ combine:
   removable cell is component 1's first ``R`` if ``r1 > a2``, else
   component 2's first ``R`` if ``r2 > 0``.
 
-``good_cells``, ``good_nodes`` (the peel and the socle engine),
-``good_removable_at`` and the level generator read the combined words;
-``good_nodes`` and ``good_removable_at`` build only good removable cells.
-``i_signature`` and the operators built on it (``good_removable``,
-``good_addable``, ``e_tilde``, ``f_tilde``) are the per-residue definitional
-scan: they list and sort all marked cells of the bipartition and keep one
-residue.
+``good_nodes`` (the peel and the socle engine) and ``good_removable_at``
+read the combined words for good removable cells, and the level generator
+applies the rule for good addable cells inline.  ``i_signature`` and the
+operators built on it (``good_removable``, ``good_addable``, ``e_tilde``,
+``f_tilde``) are the per-residue definitional scan: they list and sort all
+marked cells of the bipartition and keep one residue.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
 consumer that keeps no level holds at most two.  A level's only edge
-structure is its children index; ``edges_of`` flattens it.  Each level
-passes ``_next_images``, the per-level check the ``Lattice`` constructor makes.
+structure, there and in ``Lattice``, is its children index; ``edges_of``
+flattens it and ``index_of`` indexes flat edge lists.  Each level passes
+``_next_images``, the per-level check the ``Lattice`` constructor makes.
 
 ``peel_path`` peels a single bipartition down to the empty one, so its
 membership and its path need no lattice; ``replay_path`` folds a path back.
@@ -196,19 +196,13 @@ def f_tilde(bp: Bipartition, step, params: CrystalParams) -> Bipartition | None:
     return None if node is None else add_node(bp, node)
 
 
-# the summary of a residue with no marked cell; ``good_cells`` tells it
-# apart by identity from a word whose cells all cancel
+# the summary of a residue with no marked cell
 _NO_WORD = (0, 0, None, None, None)
 
 
 # The tensor-product rule.  A step's word is ``A^a1 R^r1 A^a2 R^r2``, component
 # 1 read first; its ``R^r1 A^a2`` cancels in ``min(r1, a2)`` pairs, the last
 # ``R``s of component 1 against the first ``A``s of component 2.
-
-
-def _good_addable_side(a1: int, r1: int, a2: int) -> int:
-    """Component of the good addable cell (the last surviving ``A``), or 0."""
-    return 2 if a2 > r1 else 1 if a1 else 0
 
 
 def _good_removable_side(r1: int, a2: int, r2: int) -> int:
@@ -311,28 +305,8 @@ def _good_removable_cell(word1: tuple, word2: tuple) -> Node | None:
     return Node(side, *(word1 if side == 1 else word2)[3]) if side else None
 
 
-def good_cells(
-    bp: Bipartition, params: CrystalParams
-) -> dict[Step, tuple[Node | None, Node | None]]:
-    """Good removable and good addable cell of every step, from the memo.
-
-    Every step with a marked cell maps to ``(good removable, good addable)``,
-    either of which may be ``None``, in ascending step order; agrees with
-    ``good_removable`` and ``good_addable`` step by step.  The tensor-product
-    rule picks each cell from one of the step's two component words.
-    """
-    cells = {}
-    for step, word1, word2 in _paired_words(bp, params):
-        if word1 is _NO_WORD and word2 is _NO_WORD:
-            continue  # a regime-B residue with no marked cell
-        side = _good_addable_side(word1[0], word1[1], word2[0])
-        addable = Node(side, *(word1 if side == 1 else word2)[2]) if side else None
-        cells[step] = (_good_removable_cell(word1, word2), addable)
-    return cells
-
-
 def good_removable_at(bp: Bipartition, step, params: CrystalParams) -> Node | None:
-    """Good removable cell of one step, from the memo; agrees with ``good_cells``."""
+    """Good removable cell of one step, from the memo; agrees with ``good_nodes``."""
     if params.regime == REGIME_A:
         component, i = step
         first_r = component_word(bp[component - 1], 0, params.l).get(i, _NO_WORD)[3]
@@ -413,19 +387,18 @@ class Lattice:
     """Levels 0..n of the good lattice with labeled covering edges.
 
     ``levels[m]`` is the tuple of reachable bipartitions of ``m`` in the
-    canonical total order; ``edges[m]`` holds the triples
-    ``(parent, step, child)`` from level ``m - 1`` to level ``m`` sorted by
-    ``(parent, step)``.  Construction order is deterministic, so two builds
-    at equal parameters compare equal.
+    canonical total order.  ``index[m]``, the only edge structure, is the
+    children index ``{parent: {step: child}}`` of the edges from level
+    ``m - 1`` to level ``m`` as ``iter_levels`` yields it; ``edges`` flattens
+    it.  Two builds at equal parameters compare equal.
 
     Construction checks that canonical form in one pass over the vertices
-    and edges, raising ``ShiftReplayError`` unless there is one edge list
-    per level, every level is strictly increasing and holds only
-    bipartitions of its own size, every edge joins level ``m - 1`` to level
-    ``m``, the edges of each level are strictly sorted by ``(parent, step)``
-    (so no parent has two edges with one step), and every vertex above
-    level 0 is the child of an edge.  Children are indexed by step for each
-    parent; parents are indexed on the first call of ``parents``.
+    and edges, raising ``ShiftReplayError`` unless there is one index per
+    level, every level is strictly increasing and holds only bipartitions of
+    its own size, every parent is on level ``m - 1`` and every child on
+    level ``m``, each level's parents and each parent's steps are strictly
+    increasing, and every vertex above level 0 is the child of an edge.
+    Parents are indexed on the first call of ``parents``.
 
     In regime B, ``h`` maps every vertex to its image under the label
     involution, read off the edges once at construction: ``h(empty) =
@@ -436,13 +409,13 @@ class Lattice:
     level, in ``_next_images``, after the level's canonical form.
     """
 
-    def __init__(self, params: CrystalParams, levels, edges):
+    def __init__(self, params: CrystalParams, levels, index):
         self.params = params
         self.levels = tuple(tuple(level) for level in levels)
-        self.edges = tuple(tuple(level_edges) for level_edges in edges)
-        if len(self.edges) != len(self.levels):
+        self.index = tuple(index)
+        if len(self.index) != len(self.levels):
             raise ShiftReplayError(
-                f"{len(self.levels)} levels but {len(self.edges)} edge lists"
+                f"{len(self.levels)} levels but {len(self.index)} edge lists"
             )
         # every vertex's position in level order: level m holds the
         # positions first[m] .. first[m + 1] - 1
@@ -462,46 +435,34 @@ class Lattice:
                 position[bp] = k
                 previous = bp
             first.append(first[m] + len(level))
-        self._children = {}
         self.h = images = _level_zero_images(params)
         if images and self.levels[:1] != ((EMPTY_BIPARTITION,),):
             raise ShiftReplayError("some lattice vertices have no h image")
         # one lookup per endpoint checks its level; a child's also marks it reached
         reached = bytearray(len(position))
-        for m, level_edges in enumerate(self.edges):
+        for m, children in enumerate(self.index):
             low, high = first[m], first[m + 1]
             parent_low = first[m - 1] if m else low
-            last_parent = last_step = None
-            children = {}
-            for parent, step, child in level_edges:
-                # an edge's parent is checked when it differs from the last one
-                if parent != last_parent:
-                    k = position.get(parent, -1)
-                    if k < parent_low or k >= low:
+            last = parent_low - 1
+            for parent, steps in children.items():
+                k = position.get(parent, -1)
+                if k < parent_low or k >= low:
+                    raise _edge_off_level(parent, next(iter(steps.values()), None), m)
+                # a dict has no repeated key: sorted steps are strictly increasing
+                if k <= last or [*steps] != sorted(steps):
+                    raise ShiftReplayError(f"edges of level {m} are not sorted")
+                last = k
+                for child in steps.values():
+                    k = position.get(child, -1)
+                    if k < low or k >= high:
                         raise _edge_off_level(parent, child, m)
-                    if last_parent is not None and parent < last_parent:
-                        raise ShiftReplayError(f"edges of level {m} are not sorted")
-                    steps = children[parent] = {}
-                    last_parent = parent
-                elif step <= last_step:
-                    raise ShiftReplayError(
-                        f"{format_bipartition(parent)} has two edges with step {step}"
-                        if step == last_step
-                        else f"edges of level {m} are not sorted"
-                    )
-                k = position.get(child, -1)
-                if k < low or k >= high:
-                    raise _edge_off_level(parent, child, m)
-                reached[k] = 1
-                steps[step] = child
-                last_step = step
+                    reached[k] = 1
             if m:
                 if reached.find(0, low, high) >= 0:
                     raise ShiftReplayError(f"level {m} has a vertex that no edge reaches")
                 images = _next_images(params, children, images)
                 if images is not None:
                     self.h.update(images)
-            self._children.update(children)
         # keep the vertices only: thousands of live position ints would hold
         # on to about 1.5 MB of memory at n = 16
         self._vertices = dict.fromkeys(position)
@@ -511,6 +472,11 @@ class Lattice:
     def n(self) -> int:
         return len(self.levels) - 1
 
+    @property
+    def edges(self) -> tuple:
+        """Each level's ``(parent, step, child)`` edges, flattened from ``index`` per read."""
+        return tuple(map(edges_of, self.index))
+
     def __contains__(self, bp: Bipartition) -> bool:
         return bp in self._vertices
 
@@ -518,9 +484,10 @@ class Lattice:
         """``(parent, step)`` pairs of the edges into ``bp``, in edge order."""
         if self._parents is None:
             parents: dict = {vertex: [] for vertex in self._vertices}
-            for level_edges in self.edges:
-                for parent, step, child in level_edges:
-                    parents[child].append((parent, step))
+            for children in self.index:
+                for parent, steps in children.items():
+                    for step, child in steps.items():
+                        parents[child].append((parent, step))
             self._parents = {vertex: tuple(v) for vertex, v in parents.items()}
         return self._parents[bp]
 
@@ -528,7 +495,8 @@ class Lattice:
         """``(step, child)`` pairs of the edges leaving ``bp``, in edge order."""
         if bp not in self._vertices:
             raise KeyError(bp)
-        return tuple(self._children.get(bp, {}).items())
+        above = sum(bp[0]) + sum(bp[1]) + 1
+        return tuple(self.index[above].get(bp, {}).items()) if above <= self.n else ()
 
     def vertex_count(self) -> int:
         return len(self._vertices)
@@ -548,7 +516,9 @@ class Lattice:
         )
 
 
-def _edge_off_level(parent: Bipartition, child: Bipartition, m: int) -> ShiftReplayError:
+def _edge_off_level(parent: Bipartition, child: Bipartition | None, m: int) -> ShiftReplayError:
+    if child is None:  # a parent with no edges
+        return ShiftReplayError(f"{format_bipartition(parent)} is not on level {m - 1}")
     return ShiftReplayError(
         f"edge {format_bipartition(parent)} -> "
         f"{format_bipartition(child)} does not join level {m - 1} to {m}"
@@ -603,9 +573,28 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
 
 
 def edges_of(children: dict) -> tuple:
-    """The ``(parent, step, child)`` edges of a children index, in index order,
-    as a tuple, which ``Lattice`` keeps without a copy."""
+    """The ``(parent, step, child)`` edges of a children index, in index order."""
     return tuple([(p, step, c) for p, steps in children.items() for step, c in steps.items()])
+
+
+def index_of(edges) -> list[dict]:
+    """The children index of each level's ``(parent, step, child)`` edges; raises
+    ``ShiftReplayError`` unless they are strictly sorted by ``(parent, step)``."""
+    index = []
+    for m, level_edges in enumerate(edges):
+        children: dict = {}
+        last = ()  # sorts before every edge
+        for parent, step, child in level_edges:
+            if (parent, step) <= last:
+                raise ShiftReplayError(
+                    f"{format_bipartition(parent)} has two edges with step {step}"
+                    if (parent, step) == last
+                    else f"edges of level {m} are not sorted"
+                )
+            children.setdefault(parent, {})[step] = child
+            last = parent, step
+        index.append(children)
+    return index
 
 
 def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET):
@@ -627,10 +616,9 @@ def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTE
 def build_lattice(
     n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> Lattice:
-    """The ``Lattice`` of the levels ``iter_levels`` grows, flattened by ``edges_of``."""
-    # no children index outlives its flattening into the constructor's edges
-    levels, edges = zip(*[(v, edges_of(c)) for v, c in _grow(n, params, max_vertices)])
-    return Lattice(params, levels, edges)
+    """The ``Lattice`` of the levels and children indexes ``iter_levels`` grows."""
+    levels, index = zip(*_grow(n, params, max_vertices))
+    return Lattice(params, levels, index)
 
 
 def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:

@@ -11,10 +11,10 @@ documents are byte identical.
 
 Documents are written as text, not as JSON trees: each vertex, step and
 label text is formatted once and joined.  Lattice documents have one
-encoder, ``write_lattice_json``, which writes each level's edges as
-``crystal.iter_levels`` yields the level, keeping only the vertex texts, and
-which ``serialize_json`` runs over a built lattice; labels and branching
-documents share one label writer.
+encoder, ``write_lattice_json``, which writes each level's children index as
+``crystal.iter_levels`` yields it or ``Lattice.index`` holds it, keeping only
+the vertex texts; labels and branching documents share one label writer.
+A parsed lattice must also equal the lattice built at its parameters.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from .core import (
     format_partition,
     parse_bipartition,
 )
-from .crystal import Lattice
+from .crystal import Lattice, build_lattice, index_of
 from .dmod import IrreducibleLabel, SPLIT, SocleDecomposition, UNSPLIT, format_label
-from .errors import ParseError, SchemaMismatchError, ShiftReplayError
+from .errors import ParseError, ResourceLimitError, SchemaMismatchError, ShiftReplayError
 from .oracle import VerificationReport
 
 SCHEMA = "dnbranch/1"
@@ -79,15 +79,15 @@ def _size_from_json(value, what: str) -> int:
 def _step_to_json(step):
     return list(step) if isinstance(step, tuple) else step
 
-def _step_from_json(value, regime: str):
-    if regime == REGIME_A:
+def _step_from_json(value, params: CrystalParams):
+    if params.regime == REGIME_A:
         if isinstance(value, list) and len(value) == 2:
             component, i = value
             if isinstance(component, int) and isinstance(i, int):
                 return (component, i)
-    elif isinstance(value, int):
+    elif isinstance(value, int) and 0 <= value < params.e:  # a residue of Z/eZ
         return value
-    raise SchemaMismatchError(f"malformed regime-{regime} step {value!r}")
+    raise SchemaMismatchError(f"malformed regime-{params.regime} step {value!r}")
 
 
 def _label_from_json(value) -> IrreducibleLabel:
@@ -176,12 +176,12 @@ def _envelope(params: CrystalParams, kind: str) -> tuple[str, str]:
 def write_lattice_json(params: CrystalParams, levels, write) -> None:
     """Write the canonical lattice document through ``write``, level by level.
 
-    ``levels`` yields each level's ``(vertices, edges)`` as ``Lattice`` holds
-    them, for levels 0..n in order (``crystal.edges_of`` flattens a children
-    index into such edges).  The payload's keys sort as ``edges``, ``levels``,
-    ``n``, so each level's edges are encoded as the level arrives; only the
-    vertex texts are kept, for ``levels``, with those of the level below for
-    the edges' parents.  Vertex and step JSON texts are made once each.
+    ``levels`` yields each level's ``(vertices, children)`` for levels 0..n,
+    ``children`` indexing its edges by parent, then step, as ``iter_levels``
+    yields it.  The payload's keys sort as ``edges``, ``levels``, ``n``, so
+    each level's edges are encoded as the level arrives; only the vertex
+    texts are kept, for ``levels``, with those of the level below for the
+    edges' parents.  Vertex and step JSON texts are made once each.
     """
     head, tail = _envelope(params, KIND_LATTICE)
     write(head + '{"edges":[')
@@ -189,10 +189,16 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     steps = _Memo(lambda step: _dumps(_step_to_json(step)))
     level_texts = []
     below: dict = {}
-    for m, (vertices, edges) in enumerate(levels):
+    for m, (vertices, children) in enumerate(levels):
         # a string's JSON needs no key order or separators: plain dumps is canonical
         texts = {bp: json.dumps(text) for bp, text in _level_texts(vertices, parts).items()}
-        joined = ",".join([f"[{below[p]},{steps[s]},{texts[c]}]" for p, s, c in edges])
+        joined = ",".join(
+            [
+                f"[{below[p]},{steps[s]},{texts[c]}]"
+                for p, by_step in children.items()
+                for s, c in by_step.items()
+            ]
+        )
         write(f"{',' if m else ''}[{joined}]")
         level_texts.append(f"[{','.join(texts.values())}]")
         below = texts
@@ -205,7 +211,9 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
     The level counts are checked first and every vertex text goes through
     ``parse_bipartition``.  Edge endpoints are looked up by their text, so
     an endpoint that is not a listed vertex is a schema mismatch; the
-    ``Lattice`` constructor checks the rest of the structure.
+    ``Lattice`` constructor checks the rest of the structure.  Last, the
+    lattice must equal ``build_lattice`` under a budget of its own vertex
+    count, so a small document cannot ask for a large build.
     """
     try:
         n = _size_from_json(data["n"], "level count")
@@ -223,20 +231,22 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
                 bp = vertices[text] = parse_bipartition(text)
                 parsed.append(bp)
             levels.append(parsed)
-        regime = params.regime
         edges = [
-            [
-                (vertices[p], _step_from_json(s, regime), vertices[c])
-                for p, s, c in level_edges
-            ]
+            [(vertices[p], _step_from_json(s, params), vertices[c]) for p, s, c in level_edges]
             for level_edges in edge_lists
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"malformed lattice payload: {exc}") from exc
     try:
-        return Lattice(params, levels, edges)
+        lattice = Lattice(params, levels, index_of(edges))
     except ShiftReplayError as exc:
         raise SchemaMismatchError(f"lattice payload is inconsistent: {exc}") from exc
+    try:
+        if build_lattice(n, params, lattice.vertex_count()) == lattice:
+            return lattice
+    except ResourceLimitError:
+        pass  # the payload lacks some vertex of the lattice
+    raise SchemaMismatchError("lattice payload is not the good lattice at its parameters")
 
 
 def _label_writer():
@@ -368,7 +378,7 @@ def serialize_json(doc: Document) -> str:
     if doc.kind == KIND_LATTICE:
         chunks: list[str] = []
         lattice = doc.data
-        write_lattice_json(doc.params, zip(lattice.levels, lattice.edges), chunks.append)
+        write_lattice_json(doc.params, zip(lattice.levels, lattice.index), chunks.append)
         return "".join(chunks)
     if doc.kind == KIND_LABELS:
         data = _labels_json(doc.data)
@@ -429,11 +439,12 @@ def emit_dot(obj) -> str:
             text.update(_level_texts(level, parts))
         for name in text.values():
             lines.append(f'  "{name}";')
-        for level_edges in obj.edges:
-            for parent, step, child in level_edges:
-                lines.append(
-                    f'  "{text[parent]}" -> "{text[child]}" [label="{step_label(step)}"];'
-                )
+        for children in obj.index:
+            for parent, steps in children.items():
+                for step, child in steps.items():
+                    lines.append(
+                        f'  "{text[parent]}" -> "{text[child]}" [label="{step_label(step)}"];'
+                    )
         lines.append("}")
     else:
         entries = list(obj)

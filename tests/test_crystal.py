@@ -13,21 +13,17 @@ from dnbranch.core import (
     INF,
     REGIME_B,
     Node,
-    addable_nodes,
     bipartition_size,
     classify_regime,
     hat,
     is_l_restricted,
     regime_a_params,
     remove_node,
-    removable_nodes,
-    residue,
 )
 from dnbranch.crystal import (
     ADDABLE,
     REMOVABLE,
     Lattice,
-    _good_addable_side,
     _good_removable_side,
     _reduce,
     _word_side,
@@ -37,11 +33,11 @@ from dnbranch.crystal import (
     e_tilde,
     f_tilde,
     good_addable,
-    good_cells,
     good_nodes,
     good_removable,
     good_removable_at,
     i_signature,
+    index_of,
     iter_levels,
     partition_crystal_levels,
     peel_path,
@@ -251,7 +247,7 @@ def test_doctored_step_label_fails_h_table():
             edges = [list(level_edges) for level_edges in lattice.edges]
             edges[m][k] = (parent, (step + 1) % 4, child)
             with pytest.raises(ShiftReplayError):
-                Lattice(params, lattice.levels, edges)
+                Lattice(params, lattice.levels, index_of(edges))
 
 
 def test_doctored_step_label_fails_swap_check():
@@ -262,7 +258,7 @@ def test_doctored_step_label_fails_swap_check():
             edges = [list(level_edges) for level_edges in lattice.edges]
             edges[m][k] = (parent, (component, (i + 1) % 3), child)
             with pytest.raises(ShiftReplayError):
-                Lattice(params, lattice.levels, edges)
+                Lattice(params, lattice.levels, index_of(edges))
 
 
 def _relabel(children, parent, step, e):
@@ -302,10 +298,10 @@ def test_stream_catches_a_doctored_step_with_the_constructor_message(monkeypatch
             with pytest.raises(ShiftReplayError) as streamed:
                 for _ in iter_levels(5, params):
                     pass
-            edges = [list(level_edges) for level_edges in lattice.edges]
-            edges[m] = edges_of(doctored)
+            index = list(lattice.index)
+            index[m] = doctored
             with pytest.raises(ShiftReplayError) as built:
-                Lattice(params, lattice.levels, edges)
+                Lattice(params, lattice.levels, index)
             assert str(streamed.value) == str(built.value)
             doctorings += 1
     assert doctorings >= len(edges_of(grown[5][1]))
@@ -348,16 +344,16 @@ def test_unreached_vertex_fails_construction():
     levels = [list(level) for level in lattice.levels]
     levels[3] = sorted(levels[3] + [((3,), ())])
     with pytest.raises(ShiftReplayError, match="no edge reaches"):
-        Lattice(params, levels, lattice.edges)
+        Lattice(params, levels, lattice.index)
 
 
 def test_edge_lists_must_match_the_levels():
-    # one list short would leave the top level's vertices unchecked
+    # one index short would leave the top level's vertices unchecked
     params = classify_regime(5, 3)
     lattice = build_lattice(5, params)
-    for edges in (lattice.edges[:-1], lattice.edges + ((),)):
+    for index in (lattice.index[:-1], lattice.index + ({},)):
         with pytest.raises(ShiftReplayError, match="edge lists"):
-            Lattice(params, lattice.levels, edges)
+            Lattice(params, lattice.levels, index)
 
 
 def test_shift_path_rejected_in_regime_a():
@@ -427,13 +423,6 @@ def test_good_picks_leftmost_removable_rightmost_addable():
     assert good_addable(((2, 2, 1), ()), (1, 1), regime_a_params(2)) == Node(1, 4, 1)
 
 
-def _marked_steps(bp, params):
-    nodes = removable_nodes(bp) + addable_nodes(bp)
-    if params.regime == REGIME_B:
-        return {residue(node, params) for node in nodes}
-    return {(node.component, residue(node, params)) for node in nodes}
-
-
 def _alphabet(params, size):
     """Every step that can mark a cell of a bipartition of at most ``size``."""
     if params.regime == REGIME_B:
@@ -443,20 +432,16 @@ def _alphabet(params, size):
 
 
 def _assert_sweep_agrees(bp, params):
-    cells = good_cells(bp, params)
-    assert set(cells) == _marked_steps(bp, params)
-    assert list(cells) == sorted(cells)  # good_nodes reads the steps in this order
-    for step, (removable, addable) in cells.items():
-        assert removable == good_removable(bp, step, params)
-        assert removable == good_removable_at(bp, step, params)
-        assert addable == good_addable(bp, step, params)
-        assert all(type(node) is Node for node in (removable, addable) if node is not None)
-    # a step missing from the memo must have no good cell at all
+    nodes = good_nodes(bp, params)
+    steps = [step for _, step in nodes]
+    assert steps == sorted(set(steps))  # one cell per step, ascending: the peel takes the first
+    assert all(type(node) is Node for node, _ in nodes)
+    found = {step: node for node, step in nodes}
+    # every step that can mark a cell, read from the memo and by the definitional scan
     for step in _alphabet(params, bipartition_size(bp)):
-        if step not in cells:
-            assert good_removable(bp, step, params) is None
-            assert good_removable_at(bp, step, params) is None
-            assert good_addable(bp, step, params) is None
+        removable = good_removable(bp, step, params)
+        assert found.get(step) == removable
+        assert good_removable_at(bp, step, params) == removable
 
 
 @pytest.mark.parametrize(
@@ -534,7 +519,7 @@ def test_tensor_rule_agrees_with_the_concatenated_word(marks, data):
     a1, r1, last_a1, first_r1 = _summary(word[:cut])
     a2, r2, last_a2, first_r2 = _summary(word[cut:])
     _, _, last_a, first_r = _summary(word)
-    side = _good_addable_side(a1, r1, a2)
+    side = 2 if a2 > r1 else 1 if a1 else 0  # the rule as _grow applies it
     assert (None, last_a1, last_a2)[side] == last_a
     side = _good_removable_side(r1, a2, r2)
     assert (None, first_r1, first_r2)[side] == first_r
@@ -556,7 +541,7 @@ def test_component_word_memo_serves_every_repeat():
 
 _DOCTOR_SCRIPT = """
 from dnbranch.core import classify_regime
-from dnbranch.crystal import Lattice, build_lattice
+from dnbranch.crystal import Lattice, build_lattice, index_of
 from dnbranch.errors import ShiftReplayError
 
 assert False, "asserts are stripped"
@@ -581,11 +566,19 @@ def doctorings(lattice):
 
 for e in (4, 3):
     params = classify_regime(5, e)
-    for name, levels, edges in doctorings(build_lattice(5, params)):
+    lattice = build_lattice(5, params)
+    for name, levels, edges in doctorings(lattice):
         try:
-            Lattice(params, levels, edges)
+            Lattice(params, levels, index_of(edges))
         except ShiftReplayError:
             print(e, name, "raised")
+    # a parent off its level with no edges leaves no edge to name
+    index = list(lattice.index)
+    index[3] = {lattice.levels[3][0]: {}, **index[3]}
+    try:
+        Lattice(params, lattice.levels, index)
+    except ShiftReplayError:
+        print(e, "empty off-level parent", "raised")
 """
 
 
@@ -600,6 +593,7 @@ def test_constructor_checks_raise_under_optimization():
     names = [
         "unsorted level", "wrong size", "stray child", "stray parent",
         "child one level down", "unsorted edges", "duplicate edge", "unreached vertex",
+        "empty off-level parent",
     ]
     assert result.stdout.splitlines() == [
         f"{e} {name} raised" for e in (4, 3) for name in names

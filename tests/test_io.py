@@ -183,6 +183,11 @@ def _regime_a_step(data):
     data["edges"][1][0][1] = [1, 0]
 
 
+def _step_out_of_range(data):
+    # the last step of its parent, so the edges stay sorted
+    data["edges"][2][2][1] = 4
+
+
 def _non_string_vertex(data):
     data["levels"][1][0] = 7
 
@@ -221,6 +226,7 @@ def _vertex_in_lower_level(data):
         _missing_endpoint,
         _shifted_step_label,
         _regime_a_step,
+        _step_out_of_range,
         _non_string_vertex,
         _non_integer_level_count,
         _missing_level,
@@ -236,6 +242,23 @@ def test_lattice_payload_faults_are_schema_mismatches(b4_n5, doctor):
     doc = json.loads(dio.serialize_json(dio.lattice_document(lattice)))
     doctor(doc["data"])
     with pytest.raises(SchemaMismatchError):
+        dio.parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "e, n, dropped",
+    [
+        # a shift mirror pair (regime B) and a component-swap mirror pair (regime A)
+        (4, 6, [(3, ["-|1,1", 3, "-|2,1"]), (3, ["1,1|-", 1, "2,1|-"])]),
+        (3, 4, [(3, ["-|1,1", [1, 0], "1|1,1"]), (3, ["1,1|-", [2, 0], "1,1|1"])]),
+    ],
+)
+def test_an_edge_dropped_with_its_mirror_is_a_mismatch(e, n, dropped):
+    # every edge left has its mirror, so only the comparison with the build sees it
+    doc = json.loads(dio.serialize_json(dio.lattice_document(build_lattice(n, classify_regime(n, e)))))
+    for m, edge in dropped:
+        doc["data"]["edges"][m].remove(edge)
+    with pytest.raises(SchemaMismatchError, match="not the good lattice"):
         dio.parse_json(json.dumps(doc))
 
 

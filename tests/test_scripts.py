@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +33,14 @@ def test_branching_tables_script_runs():
     assert result.stdout.startswith("regime B, l=2, 55 vertices\n")
     assert "12 simple-module labels at level 5:" in result.stdout
     assert "  D(-|2,2,1) -> D(-|2,1,1) + D(-|2,2)\n" in result.stdout
+
+
+def test_readme_python_blocks_run_in_order():
+    # one namespace for every block, as a reader would type them, so the
+    # documented library API cannot drift from the package
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -162,6 +162,11 @@ def test_stream_yields_the_levels_edges_and_h_of_the_lattice(e, n):
         for steps in children.values():
             assert list(steps) == sorted(steps)
         below = vertices
+    # the built lattice holds the same index as the stream, parents and steps in order
+    for index, (_, children, _) in zip(lattice.index, levels):
+        assert [(p, list(s.items())) for p, s in index.items()] == [
+            (p, list(s.items())) for p, s in children.items()
+        ]
     for vertices, _, h in levels:
         if lattice.h is None:
             assert h is None
