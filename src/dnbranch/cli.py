@@ -24,7 +24,7 @@ from .core import (
     hat,
     parse_bipartition,
 )
-from .crystal import build_lattice, iter_levels
+from .crystal import iter_levels
 from .dmod import (
     SPLIT,
     UNSPLIT,
@@ -105,31 +105,29 @@ def _parse_bipartition_arg(text: str, n: int):
 
 def _top_level(n: int, params: CrystalParams):
     """Level ``n`` and ``h`` on it as a function, streamed two levels at a time."""
-    for level, _, h in iter_levels(n, params):
-        pass
+    for level, children, h in iter_levels(n, params):
+        del children  # no edges are needed: hold none while the next level grows
     return level, (hat if h is None else h.__getitem__)
+
+
+def _level_pairs(n: int, params: CrystalParams):
+    """``(vertices, children)`` of each streamed level, holding none once passed."""
+    for vertices, children, _ in iter_levels(n, params):
+        yield vertices, children
+        del vertices, children
 
 
 def cmd_lattice(args) -> int:
     params = classify_regime(args.n, args.e)
+    levels = _level_pairs(args.n, params)
+    write = sys.stdout.write
     if args.format == "json":
-        levels = ((v, children) for v, children, _ in iter_levels(args.n, params))
-        dio.write_lattice_json(params, levels, sys.stdout.write)
-        return EXIT_OK
-    lattice = build_lattice(args.n, params)
-    if args.format == "dot":
-        print(dio.emit_dot(lattice), end="")
+        dio.write_lattice_json(params, levels, write)
+    elif args.format == "dot":
+        dio.write_lattice_dot(levels, write)
     else:
-        print(_header(params, args.n))
-        for m, level in enumerate(lattice.levels):
-            print(f"level {m}: " + " ".join(format_bipartition(bp) for bp in level))
-        for children in lattice.index:
-            for parent, steps in children.items():
-                for step, child in steps.items():
-                    print(
-                        f"edge: {format_bipartition(parent)} --{dio.step_label(step)}--> "
-                        f"{format_bipartition(child)}"
-                    )
+        write(_header(params, args.n) + "\n")
+        dio.write_lattice_text(levels, write)
     return EXIT_OK
 
 
@@ -149,6 +147,7 @@ def cmd_labels(args) -> int:
 def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
+        # each label's socle is computed as it is written
         level, image_of = _top_level(args.n, params)
         entries = level_socles(level, params, image_of)
     else:
@@ -170,17 +169,16 @@ def cmd_branch(args) -> int:
             label = IrreducibleLabel(UNSPLIT, min(bp, image))
         rep_image = bp if label.rep == image else image  # h swaps bp and its image
         entries = [socle_restriction(label, params, image=rep_image)]
+    write = sys.stdout.write
     if args.format == "json":
-        doc = dio.branching_document(params, args.n, entries)
-        print(dio.serialize_json(doc), end="")
+        dio.write_branching_json(params, args.n, entries, write)
     elif args.format == "dot":
-        print(dio.emit_dot(entries), end="")
+        dio.write_branching_dot(entries, write)
     else:
-        print(_header(params, args.n))
+        write(_header(params, args.n) + "\n")
         for entry in entries:
-            print(f"source: {format_label(entry.source)}")
-            for summand in entry.summands:
-                print(f"  {format_label(summand)}")
+            summands = "".join([f"  {format_label(s)}\n" for s in entry.summands])
+            write(f"source: {format_label(entry.source)}\n{summands}")
     return EXIT_OK
 
 

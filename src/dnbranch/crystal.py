@@ -41,9 +41,16 @@ marked cells of the bipartition and keep one residue.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
-consumer that keeps no level holds at most two.  A level's only edge
-structure, there and in ``Lattice``, is its children index; ``edges_of``
-flattens it and ``index_of`` indexes flat edge lists.  Each level passes
+consumer that keeps no level holds at most two.  The stream releases what it
+has passed: ``_grow`` drops its vertex set once a level is sorted, and
+``iter_levels`` drops a level's vertices and index once they are yielded,
+before the next level grows.  A consumer keeps that bound only if it does
+the same, so each one (``cli._top_level``, ``cli._level_pairs`` and the
+writers of ``io``) is a loop that deletes the level it has passed: a
+generator expression keeps its loop variable, and ``enumerate`` or ``zip``
+its last item, while the next level grows.  A level's only edge structure,
+there and in ``Lattice``, is its children index; ``edges_of`` flattens it
+and ``index_of`` indexes flat edge lists.  Each level passes
 ``_next_images``, the per-level check the ``Lattice`` constructor makes.
 
 ``peel_path`` peels a single bipartition down to the empty one, so its
@@ -397,7 +404,9 @@ class Lattice:
     level, every level is strictly increasing and holds only bipartitions of
     its own size, every parent is on level ``m - 1`` and every child on
     level ``m``, each level's parents and each parent's steps are strictly
-    increasing, and every vertex above level 0 is the child of an edge.
+    increasing, every regime-B step is a residue ``0..e-1`` (read off each
+    parent's first and last step), and every vertex above level 0 is the
+    child of an edge.
     Parents are indexed on the first call of ``parents``.
 
     In regime B, ``h`` maps every vertex to its image under the label
@@ -440,6 +449,8 @@ class Lattice:
             raise ShiftReplayError("some lattice vertices have no h image")
         # one lookup per endpoint checks its level; a child's also marks it reached
         reached = bytearray(len(position))
+        # a regime-B step indexes the shift table of _next_images: a residue of Z/eZ
+        e = params.e if params.regime == REGIME_B else None
         for m, children in enumerate(self.index):
             low, high = first[m], first[m + 1]
             parent_low = first[m - 1] if m else low
@@ -449,8 +460,13 @@ class Lattice:
                 if k < parent_low or k >= low:
                     raise _edge_off_level(parent, next(iter(steps.values()), None), m)
                 # a dict has no repeated key: sorted steps are strictly increasing
-                if k <= last or [*steps] != sorted(steps):
+                order = [*steps]
+                if k <= last or order != sorted(order):
                     raise ShiftReplayError(f"edges of level {m} are not sorted")
+                if e is not None and order and not 0 <= order[0] <= order[-1] < e:
+                    raise ShiftReplayError(
+                        f"{format_bipartition(parent)} has an edge step outside 0..{e - 1}"
+                    )
                 last = k
                 for child in steps.values():
                     k = position.get(child, -1)
@@ -506,7 +522,7 @@ class Lattice:
             isinstance(other, Lattice)
             and self.params == other.params
             and self.levels == other.levels
-            and self.edges == other.edges
+            and self.index == other.index
         )
 
     def __repr__(self) -> str:
@@ -564,6 +580,7 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
                         steps[step] = (left, word[4])
             seen.update(steps.values())
         level = tuple(sorted(seen))
+        del seen  # the sorted level holds the vertices: free the set before the yield
         total += len(level)
         if total > max_vertices:
             raise ResourceLimitError(
@@ -606,11 +623,14 @@ def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTE
     ``_next_images``.  Raises ``ResourceLimitError`` once the levels hold
     over ``max_vertices``.
     """
+    levels = _grow(n, params, max_vertices)
     images = _level_zero_images(params)
-    for m, (vertices, children) in enumerate(_grow(n, params, max_vertices)):
-        if m:
-            images = _next_images(params, children, images)
+    yield *next(levels), images
+    for vertices, children in levels:
+        images = _next_images(params, children, images)
         yield vertices, children, images
+        # the consumer has passed this level: hold none of it while the next grows
+        del vertices, children
 
 
 def build_lattice(

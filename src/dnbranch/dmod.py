@@ -27,6 +27,7 @@ free sum read off from the good removable cells:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 
 from .core import (
     Bipartition,
@@ -299,16 +300,15 @@ def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def level_socles(level, params: CrystalParams, image_of) -> list[SocleDecomposition]:
+def level_socles(level, params: CrystalParams, image_of) -> Iterator[SocleDecomposition]:
     """Socle decompositions of every label of a full level, in label order.
 
+    Each is made when it is asked for, so a writer need hold only one.
     ``image_of`` gives ``h`` on the level; each socle takes ``h`` of its
     label's representative from it, so no membership check is made.
     """
-    return [
-        socle_restriction(label, params, image=image_of(label.rep))
-        for label in equivalence_classes(level, params, image_of=image_of)
-    ]
+    for label in equivalence_classes(level, params, image_of=image_of):
+        yield socle_restriction(label, params, image=image_of(label.rep))
 
 
 def branching_graph(
@@ -322,4 +322,4 @@ def branching_graph(
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     image_of = hat if lattice.h is None else lattice.h.__getitem__
-    return level_socles(lattice.levels[n], params, image_of)
+    return list(level_socles(lattice.levels[n], params, image_of))

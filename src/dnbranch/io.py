@@ -1,4 +1,4 @@
-"""Canonical JSON serialization and DOT export.
+"""Canonical JSON serialization, DOT export and the streamed lattice writers.
 
 Documents share the top-level shape
 ``{"schema": "dnbranch/1", "e": ..., "regime": ..., "l": ..., "kind": ...,
@@ -10,16 +10,29 @@ no insignificant whitespace, one trailing newline, so semantically equal
 documents are byte identical.
 
 Documents are written as text, not as JSON trees: each vertex, step and
-label text is formatted once and joined.  Lattice documents have one
-encoder, ``write_lattice_json``, which writes each level's children index as
-``crystal.iter_levels`` yields it or ``Lattice.index`` holds it, keeping only
-the vertex texts; labels and branching documents share one label writer.
-A parsed lattice must also equal the lattice built at its parameters.
+label text is formatted once and joined.  Every full-level output has one
+writer, which takes a ``write`` function and writes as its input arrives,
+in pieces of bounded size:
+
+* ``write_lattice_json``, ``write_lattice_text`` and ``write_lattice_dot``
+  read each level's ``(vertices, children)`` as ``crystal.iter_levels``
+  yields it or ``Lattice.index`` holds it, through ``_lattice_texts``.  They
+  hold the vertex texts of the level below, and until the end only what
+  the format puts last: the vertex texts (JSON) or the edge lines (text,
+  DOT), ``_CHUNK`` vertices or parents to a piece;
+* ``write_branching_json`` writes entry by entry and keeps none, and
+  ``write_branching_dot`` keeps only the label names and edge lines, since
+  the sorted names come first.
+
+``serialize_json`` and ``emit_dot`` collect these pieces into one string.
+Labels and branching documents share one label writer.  A parsed lattice
+must also equal the lattice built at its parameters.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 from .core import (
     CrystalParams,
@@ -145,9 +158,15 @@ class _Memo(dict):
         return value
 
 
-def _level_texts(level, parts: _Memo) -> dict:
-    """Text form of each vertex of a level; ``parts`` memoises component texts."""
-    return {bp: f"{parts[bp[0]]}|{parts[bp[1]]}" for bp in level}
+# parents per edge piece and vertices per vertex piece of a lattice document
+_CHUNK = 256
+
+
+def _chunks(items, size: int = _CHUNK):
+    """``items`` in consecutive lists of ``size`` (the last may be shorter)."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
 
 
 def _dumps(value) -> str:
@@ -173,36 +192,73 @@ def _envelope(params: CrystalParams, kind: str) -> tuple[str, str]:
     return head, tail + "\n"
 
 
-def write_lattice_json(params: CrystalParams, levels, write) -> None:
-    """Write the canonical lattice document through ``write``, level by level.
+def _write_joined(write, pieces) -> None:
+    """Write ``",".join(pieces)`` through ``write``, one piece at a time."""
+    comma = ""
+    for piece in pieces:
+        write(comma + piece)
+        comma = ","
+
+
+def _lattice_texts(levels, vertex, step, edge, sep: str):
+    """Each level's vertex texts, in order, and its edge texts in pieces.
 
     ``levels`` yields each level's ``(vertices, children)`` for levels 0..n,
     ``children`` indexing its edges by parent, then step, as ``iter_levels``
-    yields it.  The payload's keys sort as ``edges``, ``levels``, ``n``, so
-    each level's edges are encoded as the level arrives; only the vertex
-    texts are kept, for ``levels``, with those of the level below for the
-    edges' parents.  Vertex and step JSON texts are made once each.
+    yields it.  A vertex's text is ``vertex(left, right)`` of its memoised
+    component texts, a step's is ``step(step)``, made once per distinct
+    step, and an edge's is ``edge(parent, step, child)`` of those texts.  A
+    piece joins with ``sep`` the edges of ``_CHUNK`` parents; the pieces are
+    made as they are read, which must be before the next level is asked
+    for.  Only the vertex texts of the level below are kept, for the
+    parents: the loop holds no level it has passed.
+    """
+    parts = _Memo(format_partition)
+    steps = _Memo(step)
+    below: dict = {}
+    for vertices, children in levels:
+        texts = {bp: vertex(parts[bp[0]], parts[bp[1]]) for bp in vertices}
+        pieces = (
+            sep.join(
+                [
+                    edge(below[p], steps[s], texts[c])
+                    for p, by_step in chunk
+                    for s, c in by_step.items()
+                ]
+            )
+            for chunk in _chunks(children.items())
+        )
+        yield texts.values(), pieces
+        below = texts
+        del vertices, children, pieces
+
+
+def write_lattice_json(params: CrystalParams, levels, write) -> None:
+    """Write the canonical lattice document through ``write``, in bounded pieces.
+
+    ``levels`` is as ``_lattice_texts`` takes it.  The payload's keys sort as
+    ``edges``, ``levels``, ``n``, so each level's edges are written as the
+    level arrives, ``_CHUNK`` parents to a piece, and its vertex strings are
+    kept for the closing ``levels`` array, joined ``_CHUNK`` to a piece.  A
+    vertex's JSON string is formatted straight from its component texts:
+    digits, ``,``, ``|`` and ``-`` need no escaping.
     """
     head, tail = _envelope(params, KIND_LATTICE)
     write(head + '{"edges":[')
-    parts = _Memo(format_partition)
-    steps = _Memo(lambda step: _dumps(_step_to_json(step)))
-    level_texts = []
-    below: dict = {}
-    for m, (vertices, children) in enumerate(levels):
-        # a string's JSON needs no key order or separators: plain dumps is canonical
-        texts = {bp: json.dumps(text) for bp, text in _level_texts(vertices, parts).items()}
-        joined = ",".join(
-            [
-                f"[{below[p]},{steps[s]},{texts[c]}]"
-                for p, by_step in children.items()
-                for s, c in by_step.items()
-            ]
-        )
-        write(f"{',' if m else ''}[{joined}]")
-        level_texts.append(f"[{','.join(texts.values())}]")
-        below = texts
-    write(f'],"levels":[{",".join(level_texts)}],"n":{len(level_texts) - 1}}}{tail}')
+    vertex_pieces = []
+    for texts, edge_pieces in _lattice_texts(
+        levels, '"{}|{}"'.format, lambda step: _dumps(_step_to_json(step)), "[{},{},{}]".format, ","
+    ):
+        write(",[" if vertex_pieces else "[")
+        _write_joined(write, filter(None, edge_pieces))  # a parent may have no edge
+        write("]")
+        vertex_pieces.append(list(map(",".join, _chunks(texts))))
+    write('],"levels":[')
+    for m, pieces in enumerate(vertex_pieces):
+        write(",[" if m else "[")
+        _write_joined(write, pieces)
+        write("]")
+    write(f'],"n":{len(vertex_pieces) - 1}}}{tail}')
 
 
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
@@ -279,16 +335,24 @@ def _labels_from_data(data):
         raise SchemaMismatchError(f"malformed labels payload: {exc}") from exc
 
 
-def _branching_json(payload) -> str:
+def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
+    """Write the canonical branching document through ``write``, entry by entry.
+
+    ``entries`` yields the ``SocleDecomposition`` of each label in label
+    order; none is kept once written.
+    """
+    head, tail = _envelope(params, KIND_BRANCHING)
     label = _label_writer()
-    entries = ",".join(
-        [
+    write(head + '{"entries":[')
+    _write_joined(
+        write,
+        (
             f'{{"source":{label(entry.source)},'
             f'"summands":[{",".join(map(label, entry.summands))}]}}'
-            for entry in payload["entries"]
-        ]
+            for entry in entries
+        ),
     )
-    return f'{{"entries":[{entries}],"n":{_dumps(payload["n"])}}}'
+    write(f'],"n":{_dumps(n)}}}{tail}')
 
 
 def _branching_from_data(data):
@@ -375,15 +439,16 @@ def report_document(report: VerificationReport) -> Document:
 
 def serialize_json(doc: Document) -> str:
     """Canonical text of a document: sorted keys, compact, newline terminated."""
+    chunks: list[str] = []
     if doc.kind == KIND_LATTICE:
-        chunks: list[str] = []
         lattice = doc.data
         write_lattice_json(doc.params, zip(lattice.levels, lattice.index), chunks.append)
         return "".join(chunks)
+    if doc.kind == KIND_BRANCHING:
+        write_branching_json(doc.params, doc.data["n"], doc.data["entries"], chunks.append)
+        return "".join(chunks)
     if doc.kind == KIND_LABELS:
         data = _labels_json(doc.data)
-    elif doc.kind == KIND_BRANCHING:
-        data = _branching_json(doc.data)
     elif doc.kind == KIND_REPORT:
         data = _dumps(_report_data(doc.data))
     else:
@@ -427,39 +492,70 @@ def step_label(step) -> str:
     return f"{step[0]}:{step[1]}" if isinstance(step, tuple) else str(step)
 
 
+def _write_lattice_lines(levels, write, vertex, vertex_lines, edge) -> None:
+    """Write each level's vertex lines as the level arrives, then every edge line.
+
+    ``vertex`` and ``edge`` make texts as ``_lattice_texts`` takes them, with
+    ``step_label`` for steps; ``vertex_lines(m, texts)`` is the text of level
+    ``m`` from its vertex texts.  Only the edge lines are kept until the
+    end, in pieces of ``_CHUNK`` parents.
+    """
+    edge_pieces = []
+    for m, (texts, pieces) in enumerate(_lattice_texts(levels, vertex, step_label, edge, "")):
+        write(vertex_lines(m, texts))
+        edge_pieces.extend(pieces)
+    for piece in edge_pieces:
+        write(piece)
+
+
+def write_lattice_text(levels, write) -> None:
+    """The lattice as ``level m: v ...`` lines, then ``edge: p --s--> c`` lines."""
+    _write_lattice_lines(
+        levels,
+        write,
+        "{}|{}".format,
+        lambda m, texts: f"level {m}: {' '.join(texts)}\n",
+        "edge: {} --{}--> {}\n".format,
+    )
+
+
+def write_lattice_dot(levels, write) -> None:
+    """The lattice in the DOT language: every vertex, then every labeled edge."""
+    write("digraph good_lattice {\n  rankdir=BT;\n")
+    _write_lattice_lines(
+        levels,
+        write,
+        '"{}|{}"'.format,
+        lambda m, texts: "".join([f"  {text};\n" for text in texts]),
+        '  {0} -> {2} [label="{1}"];\n'.format,
+    )
+    write("}\n")
+
+
+def write_branching_dot(entries, write) -> None:
+    """Branching edges, summand to source, in the DOT language.
+
+    ``entries`` is read once; only the label names and the edge lines are
+    kept, because the names, sorted, come before every edge.
+    """
+    names = _Memo(format_label)
+    edges = []
+    for entry in entries:
+        source = names[entry.source]
+        edges.extend([f'  "{names[summand]}" -> "{source}";\n' for summand in entry.summands])
+    write("digraph branching {\n  rankdir=BT;\n")
+    for chunk in _chunks(sorted(names.values())):
+        write("".join([f'  "{name}";\n' for name in chunk]))
+    for chunk in _chunks(edges):
+        write("".join(chunk))
+    write("}\n")
+
+
 def emit_dot(obj) -> str:
     """Render a lattice or a branching graph in the DOT language."""
-    lines = []
+    chunks: list[str] = []
     if isinstance(obj, Lattice):
-        lines.append("digraph good_lattice {")
-        lines.append("  rankdir=BT;")
-        parts = _Memo(format_partition)
-        text = {}
-        for level in obj.levels:
-            text.update(_level_texts(level, parts))
-        for name in text.values():
-            lines.append(f'  "{name}";')
-        for children in obj.index:
-            for parent, steps in children.items():
-                for step, child in steps.items():
-                    lines.append(
-                        f'  "{text[parent]}" -> "{text[child]}" [label="{step_label(step)}"];'
-                    )
-        lines.append("}")
+        write_lattice_dot(zip(obj.levels, obj.index), chunks.append)
     else:
-        entries = list(obj)
-        lines.append("digraph branching {")
-        lines.append("  rankdir=BT;")
-        names = []
-        for entry in entries:
-            names.append(format_label(entry.source))
-            names.extend(format_label(s) for s in entry.summands)
-        for name in sorted(set(names)):
-            lines.append(f'  "{name}";')
-        for entry in entries:
-            for summand in entry.summands:
-                lines.append(
-                    f'  "{format_label(summand)}" -> "{format_label(entry.source)}";'
-                )
-        lines.append("}")
-    return "\n".join(lines) + "\n"
+        write_branching_dot(obj, chunks.append)
+    return "".join(chunks)

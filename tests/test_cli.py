@@ -224,7 +224,7 @@ def test_resource_limit_maps_to_exit_1(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise ResourceLimitError("budget exceeded")
 
-    monkeypatch.setattr(cli, "build_lattice", explode)
+    monkeypatch.setattr(cli, "iter_levels", explode)
     code, _, err = run(capsys, "lattice", "--e", "4", "--n", "3")
     assert code == 1
     assert "budget" in err

@@ -562,6 +562,16 @@ def doctorings(lattice):
     yield "duplicate edge", levels, edges[:3] + [[first] + edges[3]] + edges[4:]
     unreached = sorted(levels[4] + [((4,), ())])
     yield "unreached vertex", levels[:4] + [unreached] + levels[5:], edges
+    # move a parent's last step up by the modulus, or its first step down by it:
+    # the steps stay sorted and name the same residue (regime A: no mirror has it)
+    last = max(edge for edge in edges[3] if edge[0] == first[0])
+    if lattice.params.regime == "B":
+        up, down = last[1] + lattice.params.e, first[1] - lattice.params.e
+    else:
+        up, down = (last[1][0], last[1][1] + lattice.params.l), (first[1][0], first[1][1] - lattice.params.l)
+    relabel = lambda edge, step: [(p, step, c) if (p, s, c) == edge else (p, s, c) for p, s, c in edges[3]]
+    yield "step out of range", levels, edges[:3] + [relabel(last, up)] + edges[4:]
+    yield "negative step", levels, edges[:3] + [relabel(first, down)] + edges[4:]
 
 
 for e in (4, 3):
@@ -593,7 +603,7 @@ def test_constructor_checks_raise_under_optimization():
     names = [
         "unsorted level", "wrong size", "stray child", "stray parent",
         "child one level down", "unsorted edges", "duplicate edge", "unreached vertex",
-        "empty off-level parent",
+        "step out of range", "negative step", "empty off-level parent",
     ]
     assert result.stdout.splitlines() == [
         f"{e} {name} raised" for e in (4, 3) for name in names

@@ -172,7 +172,8 @@ def test_point_commands_leave_the_cache_alone(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a point query built a lattice")
 
-    monkeypatch.setattr(cli, "build_lattice", forbidden)
+    # the level stream is the command line's only way to a lattice
+    monkeypatch.setattr(cli, "iter_levels", forbidden)
     codes = [_run(argv)[0] for argv in _point_commands()]
     assert codes == [0, 3, 0, 3]
 

@@ -11,10 +11,10 @@ import pytest
 
 import dnbranch.dmod as dmod
 from dnbranch import io as dio
-from dnbranch.cli import main
+from dnbranch.cli import _level_pairs, _top_level, main
 from dnbranch.core import INF, classify_regime, format_bipartition
 from dnbranch.crystal import build_lattice, edges_of, iter_levels
-from dnbranch.dmod import branching_graph, equivalence_classes, format_label
+from dnbranch.dmod import branching_graph, equivalence_classes, format_label, level_socles
 from dnbranch.errors import ParseError, ResourceLimitError
 
 # the perfbench grid, both regimes
@@ -147,6 +147,76 @@ def test_documents_match_an_independent_tree_encoder(e, n):
         assert '"sign":"+"' in text and '"sign":"-"' in text
 
 
+# test-local text, DOT and branching references, written from a built lattice
+def _step_text(step) -> str:
+    return f"{step[0]}:{step[1]}" if isinstance(step, tuple) else str(step)
+
+
+def _lattice_text(lattice, params, n) -> str:
+    lines = [_header(params, n)]
+    for m, level in enumerate(lattice.levels):
+        lines.append(f"level {m}: {' '.join(map(format_bipartition, level))}\n")
+    for level_edges in lattice.edges:
+        for p, s, c in level_edges:
+            lines.append(f"edge: {format_bipartition(p)} --{_step_text(s)}--> {format_bipartition(c)}\n")
+    return "".join(lines)
+
+
+def _lattice_dot(lattice) -> str:
+    lines = ["digraph good_lattice {", "  rankdir=BT;"]
+    lines += [f'  "{format_bipartition(bp)}";' for level in lattice.levels for bp in level]
+    lines += [
+        f'  "{format_bipartition(p)}" -> "{format_bipartition(c)}" [label="{_step_text(s)}"];'
+        for level_edges in lattice.edges
+        for p, s, c in level_edges
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _branching_text(entries, params, n) -> str:
+    return _header(params, n) + "".join(
+        f"source: {format_label(entry.source)}\n"
+        + "".join(f"  {format_label(s)}\n" for s in entry.summands)
+        for entry in entries
+    )
+
+
+def _branching_dot(entries) -> str:
+    names = {format_label(entry.source) for entry in entries}
+    names |= {format_label(s) for entry in entries for s in entry.summands}
+    lines = ["digraph branching {", "  rankdir=BT;"] + [f'  "{name}";' for name in sorted(names)]
+    lines += [
+        f'  "{format_label(s)}" -> "{format_label(entry.source)}";'
+        for entry in entries
+        for s in entry.summands
+    ]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def _branching_tree(entries, params, n) -> str:
+    tree = {
+        "n": n,
+        "entries": [
+            {"source": _label_tree(e.source), "summands": [_label_tree(s) for s in e.summands]}
+            for e in entries
+        ],
+    }
+    return _tree_document(params, "branching", tree)
+
+
+@pytest.mark.parametrize("e, n", POINTS)
+def test_streamed_writers_match_test_local_references(e, n):
+    params = classify_regime(n, e)
+    lattice = build_lattice(n, params)
+    entries = branching_graph(n, params, lattice)
+    common = ["--e", _e_text(e), "--n", str(n), "--format"]
+    _assert_same(_run(["lattice", *common, "text"]), _lattice_text(lattice, params, n))
+    _assert_same(_run(["lattice", *common, "dot"]), _lattice_dot(lattice))
+    _assert_same(_run(["branch", *common, "text"]), _branching_text(entries, params, n))
+    _assert_same(_run(["branch", *common, "json"]), _branching_tree(entries, params, n))
+    _assert_same(_run(["branch", *common, "dot"]), _branching_dot(entries))
+
+
 @pytest.mark.parametrize("e, n", [(4, 9), (INF, 8), (3, 9)])
 def test_stream_yields_the_levels_edges_and_h_of_the_lattice(e, n):
     params = classify_regime(n, e)
@@ -252,17 +322,57 @@ def _parent_style_encode(n, params):
     json.dumps({"data": data}, sort_keys=True, separators=(",", ":"))
 
 
+# Peak traced memory of each full-level writer over that of ``labels``, which
+# holds only the stream and its labels.  Each bound is the larger ratio measured
+# at the two points below plus 25%: branch JSON 1.28, branch text 1.03, lattice
+# JSON 2.45, lattice text 3.10, lattice DOT 3.35.  A writer that keeps a whole
+# level's output, every decomposition or the whole lattice goes over.
+PEAK_OVER_LABELS = {
+    ("branch", "json"): 1.6,
+    ("branch", "text"): 1.3,
+    ("lattice", "json"): 3.1,
+    ("lattice", "text"): 3.9,
+    ("lattice", "dot"): 4.2,
+}
+
+
 @pytest.mark.parametrize("e, n", [(6, 12), (INF, 10)])
 def test_streamed_commands_hold_less_than_the_built_lattice(e, n):
     params = classify_regime(n, e)
-    argv = ["--e", _e_text(e), "--n", str(n), "--format", "json"]
-    _cli(["lattice", *argv])  # fill the component memo, so no side pays for it
-    labels = _peak_mb(lambda: _cli(["labels", *argv]))
+    argv = ["--e", _e_text(e), "--n", str(n), "--format"]
+    _cli(["lattice", *argv, "json"])  # fill the component memo, so no side pays for it
+    labels = _peak_mb(lambda: _cli(["labels", *argv, "json"]))
     build = _peak_mb(lambda: build_lattice(n, params))
     assert labels < build
-    streamed = _peak_mb(lambda: _cli(["lattice", *argv]))
+    streamed = _peak_mb(lambda: _cli(["lattice", *argv, "json"]))
     whole = _peak_mb(lambda: _parent_style_encode(n, params))
     assert streamed <= 0.75 * whole
+    ratios = {
+        (command, fmt): _peak_mb(lambda: _cli([command, *argv, fmt])) / labels
+        for command, fmt in PEAK_OVER_LABELS
+    }
+    over = {key: round(ratio, 2) for key, ratio in ratios.items() if ratio > PEAK_OVER_LABELS[key]}
+    assert not over, f"peaks over the labels peak {labels:.3f} MB: {over}"
+
+
+def _json_pieces(e, n) -> tuple[list, list]:
+    """The pieces each JSON writer passes to ``write`` for a full level."""
+    params = classify_regime(n, e)
+    lattice_pieces, branching_pieces = [], []
+    dio.write_lattice_json(params, _level_pairs(n, params), lattice_pieces.append)
+    level, image_of = _top_level(n, params)
+    entries = level_socles(level, params, image_of)
+    dio.write_branching_json(params, n, entries, branching_pieces.append)
+    return lattice_pieces, branching_pieces
+
+
+def test_json_writers_write_pieces_that_do_not_grow_with_the_level():
+    # a piece holds a fixed count of parents or vertices, or one entry, so from
+    # n = 12 to 16 it grows only as one vertex text does (measured 1.30x and
+    # 1.27x), while each document grows 6.1x and 4.7x
+    for small, large in zip(_json_pieces(6, 12), _json_pieces(6, 16)):
+        assert len("".join(large)) >= 4 * len("".join(small))
+        assert max(map(len, large)) <= 1.5 * max(map(len, small))
 
 
 def test_budget_stop_leaves_a_truncated_document_and_exit_1(monkeypatch):
@@ -286,3 +396,24 @@ def test_budget_stop_leaves_a_truncated_document_and_exit_1(monkeypatch):
     assert dio.serialize_json(dio.lattice_document(lattice)).startswith(text)
     with pytest.raises(ParseError):
         dio.parse_json(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot"])
+def test_budget_stop_in_text_and_dot_leaves_a_prefix_and_exit_1(monkeypatch, fmt):
+    import dnbranch.cli as cli
+
+    argv = ["lattice", "--e", "4", "--n", "8", "--format", fmt]
+    whole = _run(argv)
+    budget = sum(map(len, build_lattice(8, classify_regime(8, 4)).levels[:6]))
+    monkeypatch.setattr(cli, "iter_levels", functools.partial(iter_levels, max_vertices=budget))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue() == f"error: lattice exceeds the vertex budget of {budget}\n"
+    # stdout holds the opening lines and the vertex lines of levels 0..5, no edge:
+    # a strict prefix of the whole output
+    opening = 2 if fmt == "dot" else 1
+    vertex_lines = budget if fmt == "dot" else 6  # DOT names one vertex a line
+    lines = whole.splitlines(keepends=True)
+    assert out.getvalue() == "".join(lines[: opening + vertex_lines])
+    assert len(out.getvalue()) < len(whole)
