@@ -104,10 +104,23 @@ def _parse_bipartition_arg(text: str, n: int):
 
 
 def _top_level(n: int, params: CrystalParams):
-    """Level ``n`` and ``h`` on it as a function, streamed two levels at a time."""
+    """Level ``n`` with ``h`` on it and on level ``n - 1``, each as a function.
+
+    Streamed two levels at a time.  The level ``n - 1`` table is kept from
+    its own yield, which costs no more than the stream: it holds that table
+    while level ``n`` grows.  No edges are kept.
+    """
+    below = None
     for level, children, h in iter_levels(n, params):
         del children  # no edges are needed: hold none while the next level grows
-    return level, (hat if h is None else h.__getitem__)
+        if bipartition_size(level[0]) == n - 1:
+            below = h
+    return level, _as_function(h), _as_function(below)
+
+
+def _as_function(table):
+    """``h`` on a level: its table in regime B, the swap in regime A."""
+    return hat if table is None else table.__getitem__
 
 
 def _level_pairs(n: int, params: CrystalParams):
@@ -133,7 +146,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_labels(args) -> int:
     params = classify_regime(args.n, args.e)
-    level, image_of = _top_level(args.n, params)
+    level, image_of = _top_level(args.n, params)[:2]  # free the table below
     labels = equivalence_classes(level, params, image_of=image_of)
     if args.format == "json":
         print(dio.serialize_json(dio.labels_document(params, args.n, labels)), end="")
@@ -148,10 +161,10 @@ def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
         # each label's socle is computed as it is written
-        level, image_of = _top_level(args.n, params)
-        entries = level_socles(level, params, image_of)
+        level, image_of, image_below = _top_level(args.n, params)
+        entries = level_socles(level, params, image_of, image_below)
     else:
-        # a single label needs no lattice: membership and h come from one peel
+        # a single label needs no lattice: its peel and one per removal give h
         bp = _parse_bipartition_arg(args.bipartition, args.n)
         image = involution(bp, params)
         fixed = image == bp

@@ -32,12 +32,12 @@ combine:
   removable cell is component 1's first ``R`` if ``r1 > a2``, else
   component 2's first ``R`` if ``r2 > 0``.
 
-``good_nodes`` (the peel and the socle engine) and ``good_removable_at``
-read the combined words for good removable cells, and the level generator
-applies the rule for good addable cells inline.  ``i_signature`` and the
-operators built on it (``good_removable``, ``good_addable``, ``e_tilde``,
-``f_tilde``) are the per-residue definitional scan: they list and sort all
-marked cells of the bipartition and keep one residue.
+``good_nodes`` (the peel and the socle engine) reads the combined words for
+good removable cells, and the level generator applies the rule for good
+addable cells inline.  ``i_signature`` and the operators built on it
+(``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the
+per-residue definitional scan: they list and sort all marked cells of the
+bipartition and keep one residue.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
@@ -306,24 +306,6 @@ def _paired_words(bp: Bipartition, params: CrystalParams):
     return _word_side(bp[0], 0, params.l, 1) + _word_side(bp[1], 0, params.l, 2)
 
 
-def _good_removable_cell(word1: tuple, word2: tuple) -> Node | None:
-    """The good removable cell of a step, from its two component words."""
-    side = _good_removable_side(word1[1], word2[0], word2[1])
-    return Node(side, *(word1 if side == 1 else word2)[3]) if side else None
-
-
-def good_removable_at(bp: Bipartition, step, params: CrystalParams) -> Node | None:
-    """Good removable cell of one step, from the memo; agrees with ``good_nodes``."""
-    if params.regime == REGIME_A:
-        component, i = step
-        first_r = component_word(bp[component - 1], 0, params.l).get(i, _NO_WORD)[3]
-        return None if first_r is None else Node(component, *first_r)
-    e = params.e
-    return _good_removable_cell(
-        _word_side(bp[0], 0, e, 0)[step], _word_side(bp[1], params.multicharge[1], e, 0)[step]
-    )
-
-
 def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]]:
     """All good removable cells with their steps, in ascending step order.
 
@@ -332,9 +314,9 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
     """
     nodes = []
     for step, word1, word2 in _paired_words(bp, params):
-        removable = _good_removable_cell(word1, word2)
-        if removable is not None:
-            nodes.append((removable, step))
+        side = _good_removable_side(word1[1], word2[0], word2[1])
+        if side:
+            nodes.append((Node(side, *(word1 if side == 1 else word2)[3]), step))
     return nodes
 
 

@@ -8,12 +8,12 @@ maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
 a single label without a lattice replays its own canonical peel shifted by
-``l``.  The socle engine reads ``h`` of each good removal of a label by one
-rule, with or without a lattice: ``h`` carries the crystal operator of step
-``s`` to that of the shifted step, so the removal along ``s`` maps to the
-label's image less its good removable cell at the shifted step.  A lattice
-reaches the engine only through ``involution``, which gives that image.  A
-single combinatorial ``h`` serves every base field of characteristic != 2.
+``l``.  The socle engine needs ``h`` only of each good removal
+``mu = lambda - A``, one level down, and reads it from whatever gives ``h``
+there: the swap in regime A; in regime B a table on level ``n - 1``, the
+lattice's or the one the level stream has just built; and for a single
+label without a lattice, ``mu``'s own peel.  A single combinatorial ``h``
+serves every base field of characteristic != 2.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -49,7 +49,6 @@ from .crystal import (
     Lattice,
     _not_kleshchev,
     good_nodes,
-    good_removable_at,
     peel_path,
     replay_path,
     shift_path,
@@ -182,39 +181,36 @@ def unsplit_class(
     return _orbit_label(bp, involution(bp, params, lattice))
 
 
-def _good_removals(
-    bp: Bipartition,
-    params: CrystalParams,
-    lattice: Lattice | None,
-    image: Bipartition | None = None,
-) -> list[tuple[Node, Bipartition, Bipartition]]:
+def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     """``(cell, removal, h of the removal)`` for every good removable cell.
 
-    ``image`` is ``h(bp)`` when the caller already holds it; otherwise
-    ``involution`` gives it and makes the membership check of ``bp``, with
-    or without a lattice.  ``h`` carries the crystal operator of step ``s``
-    to that of the shifted step (``(s + l) mod e`` in regime B, the other
-    component in regime A), so ``h`` of the removal along ``s`` is ``h(bp)``
-    less its good removable cell at the shifted step: one image of ``bp``
-    serves every removal.
+    ``image_of`` gives ``h`` one level below ``bp``: the swap in regime A, a
+    table on that level, or a peel of each removal for a lone label.
+    """
+    removals = []
+    for node, _ in good_nodes(bp, params):
+        child = remove_node(bp, node)
+        removals.append((node, child, image_of(child)))
+    return removals
+
+
+def _image_below(
+    bp: Bipartition, params: CrystalParams, lattice: Lattice | None, image: Bipartition | None
+):
+    """``h`` one level below a lone ``bp``, once ``bp`` is known to be a member.
+
+    ``image`` is ``h(bp)`` when the caller already holds it, and so has
+    made the membership check; otherwise ``involution`` makes it, with or
+    without a lattice.  ``h`` below comes from the lattice's table when one
+    is given and from each removal's own peel when not.
     """
     if image is None:
-        image = involution(bp, params, lattice)
-    removals = []
-    for node, step in good_nodes(bp, params):
-        if params.regime == REGIME_B:
-            shifted = (step + params.l) % params.e
-        else:
-            shifted = (3 - step[0], step[1])
-        twin = good_removable_at(image, shifted, params)
-        if twin is None:
-            raise ShiftReplayError(
-                f"{format_bipartition(image)}, the h image of "
-                f"{format_bipartition(bp)}, has no good removable cell "
-                f"at step {shifted}"
-            )
-        removals.append((node, remove_node(bp, node), remove_node(image, twin)))
-    return removals
+        involution(bp, params, lattice)
+    if params.regime == REGIME_A:
+        return hat
+    if lattice is None:
+        return lambda mu: involution(mu, params)
+    return lattice.h.__getitem__
 
 
 def _special_cell(bp: Bipartition, removals) -> Node | None:
@@ -237,37 +233,18 @@ def almost_symmetric(
 
     ``image``, when given, is ``h(bp)`` and spares the membership check.
     """
-    return _special_cell(bp, _good_removals(bp, params, lattice, image))
+    return _special_cell(bp, _good_removals(bp, params, _image_below(bp, params, lattice, image)))
 
 
-def socle_restriction(
-    label: IrreducibleLabel,
-    params: CrystalParams,
-    lattice: Lattice | None = None,
-    image: Bipartition | None = None,
-) -> SocleDecomposition:
-    """Socle of the restriction of ``label`` one level down.
-
-    ``h`` of every good removal is read off ``h`` of the label's
-    representative along the shifted step.  ``image``, when given, is that
-    ``h`` and no membership check is made; otherwise ``involution`` gives
-    it, with ``lattice`` when one is given.
-    """
-    n = label.n
-    if n < 2:
-        raise ValueError("restriction decompositions need level n >= 2")
-    lam = label.rep
+def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
+    """The socle of ``label`` from the good removals of its representative."""
     summands: list[IrreducibleLabel]
     if label.kind == SPLIT:
         # one unsplit label per orbit of good removals; identical for both signs
-        classes = {
-            _orbit_label(child, image)
-            for _, child, image in _good_removals(lam, params, lattice, image)
-        }
+        classes = {_orbit_label(child, image) for _, child, image in removals}
         summands = sorted(classes, key=label_sort_key)
     else:
-        removals = _good_removals(lam, params, lattice, image)
-        special = _special_cell(lam, removals)
+        special = _special_cell(label.rep, removals)
         summands = []
         for node, child, image in removals:
             if node == special:
@@ -279,6 +256,25 @@ def socle_restriction(
         if len(set(summands)) != len(summands):
             raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")
     return SocleDecomposition(label, tuple(summands))
+
+
+def socle_restriction(
+    label: IrreducibleLabel,
+    params: CrystalParams,
+    lattice: Lattice | None = None,
+    image: Bipartition | None = None,
+) -> SocleDecomposition:
+    """Socle of the restriction of ``label`` one level down.
+
+    ``image``, when given, is ``h`` of the label's representative and
+    spares its membership check; otherwise ``involution`` makes it, with
+    ``lattice`` when one is given.  ``h`` of each good removal comes from
+    the lattice's table, or without one from the removal's own peel.
+    """
+    if label.n < 2:
+        raise ValueError("restriction decompositions need level n >= 2")
+    lam = label.rep
+    return _socle(label, _good_removals(lam, params, _image_below(lam, params, lattice, image)))
 
 
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
@@ -300,15 +296,17 @@ def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def level_socles(level, params: CrystalParams, image_of) -> Iterator[SocleDecomposition]:
+def level_socles(
+    level, params: CrystalParams, image_of, image_below
+) -> Iterator[SocleDecomposition]:
     """Socle decompositions of every label of a full level, in label order.
 
     Each is made when it is asked for, so a writer need hold only one.
-    ``image_of`` gives ``h`` on the level; each socle takes ``h`` of its
-    label's representative from it, so no membership check is made.
+    ``image_of`` gives ``h`` on the level and ``image_below`` on the level
+    below, where the good removals lie; no membership check is made.
     """
     for label in equivalence_classes(level, params, image_of=image_of):
-        yield socle_restriction(label, params, image=image_of(label.rep))
+        yield _socle(label, _good_removals(label.rep, params, image_below))
 
 
 def branching_graph(
@@ -322,4 +320,4 @@ def branching_graph(
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     image_of = hat if lattice.h is None else lattice.h.__getitem__
-    return list(level_socles(lattice.levels[n], params, image_of))
+    return list(level_socles(lattice.levels[n], params, image_of, image_of))

@@ -35,7 +35,6 @@ from dnbranch.crystal import (
     good_addable,
     good_nodes,
     good_removable,
-    good_removable_at,
     i_signature,
     index_of,
     iter_levels,
@@ -441,7 +440,6 @@ def _assert_sweep_agrees(bp, params):
     for step in _alphabet(params, bipartition_size(bp)):
         removable = good_removable(bp, step, params)
         assert found.get(step) == removable
-        assert good_removable_at(bp, step, params) == removable
 
 
 @pytest.mark.parametrize(

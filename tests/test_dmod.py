@@ -9,13 +9,14 @@ import pytest
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
+    REGIME_B,
     Node,
     classify_regime,
     format_bipartition,
     hat,
     parse_bipartition,
 )
-from dnbranch.crystal import build_lattice
+from dnbranch.crystal import build_lattice, e_tilde, f_tilde, good_removable
 from dnbranch.dmod import (
     SPLIT,
     UNSPLIT,
@@ -25,11 +26,12 @@ from dnbranch.dmod import (
     equivalence_classes,
     format_label,
     involution,
+    level_socles,
     residue_counts,
     socle_restriction,
     unsplit_class,
 )
-from dnbranch.errors import NotKleshchevError
+from dnbranch.errors import MultipleSpecialNodesError, NotKleshchevError
 
 
 def unsplit(text):
@@ -173,6 +175,10 @@ def test_unsplit_class_rejects_fixed_points_under_optimization():
         "except FixedPointError:\n"
         "    print('raised')\n"
     )
+    _assert_raised_under_optimisation(script)
+
+
+def _assert_raised_under_optimisation(script: str) -> None:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     result = subprocess.run(
@@ -301,12 +307,28 @@ def test_format_label():
 CLIFFORD_POINTS = [(4, 10), (6, 10), (2, 12), (8, 10), (INF, 8), (3, 9)]
 
 
-def _h(mu, lattice):
-    return hat(mu) if lattice.h is None else lattice.h[mu]
+def _h(mu, params):
+    """``h`` by the definitional scan, sharing no code with the engine's ``h``.
+
+    Regime A swaps the components.  Regime B peels ``mu`` with ``e_tilde``,
+    taking the smallest step that has a good removable cell, then replays
+    the peeled steps, each shifted by ``l``, with ``f_tilde``.
+    """
+    if params.regime != REGIME_B:
+        return hat(mu)
+    steps = []
+    while mu != EMPTY_BIPARTITION:
+        step = next(i for i in range(params.e) if good_removable(mu, i, params) is not None)
+        steps.append(step)
+        mu = e_tilde(mu, step, params)
+    image = EMPTY_BIPARTITION
+    for step in reversed(steps):
+        image = f_tilde(image, (step + params.l) % params.e, params)
+    return image
 
 
-def _type_d_restriction(mu, lattice):
-    image = _h(mu, lattice)
+def _type_d_restriction(mu, params):
+    image = _h(mu, params)
     if image == mu:
         return [IrreducibleLabel(SPLIT, mu, "+"), IrreducibleLabel(SPLIT, mu, "-")]
     return [IrreducibleLabel(UNSPLIT, min(mu, image))]
@@ -323,9 +345,42 @@ def test_socles_satisfy_the_clifford_identity(e, n):
         for entry in branching_graph(m, params, lattice):
             engine.setdefault(entry.source.rep, Counter()).update(entry.summands)
         level = lattice.levels[m]
-        assert engine.keys() == {min(lam, _h(lam, lattice)) for lam in level}
+        assert engine.keys() == {min(lam, _h(lam, params)) for lam in level}
         for lam, socle in engine.items():
             expected = Counter()
             for mu, _ in lattice.parents(lam):
-                expected.update(_type_d_restriction(mu, lattice))
+                expected.update(_type_d_restriction(mu, params))
             assert socle == expected, (m, format_bipartition(lam))
+
+
+# The paper's two socle invariants, broken by a doctored h one level down.  The
+# label is unsplit at (inf, 3) and has two good removals; both checks raise,
+# not assert, so they hold under ``python -O`` too.
+DOCTORED_LABEL = ((1,), (1, 1))
+DOCTORED_REMOVALS = (((), (1, 1)), ((1,), (1,)))
+
+
+def test_fixed_images_of_two_removals_are_two_special_nodes():
+    params = classify_regime(3, INF)
+    (socle,) = level_socles([DOCTORED_LABEL], params, hat, hat)  # the true h
+    assert socle.source == IrreducibleLabel(UNSPLIT, DOCTORED_LABEL)
+    assert {summand.rep for summand in socle.summands} == set(DOCTORED_REMOVALS)
+    with pytest.raises(MultipleSpecialNodesError):
+        list(level_socles([DOCTORED_LABEL], params, hat, lambda mu: mu))
+
+
+def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
+    # the two removals map to each other, so both give the same unsplit label
+    script = (
+        "from dnbranch.core import INF, classify_regime, hat\n"
+        "from dnbranch.dmod import level_socles\n"
+        "from dnbranch.errors import InvariantError\n"
+        "assert False, 'asserts are stripped'\n"
+        f"mu1, mu2 = {DOCTORED_REMOVALS!r}\n"
+        "swap = {mu1: mu2, mu2: mu1}\n"
+        "try:\n"
+        f"    list(level_socles([{DOCTORED_LABEL!r}], classify_regime(3, INF), hat, swap.get))\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    _assert_raised_under_optimisation(script)

@@ -7,10 +7,18 @@ import io
 import pytest
 
 from dnbranch.cli import main
-from dnbranch.core import EMPTY_BIPARTITION, INF, classify_regime, format_bipartition, hat
-from dnbranch.crystal import build_lattice, peel_path, replay_path
+from dnbranch.core import (
+    INF,
+    classify_regime,
+    format_bipartition,
+    hat,
+    parse_bipartition,
+    remove_node,
+)
+from dnbranch.crystal import build_lattice, good_nodes, peel_path, replay_path
 from dnbranch.dmod import (
     _good_removals,
+    _image_below,
     almost_symmetric,
     equivalence_classes,
     involution,
@@ -111,18 +119,18 @@ def test_socle_without_lattice_matches_the_lattice(lattice):
 
 
 def test_removal_images_without_lattice_match_the_table(lattice):
-    # h of each good removal is read off h of the vertex along the shifted
-    # step, whether that image comes from a peel or from the lattice
+    # h of each good removal comes from the removal's own peel without a
+    # lattice and from the table with one
     params, lat = lattice
     for level in lat.levels:
         for bp in level:
             for given in (None, lat):
-                for _, child, image in _good_removals(bp, params, given):
+                image_below = _image_below(bp, params, given, None)
+                for _, child, image in _good_removals(bp, params, image_below):
                     assert image == (hat(child) if lat.h is None else lat.h[child])
 
 
-@pytest.mark.parametrize("command", ["involution", "branch"])
-def test_point_query_peels_once(monkeypatch, command):
+def _count_peels(monkeypatch) -> list:
     import dnbranch.dmod as dmod
 
     calls = []
@@ -132,17 +140,50 @@ def test_point_query_peels_once(monkeypatch, command):
         return peel_path(bp, params)
 
     monkeypatch.setattr(dmod, "peel_path", counting_peel)
-    argv = [command, "--e", "4", "--n", "16", "--bipartition=2,1|3,2,2,2,1,1,1,1"]
+    return calls
+
+
+QUERY_LABEL = "2,1|3,2,2,2,1,1,1,1"
+
+
+@pytest.mark.parametrize("command", ["involution", "branch"])
+def test_point_query_peels_once(monkeypatch, command):
+    # regime B: one peel checks the label, then each of its two good
+    # removals is peeled for its h
+    calls = _count_peels(monkeypatch)
+    argv = [command, "--e", "4", "--n", "16", f"--bipartition={QUERY_LABEL}"]
     assert _run(argv)[0] == 0
-    assert len(calls) == 1
+    bp = parse_bipartition(QUERY_LABEL)
+    assert len(good_nodes(bp, classify_regime(16, 4))) == 2
+    assert len(calls) == 3
 
 
-def test_missing_twin_cell_is_a_shift_replay_error(monkeypatch):
+@pytest.mark.parametrize("command", ["involution", "branch"])
+def test_regime_a_point_query_peels_once(monkeypatch, command):
+    # regime A: h of a removal is the swap, so the label's check is the one peel
+    calls = _count_peels(monkeypatch)
+    assert _run([command, "--e", "3", "--n", "16", f"--bipartition={QUERY_LABEL}"])[0] == 0
+    assert calls == [parse_bipartition(QUERY_LABEL)]
+
+
+def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
+    # the label's own shifted replay holds and each removal's breaks, so the
+    # error can come only from h of a removal
     import dnbranch.dmod as dmod
 
-    monkeypatch.setattr(dmod, "involution", lambda bp, params, lattice=None: EMPTY_BIPARTITION)
-    with pytest.raises(ShiftReplayError):
-        almost_symmetric(((2, 1), (2, 1)), classify_regime(6, 4))
+    params = classify_regime(6, 4)
+    lam = ((2, 1), (2, 1))
+    label = equivalence_classes([lam], params)[0]
+    removals = {format_bipartition(remove_node(lam, node)) for node, _ in good_nodes(lam, params)}
+
+    def replay_the_label_only(path, params):
+        return replay_path(path, params) if len(path) == 6 else None
+
+    monkeypatch.setattr(dmod, "replay_path", replay_the_label_only)
+    for query in (lambda: almost_symmetric(lam, params), lambda: socle_restriction(label, params)):
+        with pytest.raises(ShiftReplayError) as exc:
+            query()
+        assert str(exc.value) in {f"the shifted canonical path of {mu} breaks" for mu in removals}
 
 
 def test_non_members_are_rejected_without_lattice():

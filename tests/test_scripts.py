@@ -58,3 +58,15 @@ def test_peak_rss_script_prints_the_floor_then_every_command():
         ["branch", "text"], ["branch", "json"], ["branch", "dot"],
     ]
     assert all(row[0] == "4,3" and float(row[3]) > 0 for row in rows)
+
+
+def test_branch_times_script_prints_every_point_then_the_queries():
+    result = _run_script("branch_times.py", "--repeat", "1", "--queries", "2", "4,5", "inf,4")
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "branch --format json, best of 1, cold component memo"
+    assert [line.split()[0] for line in lines[2:4]] == ["4,5", "inf,4"]
+    assert all(float(line.split()[1]) > 0 for line in lines[2:4])
+    assert lines[4] == "point queries: 4 labels, seed 0, best of 1 passes"
+    assert [line.split()[0] for line in lines[5:]] == ["involution", "branch"]
+    assert all(line.endswith(" ms per query") for line in lines[5:])

@@ -12,8 +12,8 @@ import pytest
 import dnbranch.dmod as dmod
 from dnbranch import io as dio
 from dnbranch.cli import _level_pairs, _top_level, main
-from dnbranch.core import INF, classify_regime, format_bipartition
-from dnbranch.crystal import build_lattice, edges_of, iter_levels
+from dnbranch.core import INF, classify_regime, format_bipartition, remove_node
+from dnbranch.crystal import build_lattice, edges_of, good_nodes, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label, level_socles
 from dnbranch.errors import ParseError, ResourceLimitError
 
@@ -281,8 +281,14 @@ def test_full_level_reads_h_once_per_vertex_and_once_per_label(monkeypatch, e, n
     if lattice.h is not None:
         lattice.h = CountingTable(lattice.h)
     entries = branching_graph(n, params, lattice)
-    assert len(lookups) == len(lattice.levels[n]) + len(entries)
-    assert entries and len(set(lookups)) == len(lattice.levels[n])
+    # each vertex of level n once, in order, then once per good removal of each label
+    vertices = lattice.levels[n]
+    removals = [
+        remove_node(entry.source.rep, node)
+        for entry in entries
+        for node, _ in good_nodes(entry.source.rep, params)
+    ]
+    assert entries and lookups == [*vertices, *removals]
 
 
 def _peak_mb(call) -> float:
@@ -360,8 +366,8 @@ def _json_pieces(e, n) -> tuple[list, list]:
     params = classify_regime(n, e)
     lattice_pieces, branching_pieces = [], []
     dio.write_lattice_json(params, _level_pairs(n, params), lattice_pieces.append)
-    level, image_of = _top_level(n, params)
-    entries = level_socles(level, params, image_of)
+    level, image_of, image_below = _top_level(n, params)
+    entries = level_socles(level, params, image_of, image_below)
     dio.write_branching_json(params, n, entries, branching_pieces.append)
     return lattice_pieces, branching_pieces
 
