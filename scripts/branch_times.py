@@ -9,7 +9,7 @@ runs is printed in ms. Then ``--queries`` labels per point, drawn with
 ``--seed`` from level N, go through ``involution`` and
 ``branch --bipartition``; the best of ``--repeat`` passes over the whole set
 is printed in ms per query, and ``--queries 0`` skips them. The component
-memo is cleared before every run and every pass, so each one starts cold.
+word memo is cleared before every run and every pass, so each one starts cold.
 Interpreter start-up and import are not counted. The default points are
 (4,16), (6,16), (8,16), (inf,14) and (3,16).
 """
@@ -22,7 +22,7 @@ import time
 
 from dnbranch.cli import main as cli_main
 from dnbranch.core import INF, classify_regime, format_bipartition
-from dnbranch.crystal import _word_side, component_word, iter_levels
+from dnbranch.crystal import _word_side, iter_levels
 
 
 class _Discard:
@@ -35,7 +35,6 @@ class _Discard:
 
 def _cold_ms(argvs) -> float:
     """Time of one pass over ``argvs``, in ms, from a cleared component memo."""
-    component_word.cache_clear()
     _word_side.cache_clear()
     start = time.perf_counter()
     with contextlib.redirect_stdout(_Discard()):

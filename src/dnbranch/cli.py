@@ -29,10 +29,10 @@ from .dmod import (
     SPLIT,
     UNSPLIT,
     IrreducibleLabel,
+    _lone_images,
     almost_symmetric,
     equivalence_classes,
     format_label,
-    involution,
     level_socles,
     residue_counts,
     socle_restriction,
@@ -164,9 +164,9 @@ def cmd_branch(args) -> int:
         level, image_of, image_below = _top_level(args.n, params)
         entries = level_socles(level, params, image_of, image_below)
     else:
-        # a single label needs no lattice: its peel and one per removal give h
+        # a single label needs no lattice: its peel and one per further removal give h
         bp = _parse_bipartition_arg(args.bipartition, args.n)
-        image = involution(bp, params)
+        image, image_below = _lone_images(bp, params)
         fixed = image == bp
         if args.sign is not None and not fixed:
             print(
@@ -180,8 +180,7 @@ def cmd_branch(args) -> int:
             label = IrreducibleLabel(SPLIT, bp, sign)
         else:
             label = IrreducibleLabel(UNSPLIT, min(bp, image))
-        rep_image = bp if label.rep == image else image  # h swaps bp and its image
-        entries = [socle_restriction(label, params, image=rep_image)]
+        entries = [socle_restriction(label, params, image_below=image_below)]
     write = sys.stdout.write
     if args.format == "json":
         dio.write_branching_json(params, args.n, entries, write)
@@ -198,8 +197,8 @@ def cmd_branch(args) -> int:
 def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
     bp = _parse_bipartition_arg(args.bipartition, args.n)
-    image = involution(bp, params)
-    special = almost_symmetric(bp, params, image=image)
+    image, image_below = _lone_images(bp, params)
+    special = almost_symmetric(bp, params, image_below=image_below)
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")

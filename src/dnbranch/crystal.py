@@ -18,11 +18,12 @@ encoding.
 The engine reads the rule through component words.  A component's marked
 cells of one residue depend only on its partition, its residue offset (``0``
 for component 1; ``l`` for component 2 in regime B, ``0`` in regime A) and
-the modulus.  ``component_word`` reduces them once per distinct partition,
-memoised, to a summary per residue: the reduced word ``A^a R^r``, its last
-``A`` and first ``R`` cells, and the partition with that last ``A`` added.
-The regime decides only how the two component words of a bipartition
-combine:
+the modulus.  ``component_word`` reduces them to a summary per residue: the
+reduced word ``A^a R^r``, its last ``A`` and first ``R`` cells, and the
+partition with that last ``A`` added.  ``_word_side``, the one memo, lays
+the summaries out for the regime once per distinct partition (and offset,
+in regime B).  The regime decides only how the two component words of a
+bipartition combine:
 
 * regime A: the steps are the union of the two components' steps ``(c, i)``;
 * regime B: residue ``i`` reads ``A^a1 R^r1 A^a2 R^r2``, component 1 first,
@@ -32,7 +33,7 @@ combine:
   removable cell is component 1's first ``R`` if ``r1 > a2``, else
   component 2's first ``R`` if ``r2 > 0``.
 
-``good_nodes`` (the peel and the socle engine) reads the combined words for
+``good_nodes`` (the peel and the socle engine) reads the memoised words for
 good removable cells, and the level generator applies the rule for good
 addable cells inline.  ``i_signature`` and the operators built on it
 (``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the
@@ -41,8 +42,10 @@ bipartition and keep one residue.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
-consumer that keeps no level holds at most two.  The stream releases what it
-has passed: ``_grow`` drops its vertex set once a level is sorted, and
+consumer that keeps no level holds at most two.  Each vertex is one tuple:
+``_grow`` dedupes a level's children through one dict, so the children
+index, the level and ``h`` hold the same objects.  The stream releases what
+it has passed: ``_grow`` drops that dict once a level is sorted, and
 ``iter_levels`` drops a level's vertices and index once they are yielded,
 before the next level grows.  A consumer keeps that bound only if it does
 the same, so each one (``cli._top_level``, ``cli._level_pairs`` and the
@@ -59,9 +62,8 @@ membership and its path need no lattice; ``replay_path`` folds a path back.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from functools import cache
-from types import MappingProxyType
 
 from .core import (
     Bipartition,
@@ -217,11 +219,8 @@ def _good_removable_side(r1: int, a2: int, r2: int) -> int:
     return 1 if r1 > a2 else 2 if r2 else 0
 
 
-@cache
-def component_word(
-    parts: Partition, offset: int, modulus: int | float
-) -> Mapping[int, tuple]:
-    """Reduced signature word of one component, per residue, memoised.
+def component_word(parts: Partition, offset: int, modulus: int | float) -> dict[int, tuple]:
+    """Reduced signature word of one component, per residue.
 
     Each row contributes its removable cell, then its addable cell, so the
     marked cells come out in reading order without sorting; the cell in
@@ -230,9 +229,7 @@ def component_word(
     ``(a, r, last_a, first_r, child)``: the reduced word is ``A^a R^r``,
     ``last_a`` and ``first_r`` are the ``(row, col)`` of its last ``A`` and
     first ``R`` (``None`` when absent), and ``child`` is ``parts`` with
-    ``last_a`` added.  Residues come in ascending order.  Every caller
-    shares the read-only result; the memo holds one entry per distinct
-    ``(parts, offset, modulus)`` seen in the process.
+    ``last_a`` added.  Residues come in ascending order.
     """
     finite = modulus != INF
     rows = len(parts)
@@ -268,42 +265,22 @@ def component_word(
             row, col = last_a
             child = parts[: row - 1] + (col,) + parts[row:]
         word[res] = (a, len(removable), last_a, removable[0] if removable else None, child)
-    return MappingProxyType(word)
+    return word
 
 
 @cache
-def _word_side(parts: Partition, offset: int, modulus: int | float, component: int) -> tuple:
-    """``component_word`` laid out as its side of ``_paired_words``, memoised.
+def _word_side(parts: Partition, offset: int, modulus: int | float, regime: str) -> tuple:
+    """``component_word`` laid out for one regime: the engine's one word memo.
 
-    ``component`` 0 gives the regime-B layout: one summary per residue of
-    ``Z/eZ``, the empty word where no cell is marked.  ``component`` 1 or 2
-    gives the regime-A layout: a ``(step, summary 1, summary 2)`` triple per
-    marked residue, with the empty word on the other side.
+    Regime B: one summary per residue of ``Z/eZ``, the empty word where no
+    cell is marked.  Regime A: a ``(step 1, step 2, summary)`` triple per
+    marked residue ``i``, with the steps ``(1, i)`` and ``(2, i)``, so both
+    components share one entry per partition.
     """
     word = component_word(parts, offset, modulus)
-    if component == 0:
+    if regime == REGIME_B:
         return tuple(word.get(i, _NO_WORD) for i in range(modulus))
-    if component == 1:
-        return tuple(((1, i), summary, _NO_WORD) for i, summary in word.items())
-    return tuple(((2, i), _NO_WORD, summary) for i, summary in word.items())
-
-
-def _paired_words(bp: Bipartition, params: CrystalParams):
-    """``(step, word 1 summary, word 2 summary)`` triples in ascending step order.
-
-    In regime B a residue reads both components, offsets ``0`` and ``l``,
-    so the pair is the two summaries of that residue; residues with no
-    marked cell pair two empty words.  In regime A a step ``(c, i)`` reads
-    component ``c`` alone, so the other side of the pair is the empty word.
-    """
-    if params.regime == REGIME_B:
-        e = params.e
-        return zip(
-            range(e),
-            _word_side(bp[0], 0, e, 0),
-            _word_side(bp[1], params.multicharge[1], e, 0),
-        )
-    return _word_side(bp[0], 0, params.l, 1) + _word_side(bp[1], 0, params.l, 2)
+    return tuple(((1, i), (2, i), summary) for i, summary in word.items())
 
 
 def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]]:
@@ -313,10 +290,20 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
     (component, residue) pair (regime A); no good addable cell is built.
     """
     nodes = []
-    for step, word1, word2 in _paired_words(bp, params):
-        side = _good_removable_side(word1[1], word2[0], word2[1])
-        if side:
-            nodes.append((Node(side, *(word1 if side == 1 else word2)[3]), step))
+    if params.regime == REGIME_B:
+        left = _word_side(bp[0], 0, params.e, REGIME_B)
+        words = zip(left, _word_side(bp[1], params.multicharge[1], params.e, REGIME_B))
+        for step, (word1, word2) in enumerate(words):
+            side = _good_removable_side(word1[1], word2[0], word2[1])
+            if side:
+                nodes.append((Node(side, *(word1 if side == 1 else word2)[3]), step))
+        return nodes
+    for step, _, word in _word_side(bp[0], 0, params.l, REGIME_A):
+        if word[1]:
+            nodes.append((Node(1, *word[3]), step))
+    for _, step, word in _word_side(bp[1], 0, params.l, REGIME_A):
+        if word[1]:
+            nodes.append((Node(2, *word[3]), step))
     return nodes
 
 
@@ -529,7 +516,8 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     Breadth-first good additions from the empty bipartition: each child is
     the memoised child of the component word that the tensor-product rule
     picks (component 2's last ``A`` unless ``R^r1`` cancels it), beside the
-    other component.  ``children``, the level's only edge structure, indexes
+    other component, and is the level's own vertex object, whichever edge
+    reaches it first.  ``children``, the level's only edge structure, indexes
     its edges from the level below by parent, then step: parents go in
     canonical order and each parent's steps ascend, so ``edges_of`` walks it
     in ``(parent, step)`` order.
@@ -542,27 +530,31 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     regime_b, e, l, shift = params.regime == REGIME_B, params.e, params.l, params.multicharge[1]
     for _ in range(n):
         children = {}
-        seen = set()
+        seen = {}
+        vertex = seen.setdefault
         for parent in level:
             steps = children[parent] = {}
             left, right = parent
             if regime_b:
-                words = zip(_word_side(left, 0, e, 0), _word_side(right, shift, e, 0))
+                words = zip(_word_side(left, 0, e, REGIME_B), _word_side(right, shift, e, REGIME_B))
                 for i, (word1, word2) in enumerate(words):
                     if word2[0] > word1[1]:
-                        steps[i] = (left, word2[4])
+                        child = left, word2[4]
+                        steps[i] = vertex(child, child)
                     elif word1[0]:
-                        steps[i] = (word1[4], right)
+                        child = word1[4], right
+                        steps[i] = vertex(child, child)
             else:
-                for step, word, _ in _word_side(left, 0, l, 1):
+                for step, _, word in _word_side(left, 0, l, REGIME_A):
                     if word[0]:
-                        steps[step] = (word[4], right)
-                for step, _, word in _word_side(right, 0, l, 2):
+                        child = word[4], right
+                        steps[step] = vertex(child, child)
+                for _, step, word in _word_side(right, 0, l, REGIME_A):
                     if word[0]:
-                        steps[step] = (left, word[4])
-            seen.update(steps.values())
+                        child = left, word[4]
+                        steps[step] = vertex(child, child)
         level = tuple(sorted(seen))
-        del seen  # the sorted level holds the vertices: free the set before the yield
+        del seen, vertex  # the sorted level holds the vertices: free the dict before the yield
         total += len(level)
         if total > max_vertices:
             raise ResourceLimitError(

@@ -12,8 +12,9 @@ a single label without a lattice replays its own canonical peel shifted by
 ``mu = lambda - A``, one level down, and reads it from whatever gives ``h``
 there: the swap in regime A; in regime B a table on level ``n - 1``, the
 lattice's or the one the level stream has just built; and for a single
-label without a lattice, ``mu``'s own peel.  A single combinatorial ``h``
-serves every base field of characteristic != 2.
+label without a lattice, its own replay for the removal at its smallest
+good step and ``mu``'s own peel for any other.  A single combinatorial
+``h`` serves every base field of characteristic != 2.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -48,6 +49,7 @@ from .crystal import (
     MAX_RESIDUE_ALPHABET,
     Lattice,
     _not_kleshchev,
+    f_tilde,
     good_nodes,
     peel_path,
     replay_path,
@@ -121,15 +123,7 @@ def involution(
     lattice ``ValueError`` when ``bp`` lies above its top level.
     """
     if lattice is None:
-        path = peel_path(bp, params)
-        if params.regime == REGIME_A:
-            return hat(bp)
-        image = replay_path(shift_path(path, params), params)
-        if image is None:
-            raise ShiftReplayError(
-                f"the shifted canonical path of {format_bipartition(bp)} breaks"
-            )
-        return image
+        return _lone_images(bp, params)[0]
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     m = bipartition_size(bp)
@@ -194,23 +188,37 @@ def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     return removals
 
 
-def _image_below(
-    bp: Bipartition, params: CrystalParams, lattice: Lattice | None, image: Bipartition | None
-):
-    """``h`` one level below a lone ``bp``, once ``bp`` is known to be a member.
+def _lone_images(bp: Bipartition, params: CrystalParams):
+    """``h(bp)`` and ``h`` one level below a lone ``bp``, from one peel, its membership check.
 
-    ``image`` is ``h(bp)`` when the caller already holds it, and so has
-    made the membership check; otherwise ``involution`` makes it, with or
-    without a lattice.  ``h`` below comes from the lattice's table when one
-    is given and from each removal's own peel when not.
+    In regime B the peel is replayed with every step shifted by ``l``.  Its
+    first stage removes the good cell of ``bp``'s smallest step and the rest
+    is that removal's peel, so the replay passes the removal's ``h`` one step
+    before ``h(bp)``; the two are each other's image.  Other removals are peeled.
     """
-    if image is None:
-        involution(bp, params, lattice)
+    path = peel_path(bp, params)
     if params.regime == REGIME_A:
-        return hat
+        return hat(bp), hat
+    path = shift_path(path, params)
+    before = replay_path(path[:-1], params)
+    image = before if not path or before is None else f_tilde(before, path[-1], params)
+    if image is None:
+        raise ShiftReplayError(f"the shifted canonical path of {format_bipartition(bp)} breaks")
+    # the removal at the smallest good step; the empty bipartition has none
+    first = remove_node(bp, good_nodes(bp, params)[0][0]) if path else image
+    known = {first: before, before: first}
+    return image, lambda mu: known[mu] if mu in known else involution(mu, params)
+
+
+def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None, image_below):
+    """``h`` one level below a lone member ``bp``: ``image_below`` when given (from
+    ``_lone_images``), else the lattice's table or ``_lone_images`` after the check."""
+    if image_below is not None:
+        return image_below
     if lattice is None:
-        return lambda mu: involution(mu, params)
-    return lattice.h.__getitem__
+        return _lone_images(bp, params)[1]
+    involution(bp, params, lattice)
+    return hat if params.regime == REGIME_A else lattice.h.__getitem__
 
 
 def _special_cell(bp: Bipartition, removals) -> Node | None:
@@ -227,13 +235,15 @@ def almost_symmetric(
     bp: Bipartition,
     params: CrystalParams,
     lattice: Lattice | None = None,
-    image: Bipartition | None = None,
+    image_below=None,
 ) -> Node | None:
     """The unique good cell whose removal is ``h``-fixed, if one exists.
 
-    ``image``, when given, is ``h(bp)`` and spares the membership check.
+    ``image_below``, when given, is ``h`` one level below from
+    ``_lone_images``, which made the membership check.
     """
-    return _special_cell(bp, _good_removals(bp, params, _image_below(bp, params, lattice, image)))
+    image_below = _image_below(bp, params, lattice, image_below)
+    return _special_cell(bp, _good_removals(bp, params, image_below))
 
 
 def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
@@ -262,19 +272,19 @@ def socle_restriction(
     label: IrreducibleLabel,
     params: CrystalParams,
     lattice: Lattice | None = None,
-    image: Bipartition | None = None,
+    image_below=None,
 ) -> SocleDecomposition:
     """Socle of the restriction of ``label`` one level down.
 
-    ``image``, when given, is ``h`` of the label's representative and
-    spares its membership check; otherwise ``involution`` makes it, with
-    ``lattice`` when one is given.  ``h`` of each good removal comes from
-    the lattice's table, or without one from the removal's own peel.
+    ``image_below``, when given, is ``h`` one level below the label's
+    representative from ``_lone_images``, which made its membership check;
+    otherwise the check is made here, with ``lattice`` when one is given.
     """
     if label.n < 2:
         raise ValueError("restriction decompositions need level n >= 2")
     lam = label.rep
-    return _socle(label, _good_removals(lam, params, _image_below(lam, params, lattice, image)))
+    image_below = _image_below(lam, params, lattice, image_below)
+    return _socle(label, _good_removals(lam, params, image_below))
 
 
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:

@@ -9,17 +9,17 @@ or ``report``.  Bipartitions are stored in the core text form, an infinite
 no insignificant whitespace, one trailing newline, so semantically equal
 documents are byte identical.
 
-Documents are written as text, not as JSON trees: each vertex, step and
-label text is formatted once and joined.  Every full-level output has one
-writer, which takes a ``write`` function and writes as its input arrives,
-in pieces of bounded size:
+Documents are written as text, not as JSON trees: each text is formatted
+from memoised component, step and summand texts, and joined.  Every
+full-level output has one writer, which takes a ``write`` function and
+writes as its input arrives, in pieces of bounded size:
 
 * ``write_lattice_json``, ``write_lattice_text`` and ``write_lattice_dot``
   read each level's ``(vertices, children)`` as ``crystal.iter_levels``
-  yields it or ``Lattice.index`` holds it, through ``_lattice_texts``.  They
-  hold the vertex texts of the level below, and until the end only what
-  the format puts last: the vertex texts (JSON) or the edge lines (text,
-  DOT), ``_CHUNK`` vertices or parents to a piece;
+  yields it or ``Lattice.index`` holds it, through ``_lattice_texts``, which
+  keeps no table of vertex texts.  Until the end they hold only what the
+  format puts last: the vertex texts (JSON) or the edge lines (text, DOT),
+  ``_CHUNK`` vertices or parents to a piece;
 * ``write_branching_json`` writes entry by entry and keeps none, and
   ``write_branching_dot`` keeps only the label names and edge lines, since
   the sorted names come first.
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice
+from operator import attrgetter
 
 from .core import (
     CrystalParams,
@@ -200,36 +201,35 @@ def _write_joined(write, pieces) -> None:
         comma = ","
 
 
-def _lattice_texts(levels, vertex, step, edge, sep: str):
+def _lattice_texts(levels, vertex: str, step, edge: str, sep: str):
     """Each level's vertex texts, in order, and its edge texts in pieces.
 
     ``levels`` yields each level's ``(vertices, children)`` for levels 0..n,
     ``children`` indexing its edges by parent, then step, as ``iter_levels``
-    yields it.  A vertex's text is ``vertex(left, right)`` of its memoised
-    component texts, a step's is ``step(step)``, made once per distinct
-    step, and an edge's is ``edge(parent, step, child)`` of those texts.  A
-    piece joins with ``sep`` the edges of ``_CHUNK`` parents; the pieces are
-    made as they are read, which must be before the next level is asked
-    for.  Only the vertex texts of the level below are kept, for the
-    parents: the loop holds no level it has passed.
+    yields it.  The format ``vertex`` takes two memoised component texts and
+    ``edge`` a parent's, step's and child's texts; each distinct step fills
+    its text, ``step(step)``, into an edge format of its own.  A parent's
+    text is made once, with its edges, and no table of vertex texts is kept.
+    A piece joins with ``sep`` the edges of ``_CHUNK`` parents; the texts
+    and pieces are made as they are read, before the next level is asked for.
     """
     parts = _Memo(format_partition)
-    steps = _Memo(step)
-    below: dict = {}
+    edges = _Memo(lambda s: edge.format("{}", step(s), vertex).format)
+    vertex_text = vertex.format
     for vertices, children in levels:
-        texts = {bp: vertex(parts[bp[0]], parts[bp[1]]) for bp in vertices}
         pieces = (
             sep.join(
                 [
-                    edge(below[p], steps[s], texts[c])
-                    for p, by_step in chunk
-                    for s, c in by_step.items()
+                    edges[s](parent, parts[c[0]], parts[c[1]])
+                    for (left, right), steps in chunk
+                    # one text per parent, bound inside the piece's one comprehension
+                    for parent in (vertex_text(parts[left], parts[right]),)
+                    for s, c in steps.items()
                 ]
             )
             for chunk in _chunks(children.items())
         )
-        yield texts.values(), pieces
-        below = texts
+        yield (vertex_text(parts[left], parts[right]) for left, right in vertices), pieces
         del vertices, children, pieces
 
 
@@ -247,7 +247,7 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     write(head + '{"edges":[')
     vertex_pieces = []
     for texts, edge_pieces in _lattice_texts(
-        levels, '"{}|{}"'.format, lambda step: _dumps(_step_to_json(step)), "[{},{},{}]".format, ","
+        levels, '"{}|{}"', lambda step: _dumps(_step_to_json(step)), "[{},{},{}]", ","
     ):
         write(",[" if vertex_pieces else "[")
         _write_joined(write, filter(None, edge_pieces))  # a parent may have no edge
@@ -305,23 +305,25 @@ def _lattice_from_data(params: CrystalParams, data) -> Lattice:
     raise SchemaMismatchError("lattice payload is not the good lattice at its parameters")
 
 
+_label_fields = attrgetter("kind", "rep", "sign")
+
+
 def _label_writer():
-    """Canonical text of a label, ``{"kind":…,"rep":…[,"sign":…]}``, made once
-    per distinct label from memoised component texts."""
+    """Canonical text of a label from its ``_label_fields``,
+    ``{"kind":…,"rep":…[,"sign":…]}``, made from memoised component texts."""
     parts = _Memo(format_partition)
 
-    def label_text(key) -> str:
-        kind, (left, right), sign = key
+    def label_text(fields) -> str:
+        kind, (left, right), sign = fields
         signed = f',"sign":{json.dumps(sign)}' if kind == SPLIT else ""
         rep = json.dumps(f"{parts[left]}|{parts[right]}")
         return f'{{"kind":{json.dumps(kind)},"rep":{rep}{signed}}}'
 
-    texts = _Memo(label_text)
-    return lambda label: texts[label.kind, label.rep, label.sign]
+    return label_text
 
 
 def _labels_json(payload) -> str:
-    labels = ",".join(map(_label_writer(), payload["labels"]))
+    labels = ",".join(map(_label_writer(), map(_label_fields, payload["labels"])))
     return f'{{"labels":[{labels}],"n":{_dumps(payload["n"])}}}'
 
 
@@ -339,16 +341,18 @@ def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
     """Write the canonical branching document through ``write``, entry by entry.
 
     ``entries`` yields the ``SocleDecomposition`` of each label in label
-    order; none is kept once written.
+    order; none is kept once written.  Each source is written once, so only
+    the summand texts, which repeat, are memoised.
     """
     head, tail = _envelope(params, KIND_BRANCHING)
     label = _label_writer()
+    summands = _Memo(label)
     write(head + '{"entries":[')
     _write_joined(
         write,
         (
-            f'{{"source":{label(entry.source)},'
-            f'"summands":[{",".join(map(label, entry.summands))}]}}'
+            f'{{"source":{label(_label_fields(entry.source))},'
+            f'"summands":[{",".join([summands[_label_fields(s)] for s in entry.summands])}]}}'
             for entry in entries
         ),
     )
@@ -513,9 +517,9 @@ def write_lattice_text(levels, write) -> None:
     _write_lattice_lines(
         levels,
         write,
-        "{}|{}".format,
+        "{}|{}",
         lambda m, texts: f"level {m}: {' '.join(texts)}\n",
-        "edge: {} --{}--> {}\n".format,
+        "edge: {} --{}--> {}\n",
     )
 
 
@@ -525,9 +529,9 @@ def write_lattice_dot(levels, write) -> None:
     _write_lattice_lines(
         levels,
         write,
-        '"{}|{}"'.format,
+        '"{}|{}"',
         lambda m, texts: "".join([f"  {text};\n" for text in texts]),
-        '  {0} -> {2} [label="{1}"];\n'.format,
+        '  {0} -> {2} [label="{1}"];\n',
     )
     write("}\n")
 

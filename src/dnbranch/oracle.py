@@ -120,11 +120,11 @@ def enumerate_bipartitions(n: int):
 
 
 def restricted_bipartitions(n: int, l: int | float) -> set[Bipartition]:
-    return {
-        bp
-        for bp in enumerate_bipartitions(n)
-        if is_l_restricted(bp[0], l) and is_l_restricted(bp[1], l)
-    }
+    """Bipartitions of ``n`` whose components, each filtered once, are ``l``-restricted."""
+    restricted = [
+        [p for p in enumerate_partitions(k) if is_l_restricted(p, l)] for k in range(n + 1)
+    ]
+    return {(a, b) for k in range(n + 1) for a in restricted[k] for b in restricted[n - k]}
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +309,23 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
     in regime A, against good cells in regime B); a non-almost-symmetric,
     non-fixed vertex has pairwise inequivalent good removals.
 
-    Each removal and partner image is computed once per cell; the ordered
-    pairs count as cases and are compared, in order, only when some removal
-    equals some partner image.
+    ``h`` is computed once per vertex, and each removal and partner image
+    once per cell; the ordered pairs count as cases and are compared, in
+    order, only when some removal equals some partner image.
     """
     report = _new_report("uniqueness-distinctness", params, n)
     start = time.perf_counter()
     lattice = build_lattice(n, params)
-
-    def image(child):
-        # removals below a merely-removable cell can leave the lattice, where
-        # only the regime-A component swap still makes sense
-        if params.regime == REGIME_A:
-            return hat(child)
-        return involution(child, params, lattice)
+    h = {bp: involution(bp, params, lattice) for level in lattice.levels for bp in level}
+    # removals below a merely-removable cell can leave the lattice, where
+    # only the regime-A component swap still makes sense
+    image = hat if params.regime == REGIME_A else h.__getitem__
 
     for m in range(1, n + 1):
         for bp in lattice.levels[m]:
             good = [node for node, _ in good_nodes(bp, params)]
             removal = {node: remove_node(bp, node) for node in good}
-            special = [
-                b for b, child in removal.items() if child == involution(child, params, lattice)
-            ]
+            special = [b for b, child in removal.items() if child == h[child]]
             report.cases += 1
             if len(special) > 1:
                 report.failures.append(
@@ -338,13 +333,13 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
                 )
                 continue
             if len(special) == 1:
-                if bp == involution(bp, params, lattice):
+                if bp == h[bp]:
                     report.failures.append(
                         (format_bipartition(bp), "almost symmetric implies not fixed", "fixed")
                     )
                 pool = removable_nodes(bp) if params.regime == REGIME_A else good
                 skipped = special[0]
-            elif bp != involution(bp, params, lattice):
+            elif bp != h[bp]:
                 pool, skipped = good, None
             else:
                 continue

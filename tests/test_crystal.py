@@ -524,17 +524,22 @@ def test_tensor_rule_agrees_with_the_concatenated_word(marks, data):
 
 
 def test_component_word_memo_serves_every_repeat():
-    params = classify_regime(10, 6)
-    component_word.cache_clear()
-    _word_side.cache_clear()
-    lattice = build_lattice(10, params)
-    distinct = {(bp[0], 0) for level in lattice.levels[:-1] for bp in level} | {
-        (bp[1], params.l) for level in lattice.levels[:-1] for bp in level
-    }
-    assert component_word.cache_info().currsize == len(distinct)
-    misses = _word_side.cache_info().misses
-    build_lattice(10, params)
-    assert _word_side.cache_info().misses == misses
+    # one memo: regime B holds one entry per (partition, offset), regime A
+    # one per partition, shared by both components
+    for e, n in [(6, 10), (3, 10), (INF, 9)]:
+        params = classify_regime(n, e)
+        _word_side.cache_clear()
+        lattice = build_lattice(n, params)
+        parents = [bp for level in lattice.levels[:-1] for bp in level]
+        if params.regime == REGIME_B:
+            distinct = {(bp[0], 0) for bp in parents} | {(bp[1], params.l) for bp in parents}
+        else:
+            distinct = {parts for bp in parents for parts in bp}
+        assert _word_side.cache_info().currsize == len(distinct)
+        misses = _word_side.cache_info().misses
+        build_lattice(n, params)
+        assert _word_side.cache_info().misses == misses
+    assert not hasattr(component_word, "cache_info")
 
 
 _DOCTOR_SCRIPT = """

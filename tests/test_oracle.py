@@ -24,6 +24,7 @@ from dnbranch.oracle import (
     count_standard_bitableaux,
     enumerate_bipartitions,
     enumerate_partitions,
+    restricted_bipartitions,
     verify_h_path_independence,
     verify_level1_calibration,
     verify_regime_a_decoupling,
@@ -302,6 +303,16 @@ def test_regime_a_decoupling_suites():
     lattice = build_lattice(6, regime_a_params(INF))
     for m in range(7):
         assert set(lattice.levels[m]) == set(enumerate_bipartitions(m))
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, INF])
+def test_restricted_bipartitions_match_the_whole_filter(l):
+    for n in range(9):
+        assert restricted_bipartitions(n, l) == {
+            bp
+            for bp in enumerate_bipartitions(n)
+            if is_l_restricted(bp[0], l) and is_l_restricted(bp[1], l)
+        }
 
 
 def test_level1_calibration_suite():

@@ -15,10 +15,11 @@ from dnbranch.core import (
     parse_bipartition,
     remove_node,
 )
-from dnbranch.crystal import build_lattice, good_nodes, peel_path, replay_path
+from dnbranch.crystal import build_lattice, good_nodes, peel_path, replay_path, shift_path
 from dnbranch.dmod import (
     _good_removals,
     _image_below,
+    _lone_images,
     almost_symmetric,
     equivalence_classes,
     involution,
@@ -119,15 +120,22 @@ def test_socle_without_lattice_matches_the_lattice(lattice):
 
 
 def test_removal_images_without_lattice_match_the_table(lattice):
-    # h of each good removal comes from the removal's own peel without a
-    # lattice and from the table with one
+    # h of each good removal comes, without a lattice, from the label's
+    # replay or the removal's own peel, and from the table with one
     params, lat = lattice
+    table = hat if lat.h is None else lat.h.__getitem__
     for level in lat.levels:
         for bp in level:
             for given in (None, lat):
                 image_below = _image_below(bp, params, given, None)
                 for _, child, image in _good_removals(bp, params, image_below):
-                    assert image == (hat(child) if lat.h is None else lat.h[child])
+                    assert image == table(child)
+            # a lone query's h below serves the removals of h(bp) too, which
+            # branch reads when h(bp) is the label's representative
+            image, image_below = _lone_images(bp, params)
+            assert image == table(bp)
+            for _, child, image in _good_removals(image, params, image_below):
+                assert image == table(child)
 
 
 def _count_peels(monkeypatch) -> list:
@@ -148,14 +156,15 @@ QUERY_LABEL = "2,1|3,2,2,2,1,1,1,1"
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
 def test_point_query_peels_once(monkeypatch, command):
-    # regime B: one peel checks the label, then each of its two good
-    # removals is peeled for its h
+    # regime B: one peel checks the label, and its replay gives h of the
+    # removal at its smallest good step, so only the other good removal is
+    # peeled for its h
     calls = _count_peels(monkeypatch)
     argv = [command, "--e", "4", "--n", "16", f"--bipartition={QUERY_LABEL}"]
     assert _run(argv)[0] == 0
     bp = parse_bipartition(QUERY_LABEL)
     assert len(good_nodes(bp, classify_regime(16, 4))) == 2
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
@@ -167,17 +176,21 @@ def test_regime_a_point_query_peels_once(monkeypatch, command):
 
 
 def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
-    # the label's own shifted replay holds and each removal's breaks, so the
-    # error can come only from h of a removal
+    # the label's own shifted replay holds and every other replay breaks, so
+    # the error can come only from h of a removal the label's replay does
+    # not pass through
     import dnbranch.dmod as dmod
 
     params = classify_regime(6, 4)
-    lam = ((2, 1), (2, 1))
+    lam = ((1, 1), (2, 2))
     label = equivalence_classes([lam], params)[0]
-    removals = {format_bipartition(remove_node(lam, node)) for node, _ in good_nodes(lam, params)}
+    good = good_nodes(lam, params)
+    assert len(good) == 2
+    removals = {format_bipartition(remove_node(lam, node)) for node, _ in good[1:]}
+    label_replay = shift_path(peel_path(lam, params), params)[:-1]
 
     def replay_the_label_only(path, params):
-        return replay_path(path, params) if len(path) == 6 else None
+        return replay_path(path, params) if path == label_replay else None
 
     monkeypatch.setattr(dmod, "replay_path", replay_the_label_only)
     for query in (lambda: almost_symmetric(lam, params), lambda: socle_restriction(label, params)):
