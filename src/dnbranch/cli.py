@@ -3,13 +3,23 @@
 Commands: lattice | labels | branch | involution | dims | verify.
 Exit codes: 0 success or suite pass, 1 runtime or suite failure, 2 usage
 error, 3 domain error (input bipartition not Kleshchev at the given
-parameters).  The derived regime is echoed in every text header so it is
-always visible which side of the parameter split applies.
+parameters).  A failed write to stdout, a closed pipe or a full disk, is
+a runtime failure.  The derived regime is echoed in every text header so
+it is always visible which side of the parameter split applies.
+
+``main(argv)`` runs one command in the calling process and returns its
+exit code; the tests and the tracer call it.  ``run()`` is the process
+entry of both ``python -m dnbranch.cli`` and the ``dnbranch`` script: it
+runs the command as ``main`` does with the cyclic collector off, and ends
+the process with ``os._exit``, so a run pays neither for collection passes
+over data that holds no cycles nor for tearing the interpreter down.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 
 from . import io as dio
@@ -324,10 +334,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command in this process and return its exit code."""
+    return _dispatch(build_parser().parse_args(argv))
+
+
+def _dispatch(args) -> int:
+    """Run a parsed command; its failures become ``error:`` lines and exit codes.
+
+    Stdout is flushed on every return, so a write failure is an ``error:``
+    line with exit 1 and nothing is left for the interpreter to write.
+    """
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
     except (ParseError, InvalidEError, NotSemisimpleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -339,5 +360,25 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
 
 
+def run() -> None:
+    """Process entry of ``python -m dnbranch.cli`` and the ``dnbranch`` script.
+
+    ``main`` without its collection passes and interpreter teardown: the
+    commands hold only acyclic data and write only through the flushed
+    standard streams.  The only cycles are the parser and the help
+    formatters argparse makes while building it; they are collected once,
+    from the young generation, before the command runs, so no memory waits
+    for a collector that is off.  An exception leaving the parser,
+    argparse's ``SystemExit`` among them, or the command ends the process
+    the normal way.
+    """
+    gc.disable()
+    args = build_parser().parse_args()
+    gc.collect(0)
+    code = _dispatch(args)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -123,7 +123,8 @@ def involution(
     lattice ``ValueError`` when ``bp`` lies above its top level.
     """
     if lattice is None:
-        return _lone_images(bp, params)[0]
+        path = peel_path(bp, params)
+        return hat(bp) if params.regime == REGIME_A else _shifted_replay(bp, path, params)[1]
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     m = bipartition_size(bp)
@@ -188,22 +189,31 @@ def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     return removals
 
 
-def _lone_images(bp: Bipartition, params: CrystalParams):
-    """``h(bp)`` and ``h`` one level below a lone ``bp``, from one peel, its membership check.
+def _shifted_replay(bp: Bipartition, path, params: CrystalParams):
+    """``bp``'s canonical peel ``path`` replayed with every step shifted by ``l``.
 
-    In regime B the peel is replayed with every step shifted by ``l``.  Its
-    first stage removes the good cell of ``bp``'s smallest step and the rest
-    is that removal's peel, so the replay passes the removal's ``h`` one step
-    before ``h(bp)``; the two are each other's image.  Other removals are peeled.
+    Returns the replay one step before its end and ``h(bp)``, its end.
     """
-    path = peel_path(bp, params)
-    if params.regime == REGIME_A:
-        return hat(bp), hat
     path = shift_path(path, params)
     before = replay_path(path[:-1], params)
     image = before if not path or before is None else f_tilde(before, path[-1], params)
     if image is None:
         raise ShiftReplayError(f"the shifted canonical path of {format_bipartition(bp)} breaks")
+    return before, image
+
+
+def _lone_images(bp: Bipartition, params: CrystalParams):
+    """``h(bp)`` and ``h`` one level below a lone ``bp``, from one peel, its membership check.
+
+    In regime B the peel's first stage removes the good cell of ``bp``'s
+    smallest step and the rest is that removal's peel, so the shifted replay
+    passes the removal's ``h`` one step before ``h(bp)``; the two are each
+    other's image.  Other removals are peeled.
+    """
+    path = peel_path(bp, params)
+    if params.regime == REGIME_A:
+        return hat(bp), hat
+    before, image = _shifted_replay(bp, path, params)
     # the removal at the smallest good step; the empty bipartition has none
     first = remove_node(bp, good_nodes(bp, params)[0][0]) if path else image
     known = {first: before, before: first}

@@ -223,6 +223,7 @@ def _check_shifted_paths(report, params, lattice, images, cap, replay) -> None:
             path.pop()
 
     walk(EMPTY_BIPARTITION, EMPTY_BIPARTITION)
+    del walk  # it refers to itself; break the cycle so no collector is needed
 
 
 def verify_h_path_independence(
