@@ -1,6 +1,10 @@
-"""Command line front end.
+"""Command line front end: lattice | labels | branch | involution | dims |
+verify, with the options of the ``COMMANDS`` table, read as argparse read
+them: ``--opt value`` or ``--opt=value``, a unique prefix of a flag, the
+last of a repeated option wins, and ``-h`` anywhere prints help.  A value
+given apart that starts with ``-`` must be ``-`` alone, a negative number
+or hold a space; any other such word is an option.
 
-Commands: lattice | labels | branch | involution | dims | verify.
 Exit codes: 0 success or suite pass, 1 runtime or suite failure, 2 usage
 error, 3 domain error (input bipartition not Kleshchev at the given
 parameters).  A failed write to stdout, a closed pipe or a full disk, is
@@ -17,10 +21,11 @@ over data that holds no cycles nor for tearing the interpreter down.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import io as dio
 from .core import (
@@ -70,13 +75,17 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
+class _BadValue(ValueError):
+    """A command-line value its option does not take; the message says why."""
+
+
 def _e_value(text: str):
     if text == "inf":
         return INF
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
+        raise _BadValue(f"expected an integer or 'inf', got {text!r}")
 
 
 def _size_at_least(least: int):
@@ -86,9 +95,9 @@ def _size_at_least(least: int):
         try:
             n = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            raise _BadValue(f"expected an integer, got {text!r}")
         if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+            raise _BadValue(f"must be at least {least}, got {n}")
         return n
 
     return parse
@@ -279,63 +288,130 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table gives each command's function, help and options, and each
+# option its converter or tuple of choices, its default (or _REQUIRED), its help
 
 
-# argparse reads a separate value starting with "-" as an option
+_REQUIRED = object()
+_HELP = ("-h", "--help")
 _DASH_HELP = "a value starting with '-' must be attached: --bipartition=-|2,1"
+_E = {"--e": (_e_value, _REQUIRED, "quantum characteristic, an integer >= 2 or 'inf'")}
+_N = {"--n": (_size_at_least(0), _REQUIRED, "total size, at least 0")}
+_FORMAT = {"--format": (("text", "json"), "text", "output format")}
+_DOT = {"--format": (("text", "json", "dot"), "text", "output format")}
+_BIPARTITION = {"--bipartition": (str, _REQUIRED, _DASH_HELP)}
+COMMANDS = {
+    "lattice": (cmd_lattice, "print the good lattice up to level n", {**_E, **_N, **_DOT}),
+    "labels": (cmd_labels, "print the simple-module labels at level n", {**_E, **_N, **_FORMAT}),
+    "branch": (cmd_branch, "print socle decompositions of restrictions", {
+        **_E, "--n": (_size_at_least(2), _REQUIRED, "total size, at least 2"), **_DOT,
+        "--bipartition": (str, None, "restrict a single label instead of the whole level; " + _DASH_HELP),
+        "--sign": (("+", "-"), None, "sign for an involution-fixed bipartition"),
+    }),
+    "involution": (cmd_involution, "involution image, fixedness and symmetry data", {**_E, **_N, **_BIPARTITION}),
+    "dims": (cmd_dims, "number of standard fillings of a bipartition", _BIPARTITION),
+    "verify": (cmd_verify, "run a brute-force verification suite", {
+        "--suite": (tuple(sorted(_SUITES)), _REQUIRED, "the suite to run"), **_E, **_N, **_FORMAT,
+    }),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dnbranch",
-        description=(
-            "Kleshchev bipartitions, good-node crystal operators, the label "
-            "involution and socle branching for type-D Hecke algebras."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command):
+    """The usage line of ``command``, or of the program for ``None``, and its help rows."""
+    if command is None:
+        return "usage: dnbranch [-h] {" + ",".join(COMMANDS) + "} ...\n", [(c, v[1]) for c, v in COMMANDS.items()]
+    words, rows = [], [("-h, --help", "show this help and exit")]
+    for flag, (convert, default, text) in COMMANDS[command][2].items():
+        word = f"{flag} " + ("{" + ",".join(convert) + "}" if isinstance(convert, tuple) else flag[2:].upper())
+        words.append(word if default is _REQUIRED else f"[{word}]")
+        rows.append((word, text))
+    return f"usage: dnbranch {command} [-h] {' '.join(words)}\n", rows
 
-    def common(p, formats=("text", "json"), least_n=0):
-        p.add_argument("--e", type=_e_value, required=True, help="quantum characteristic, an integer >= 2 or 'inf'")
-        p.add_argument("--n", type=_size_at_least(least_n), required=True, help=f"total size, at least {least_n}")
-        if formats:
-            p.add_argument("--format", choices=formats, default="text")
 
-    p = sub.add_parser("lattice", help="print the good lattice up to level n")
-    common(p, formats=("text", "json", "dot"))
-    p.set_defaults(func=cmd_lattice)
+def _exit(command, error=None):
+    """Exit 2 with the usage line and ``error`` on stderr, or 0 with help on stdout."""
+    usage, rows = _usage(command)
+    if error:
+        sys.stderr.write(f"{usage}{'dnbranch ' + command if command else 'dnbranch'}: error: {error}\n")
+        raise SystemExit(EXIT_USAGE)
+    sys.stdout.write(usage + "".join([f"  {left:<12} {right}\n" for left, right in rows]))
+    raise SystemExit(EXIT_OK)
 
-    p = sub.add_parser("labels", help="print the simple-module labels at level n")
-    common(p)
-    p.set_defaults(func=cmd_labels)
 
-    p = sub.add_parser("branch", help="print socle decompositions of restrictions")
-    common(p, formats=("text", "json", "dot"), least_n=2)
-    p.add_argument("--bipartition", help="restrict a single label instead of the whole level; " + _DASH_HELP)
-    p.add_argument("--sign", choices=["+", "-"], help="sign for an involution-fixed bipartition")
-    p.set_defaults(func=cmd_branch)
+def _read_word(command, word: str, flags):
+    """argparse's reading of ``word`` among ``flags``: ``None`` for a value,
+    else ``(flag, attached value or None)``, flag ``None`` for an unknown option."""
+    if word[:1] != "-" or word == "-":
+        return None
+    name, attached = word.split("=", 1) if "=" in word else (word, None)
+    if name in flags:
+        return name, attached
+    if word[1] == "-":  # a unique prefix of a long flag
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _exit(command, f"ambiguous option: {word} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], attached
+    elif word[1] == "h":  # -h with more letters attached
+        return "-h", word[2:]
+    # argparse's negative number, or a word with a space, is a value
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word else (None, None)
 
-    p = sub.add_parser("involution", help="involution image, fixedness and symmetry data")
-    common(p, formats=())
-    p.add_argument("--bipartition", required=True, help=_DASH_HELP)
-    p.set_defaults(func=cmd_involution)
 
-    p = sub.add_parser("dims", help="number of standard fillings of a bipartition")
-    p.add_argument("--bipartition", required=True, help=_DASH_HELP)
-    p.set_defaults(func=cmd_dims)
+def _parse_options(command, words: list, extras: list):
+    """The namespace of ``command`` from the words after it, or, for ``None``,
+    the program's options before the command; unknown words go to ``extras``."""
+    func, _, options = COMMANDS.get(command, (None, None, {}))
+    # "--" and every word after it are no options, and "--" is no value
+    cut = words.index("--") if "--" in words else len(words)
+    read = [_read_word(command, w, [*_HELP, *options]) for w in words[:cut]] + [()] * (len(words) - cut)
+    # a required option is _REQUIRED until it is given
+    args = SimpleNamespace(command=command, func=func, **{flag[2:]: opt[1] for flag, opt in options.items()})
+    for word, reading in (pairs := zip(words, read)):
+        if not reading or reading[0] is None:
+            extras.append(word)
+            continue
+        flag, value = reading
+        if flag in _HELP:  # an attached value is an error, unless more h's: -hh
+            bad = value is not None and (flag != "-h" or not value or value.strip("h"))
+            _exit(command, bad and f"argument -h/--help: ignored explicit argument {value!r}")
+        if value is None:
+            value, reading = next(pairs, (None, ()))
+            if reading is not None:
+                _exit(command, f"argument {flag}: expected one argument")
+        convert = options[flag][0]
+        if isinstance(convert, tuple) and value not in convert:
+            _exit(command, f"argument {flag}: invalid choice: {value!r}")
+        try:
+            setattr(args, flag[2:], value if isinstance(convert, tuple) else convert(value))
+        except _BadValue as exc:
+            _exit(command, f"argument {flag}: {exc}")
+    missing = [flag for flag in options if getattr(args, flag[2:]) is _REQUIRED]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    return args
 
-    p = sub.add_parser("verify", help="run a brute-force verification suite")
-    p.add_argument("--suite", choices=sorted(_SUITES), required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify)
 
-    return parser
+def parse_args(argv):
+    """The namespace of a command line, read as argparse reads it; a usage
+    error exits 2 and help exits 0."""
+    # the command is the first word that is no option of the program's
+    i = next((i for i, word in enumerate(argv) if word == "--" or _read_word(None, word, _HELP) is None), len(argv))
+    extras = []
+    _parse_options(None, argv[:i], extras)
+    if argv[i:] in ([], ["--"]):
+        _exit(None, "the following arguments are required: command")
+    if argv[i] not in COMMANDS:
+        _exit(None, f"argument command: invalid choice: {argv[i]!r}")
+    args = _parse_options(argv[i], argv[i + 1:], extras)
+    if extras:
+        _exit(argv[i], f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command in this process and return its exit code."""
-    return _dispatch(build_parser().parse_args(argv))
+    return _dispatch(parse_args(sys.argv[1:] if argv is None else list(argv)))
 
 
 def _dispatch(args) -> int:
@@ -364,18 +440,13 @@ def run() -> None:
     """Process entry of ``python -m dnbranch.cli`` and the ``dnbranch`` script.
 
     ``main`` without its collection passes and interpreter teardown: the
-    commands hold only acyclic data and write only through the flushed
-    standard streams.  The only cycles are the parser and the help
-    formatters argparse makes while building it; they are collected once,
-    from the young generation, before the command runs, so no memory waits
-    for a collector that is off.  An exception leaving the parser,
-    argparse's ``SystemExit`` among them, or the command ends the process
-    the normal way.
+    parser and the commands hold only acyclic data and write only through
+    the flushed standard streams, so no memory waits for a collector that
+    is off.  A ``SystemExit`` from the parser (a usage error or help) or an
+    exception from the command ends the process the normal way.
     """
     gc.disable()
-    args = build_parser().parse_args()
-    gc.collect(0)
-    code = _dispatch(args)
+    code = _dispatch(parse_args(sys.argv[1:]))
     sys.stderr.flush()
     os._exit(code)
 

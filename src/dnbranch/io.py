@@ -31,7 +31,6 @@ must also equal the lattice built at its parameters.
 
 from __future__ import annotations
 
-import json
 from itertools import islice
 from operator import attrgetter
 
@@ -72,8 +71,8 @@ class Document(Record):
 # encoding helpers
 
 
-def _extended_to_json(value):
-    return "inf" if value == INF else int(value)
+def _extended_text(value) -> str:
+    return '"inf"' if value == INF else str(int(value))
 
 
 def _extended_from_json(value):
@@ -90,8 +89,8 @@ def _size_from_json(value, what: str) -> int:
     raise SchemaMismatchError(f"{what} {value!r} is not a size")
 
 
-def _step_to_json(step):
-    return list(step) if isinstance(step, tuple) else step
+def _step_text(step) -> str:
+    return f"[{step[0]},{step[1]}]" if isinstance(step, tuple) else str(step)
 
 def _step_from_json(value, params: CrystalParams):
     if params.regime == REGIME_A:
@@ -170,27 +169,16 @@ def _chunks(items, size: int = _CHUNK):
         yield chunk
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
 def _envelope(params: CrystalParams, kind: str) -> tuple[str, str]:
     """The canonical text before and after a document's ``data`` value.
 
     ``data`` sorts first among the top-level keys, so the head is
     ``{"data":`` and the tail holds the other keys and the newline.
     """
-    head, tail = _dumps(
-        {
-            "schema": SCHEMA,
-            "e": _extended_to_json(params.e),
-            "regime": params.regime,
-            "l": _extended_to_json(params.l),
-            "kind": kind,
-            "data": 0,
-        }
-    ).split("0", 1)
-    return head, tail + "\n"
+    return '{"data":', (
+        f',"e":{_extended_text(params.e)},"kind":"{kind}","l":{_extended_text(params.l)},'
+        f'"regime":"{params.regime}","schema":"{SCHEMA}"}}\n'
+    )
 
 
 def _write_joined(write, pieces) -> None:
@@ -247,7 +235,7 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     write(head + '{"edges":[')
     vertex_pieces = []
     for texts, edge_pieces in _lattice_texts(
-        levels, '"{}|{}"', lambda step: _dumps(_step_to_json(step)), "[{},{},{}]", ","
+        levels, '"{}|{}"', _step_text, "[{},{},{}]", ","
     ):
         write(",[" if vertex_pieces else "[")
         _write_joined(write, filter(None, edge_pieces))  # a parent may have no edge
@@ -315,16 +303,15 @@ def _label_writer():
 
     def label_text(fields) -> str:
         kind, (left, right), sign = fields
-        signed = f',"sign":{json.dumps(sign)}' if kind == SPLIT else ""
-        rep = json.dumps(f"{parts[left]}|{parts[right]}")
-        return f'{{"kind":{json.dumps(kind)},"rep":{rep}{signed}}}'
+        signed = f',"sign":"{sign}"' if kind == SPLIT else ""
+        return f'{{"kind":"{kind}","rep":"{parts[left]}|{parts[right]}"{signed}}}'
 
     return label_text
 
 
 def _labels_json(payload) -> str:
     labels = ",".join(map(_label_writer(), map(_label_fields, payload["labels"])))
-    return f'{{"labels":[{labels}],"n":{_dumps(payload["n"])}}}'
+    return f'{{"labels":[{labels}],"n":{payload["n"]}}}'
 
 
 def _labels_from_data(data):
@@ -356,7 +343,7 @@ def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
             for entry in entries
         ),
     )
-    write(f'],"n":{_dumps(n)}}}{tail}')
+    write(f'],"n":{n}}}{tail}')
 
 
 def _branching_from_data(data):
@@ -454,7 +441,8 @@ def serialize_json(doc: Document) -> str:
     if doc.kind == KIND_LABELS:
         data = _labels_json(doc.data)
     elif doc.kind == KIND_REPORT:
-        data = _dumps(_report_data(doc.data))
+        import json  # only a report needs it: the other writers format their ASCII fields
+        data = json.dumps(_report_data(doc.data), sort_keys=True, separators=(",", ":"))
     else:
         raise ValueError(f"unknown document kind {doc.kind!r}")
     head, tail = _envelope(doc.params, doc.kind)
@@ -463,6 +451,7 @@ def serialize_json(doc: Document) -> str:
 
 def parse_json(text: str) -> Document:
     """Parse a canonical document, rejecting unknown schemas and shapes."""
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -534,7 +534,7 @@ def test_cli_exit_codes_on_arbitrary_argv(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse usage errors and --help
+        except SystemExit as exc:  # usage errors and --help
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()

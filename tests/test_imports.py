@@ -2,14 +2,14 @@
 
 A point query is mostly interpreter start-up and import, so the package keeps
 ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``, about half of
-the package's import time) and file-handling modules such as ``tempfile`` and
-``pathlib`` off its import path.  Every layer is still imported eagerly by
+the package's import time), file-handling modules such as ``tempfile`` and
+``pathlib``, ``argparse`` and, for point queries, ``json`` off its import
+path.  Every layer is still imported eagerly by
 ``dnbranch.cli``: the benchmark's tracer wraps only the modules loaded by
 that import.
 """
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -117,23 +117,26 @@ def test_module_does_not_import_dataclasses(module):
 
 
 HEAVY = ["dataclasses", "inspect", "ast", "dis"]
-# file handling that no command needs; together about 15 ms under -S.
-# argparse itself loads shutil once a parser is built, for the help width
-FILE_HANDLING = {"import": ["tempfile", "pathlib", "shutil", "random"],
-                 "involution": ["tempfile", "pathlib", "random"]}
+# file handling that no command needs, together about 15 ms under -S, and
+# argparse with gettext, locale and (for its help width) shutil, about 4 ms;
+# only verify reports and parse_json use the json module
+UNWANTED = ["tempfile", "pathlib", "shutil", "random", "argparse", "gettext", "locale", "json"]
 LAYERS = [f"dnbranch.{name}" for name in ("core", "crystal", "dmod", "io", "oracle")]
 
-# -S: no site packages, so nothing but the package can load the heavy modules
+# -S: no site packages, so nothing but the package can load these modules;
+# the result is printed as a Python literal, so the script needs no json
 _IMPORT_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 seen = {}
 import dnbranch.cli
 seen["import"] = sorted(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = dnbranch.cli.main(["involution", "--e", "4", "--n", "16",
-                              "--bipartition=2,1|3,2,2,2,1,1,1,1"])
-seen["involution"] = sorted(sys.modules)
-print(json.dumps({"code": code, "seen": seen}))
+    codes = [dnbranch.cli.main(["involution", "--e", "4", "--n", "16",
+                                "--bipartition=2,1|3,2,2,2,1,1,1,1"])]
+    seen["involution"] = sorted(sys.modules)
+    codes.append(dnbranch.cli.main(["dims", "--bipartition=2,1|3,2"]))
+    seen["dims"] = sorted(sys.modules)
+print(repr({"codes": codes, "seen": seen}))
 """
 
 
@@ -145,9 +148,10 @@ def test_point_query_loads_every_layer_and_no_heavy_module():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    out = json.loads(result.stdout)
-    assert out["code"] == 0
+    out = ast.literal_eval(result.stdout)
+    assert out["codes"] == [0, 0]
+    assert list(out["seen"]) == ["import", "involution", "dims"]
     for stage, modules in out["seen"].items():
-        unwanted = HEAVY + FILE_HANDLING[stage]
+        unwanted = HEAVY + UNWANTED
         assert [name for name in unwanted if name in modules] == [], stage
         assert [name for name in LAYERS if name not in modules] == [], stage

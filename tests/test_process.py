@@ -112,7 +112,7 @@ def test_process_entry_writes_what_main_writes(tmp_path, argv):
     [
         (["dims", "--bipartition=2,x"], 2, "error: expected"),
         (["involution", "--e", "4", "--n", "3", "--bipartition=3|-"], 3, "error: 3|- is not a Kleshchev"),
-        (["dims"], 2, "usage: dnbranch dims"),  # argparse's SystemExit leaves main
+        (["dims"], 2, "usage: dnbranch dims"),  # the parser's SystemExit leaves main
     ],
 )
 def test_process_entry_keeps_error_lines_and_codes(tmp_path, argv, code, message):
@@ -187,14 +187,11 @@ def test_no_command_leaves_cycles_that_grow_with_n(e, command):
     finally:
         if enabled:
             gc.enable()
-    # what is left is the argument parser, the same at every n
-    small, large = unreachable
-    assert large <= small, unreachable
+    assert unreachable == [0, 0]
 
 
 def test_process_entry_starts_each_command_with_no_cycles():
-    # the parser leaves cycles, which run collects before the command, so
-    # the collector being off holds no memory
+    # the parser leaves no cycles, so the collector being off holds no memory
     prelude = (
         "import gc\n"
         "dispatch = cli._dispatch\n"

@@ -70,3 +70,13 @@ def test_branch_times_script_prints_every_point_then_the_queries():
     assert lines[4] == "point queries: 4 labels, seed 0, best of 1 passes"
     assert [line.split()[0] for line in lines[5:]] == ["involution", "branch"]
     assert all(line.endswith(" ms per query") for line in lines[5:])
+
+
+def test_startup_floor_script_prints_the_floor_then_every_call():
+    result = _run_script("startup_floor.py", "--rounds", "1")
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "median of 1 rounds, ms"
+    assert re.fullmatch(r"floor os\._exit +\d+\.\d\d", lines[1])
+    assert [line.split()[0] for line in lines[2:]] == ["dims", "involution", "branch", "labels", "verify"]
+    assert all(re.fullmatch(r"\w+ +\d+\.\d\d +[+-]\d+\.\d\d", line) for line in lines[2:])
