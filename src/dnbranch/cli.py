@@ -44,13 +44,14 @@ from .dmod import (
     SPLIT,
     UNSPLIT,
     IrreducibleLabel,
+    _good_removals,
     _lone_images,
-    almost_symmetric,
+    _socle,
+    _special_cell,
     equivalence_classes,
     format_label,
     level_socles,
     residue_counts,
-    socle_restriction,
 )
 from .errors import (
     InvalidEError,
@@ -199,7 +200,7 @@ def cmd_branch(args) -> int:
             label = IrreducibleLabel(SPLIT, bp, sign)
         else:
             label = IrreducibleLabel(UNSPLIT, min(bp, image))
-        entries = [socle_restriction(label, params, image_below=image_below)]
+        entries = [_socle(label, _good_removals(label.rep, params, image_below))]
     write = sys.stdout.write
     if args.format == "json":
         dio.write_branching_json(params, args.n, entries, write)
@@ -217,7 +218,7 @@ def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
     bp = _parse_bipartition_arg(args.bipartition, args.n)
     image, image_below = _lone_images(bp, params)
-    special = almost_symmetric(bp, params, image_below=image_below)
+    special = _special_cell(bp, _good_removals(bp, params, image_below))
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")

@@ -52,9 +52,10 @@ the same, so each one (``cli._top_level``, ``cli._level_pairs`` and the
 writers of ``io``) is a loop that deletes the level it has passed: a
 generator expression keeps its loop variable, and ``enumerate`` or ``zip``
 its last item, while the next level grows.  A level's only edge structure,
-there and in ``Lattice``, is its children index; ``edges_of`` flattens it
-and ``index_of`` indexes flat edge lists.  Each level passes
-``_next_images``, the per-level check the ``Lattice`` constructor makes.
+there and in ``Lattice``, is its children index; ``edges_of`` flattens it.
+``_next_images`` is the one per-level check of the engine's output.  A
+``Lattice`` is the stream collected (``build_lattice``), so every lattice,
+streamed or built, is grown and checked on one path.
 
 ``peel_path`` peels a single bipartition down to the empty one, so its
 membership and its path need no lattice; ``replay_path`` folds a path back.
@@ -321,8 +322,9 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
 
     ``children`` indexes the edges into the level by parent, then step, and
     ``images`` is ``h`` on the level below.  Regime B builds the level's
-    table by the edge recurrence; regime A checks each edge's swap mirror
-    and returns ``None`` (see ``Lattice``).  Raises ``ShiftReplayError``.
+    table by the edge recurrence; regime A, where ``h`` is the component
+    swap, checks each edge's swap mirror and returns ``None``.  Raises
+    ``ShiftReplayError``.
     """
     no_children = {}
     if params.regime == REGIME_A:
@@ -360,97 +362,32 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
 
 
 class Lattice:
-    """Levels 0..n of the good lattice with labeled covering edges.
+    """Levels 0..n of the good lattice with labeled covering edges: the
+    level stream, collected.
 
-    ``levels[m]`` is the tuple of reachable bipartitions of ``m`` in the
-    canonical total order.  ``index[m]``, the only edge structure, is the
-    children index ``{parent: {step: child}}`` of the edges from level
-    ``m - 1`` to level ``m`` as ``iter_levels`` yields it; ``edges`` flattens
-    it.  Two builds at equal parameters compare equal.
-
-    Construction checks that canonical form in one pass over the vertices
-    and edges, raising ``ShiftReplayError`` unless there is one index per
-    level, every level is strictly increasing and holds only bipartitions of
-    its own size, every parent is on level ``m - 1`` and every child on
-    level ``m``, each level's parents and each parent's steps are strictly
-    increasing, every regime-B step is a residue ``0..e-1`` (read off each
-    parent's first and last step), and every vertex above level 0 is the
-    child of an edge.
+    Construction takes each level's ``(vertices, children, h)`` as
+    ``iter_levels`` yields it, checked there, and checks nothing itself
+    (``build_lattice``).  ``levels[m]`` is the tuple of reachable
+    bipartitions of ``m`` in the canonical total order.
+    ``index[m]``, the only edge structure, is the children index ``{parent:
+    {step: child}}`` of the edges from level ``m - 1`` to level ``m``;
+    ``edges`` flattens it.  Two builds at equal parameters compare equal.
     Parents are indexed on the first call of ``parents``.
 
     In regime B, ``h`` maps every vertex to its image under the label
-    involution, read off the edges once at construction: ``h(empty) =
-    empty``, and for each edge ``(p, i, c)``, ``h(c)`` is the child of
-    ``h(p)`` along step ``(i + l) mod e``.  In regime A, where the
-    involution is the component swap, ``h`` is ``None`` and construction
-    checks instead that the edges are closed under the swap.  Both run per
-    level, in ``_next_images``, after the level's canonical form.
+    involution, the per-level tables of the stream merged.  In regime A,
+    where the involution is the component swap, ``h`` is ``None``.
     """
 
-    def __init__(self, params: CrystalParams, levels, index):
+    def __init__(self, params: CrystalParams, levels):
         self.params = params
-        self.levels = tuple(tuple(level) for level in levels)
-        self.index = tuple(index)
-        if len(self.index) != len(self.levels):
-            raise ShiftReplayError(
-                f"{len(self.levels)} levels but {len(self.index)} edge lists"
-            )
-        # every vertex's position in level order: level m holds the
-        # positions first[m] .. first[m + 1] - 1
-        position = {}
-        first = [0]
-        for m, level in enumerate(self.levels):
-            previous = None
-            for k, bp in enumerate(level, first[m]):
-                if previous is not None and bp <= previous:
-                    raise ShiftReplayError(
-                        f"level {m} is not strictly increasing at {format_bipartition(bp)}"
-                    )
-                if sum(bp[0]) + sum(bp[1]) != m:
-                    raise ShiftReplayError(
-                        f"level {m} holds {format_bipartition(bp)} of another size"
-                    )
-                position[bp] = k
-                previous = bp
-            first.append(first[m] + len(level))
-        self.h = images = _level_zero_images(params)
-        if images and self.levels[:1] != ((EMPTY_BIPARTITION,),):
-            raise ShiftReplayError("some lattice vertices have no h image")
-        # one lookup per endpoint checks its level; a child's also marks it reached
-        reached = bytearray(len(position))
-        # a regime-B step indexes the shift table of _next_images: a residue of Z/eZ
-        e = params.e if params.regime == REGIME_B else None
-        for m, children in enumerate(self.index):
-            low, high = first[m], first[m + 1]
-            parent_low = first[m - 1] if m else low
-            last = parent_low - 1
-            for parent, steps in children.items():
-                k = position.get(parent, -1)
-                if k < parent_low or k >= low:
-                    raise _edge_off_level(parent, next(iter(steps.values()), None), m)
-                # a dict has no repeated key: sorted steps are strictly increasing
-                order = [*steps]
-                if k <= last or order != sorted(order):
-                    raise ShiftReplayError(f"edges of level {m} are not sorted")
-                if e is not None and order and not 0 <= order[0] <= order[-1] < e:
-                    raise ShiftReplayError(
-                        f"{format_bipartition(parent)} has an edge step outside 0..{e - 1}"
-                    )
-                last = k
-                for child in steps.values():
-                    k = position.get(child, -1)
-                    if k < low or k >= high:
-                        raise _edge_off_level(parent, child, m)
-                    reached[k] = 1
-            if m:
-                if reached.find(0, low, high) >= 0:
-                    raise ShiftReplayError(f"level {m} has a vertex that no edge reaches")
-                images = _next_images(params, children, images)
-                if images is not None:
-                    self.h.update(images)
-        # keep the vertices only: thousands of live position ints would hold
-        # on to about 1.5 MB of memory at n = 16
-        self._vertices = dict.fromkeys(position)
+        self.levels, self.index, tables = zip(*levels)
+        self.h = None
+        if params.regime == REGIME_B:
+            self.h = {}
+            for table in tables:
+                self.h.update(table)
+        self._vertices = dict.fromkeys(bp for level in self.levels for bp in level)
         self._parents = None
 
     @property
@@ -499,15 +436,6 @@ class Lattice:
             f"Lattice(e={self.params.e}, regime={self.params.regime}, "
             f"n={self.n}, vertices={self.vertex_count()})"
         )
-
-
-def _edge_off_level(parent: Bipartition, child: Bipartition | None, m: int) -> ShiftReplayError:
-    if child is None:  # a parent with no edges
-        return ShiftReplayError(f"{format_bipartition(parent)} is not on level {m - 1}")
-    return ShiftReplayError(
-        f"edge {format_bipartition(parent)} -> "
-        f"{format_bipartition(child)} does not join level {m - 1} to {m}"
-    )
 
 
 def _grow(n: int, params: CrystalParams, max_vertices: int):
@@ -568,26 +496,6 @@ def edges_of(children: dict) -> tuple:
     return tuple([(p, step, c) for p, steps in children.items() for step, c in steps.items()])
 
 
-def index_of(edges) -> list[dict]:
-    """The children index of each level's ``(parent, step, child)`` edges; raises
-    ``ShiftReplayError`` unless they are strictly sorted by ``(parent, step)``."""
-    index = []
-    for m, level_edges in enumerate(edges):
-        children: dict = {}
-        last = ()  # sorts before every edge
-        for parent, step, child in level_edges:
-            if (parent, step) <= last:
-                raise ShiftReplayError(
-                    f"{format_bipartition(parent)} has two edges with step {step}"
-                    if (parent, step) == last
-                    else f"edges of level {m} are not sorted"
-                )
-            children.setdefault(parent, {})[step] = child
-            last = parent, step
-        index.append(children)
-    return index
-
-
 def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET):
     """Yield ``(vertices, children, h)`` for levels 0..n of the good lattice.
 
@@ -610,9 +518,8 @@ def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTE
 def build_lattice(
     n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET
 ) -> Lattice:
-    """The ``Lattice`` of the levels and children indexes ``iter_levels`` grows."""
-    levels, index = zip(*_grow(n, params, max_vertices))
-    return Lattice(params, levels, index)
+    """The ``Lattice`` of the levels ``iter_levels`` yields."""
+    return Lattice(params, iter_levels(n, params, max_vertices))
 
 
 def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:

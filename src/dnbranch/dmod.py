@@ -220,11 +220,9 @@ def _lone_images(bp: Bipartition, params: CrystalParams):
     return image, lambda mu: known[mu] if mu in known else involution(mu, params)
 
 
-def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None, image_below):
-    """``h`` one level below a lone member ``bp``: ``image_below`` when given (from
-    ``_lone_images``), else the lattice's table or ``_lone_images`` after the check."""
-    if image_below is not None:
-        return image_below
+def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None):
+    """``h`` one level below a lone member ``bp``: the lattice's table or
+    ``_lone_images``, after the membership check."""
     if lattice is None:
         return _lone_images(bp, params)[1]
     involution(bp, params, lattice)
@@ -242,18 +240,10 @@ def _special_cell(bp: Bipartition, removals) -> Node | None:
 
 
 def almost_symmetric(
-    bp: Bipartition,
-    params: CrystalParams,
-    lattice: Lattice | None = None,
-    image_below=None,
+    bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Node | None:
-    """The unique good cell whose removal is ``h``-fixed, if one exists.
-
-    ``image_below``, when given, is ``h`` one level below from
-    ``_lone_images``, which made the membership check.
-    """
-    image_below = _image_below(bp, params, lattice, image_below)
-    return _special_cell(bp, _good_removals(bp, params, image_below))
+    """The unique good cell whose removal is ``h``-fixed, if one exists."""
+    return _special_cell(bp, _good_removals(bp, params, _image_below(bp, params, lattice)))
 
 
 def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
@@ -279,22 +269,17 @@ def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
 
 
 def socle_restriction(
-    label: IrreducibleLabel,
-    params: CrystalParams,
-    lattice: Lattice | None = None,
-    image_below=None,
+    label: IrreducibleLabel, params: CrystalParams, lattice: Lattice | None = None
 ) -> SocleDecomposition:
     """Socle of the restriction of ``label`` one level down.
 
-    ``image_below``, when given, is ``h`` one level below the label's
-    representative from ``_lone_images``, which made its membership check;
-    otherwise the check is made here, with ``lattice`` when one is given.
+    The membership check of the label's representative is made here, with
+    ``lattice`` when one is given.
     """
     if label.n < 2:
         raise ValueError("restriction decompositions need level n >= 2")
     lam = label.rep
-    image_below = _image_below(lam, params, lattice, image_below)
-    return _socle(label, _good_removals(lam, params, image_below))
+    return _socle(label, _good_removals(lam, params, _image_below(lam, params, lattice)))
 
 
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:

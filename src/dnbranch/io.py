@@ -25,8 +25,10 @@ writes as its input arrives, in pieces of bounded size:
   the sorted names come first.
 
 ``serialize_json`` and ``emit_dot`` collect these pieces into one string.
-Labels and branching documents share one label writer.  A parsed lattice
-must also equal the lattice built at its parameters.
+Labels and branching documents share one label writer.  A lattice
+document is read by one comparison: rewritten canonically, it must be the
+document of the lattice built at its parameters, under a budget of its own
+vertex count.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from .core import (
     format_partition,
     parse_bipartition,
 )
-from .crystal import Lattice, build_lattice, index_of
+from .crystal import Lattice, build_lattice
 from .dmod import IrreducibleLabel, SPLIT, SocleDecomposition, UNSPLIT, format_label
-from .errors import ParseError, ResourceLimitError, SchemaMismatchError, ShiftReplayError
+from .errors import ParseError, ResourceLimitError, SchemaMismatchError
 from .oracle import VerificationReport
 
 SCHEMA = "dnbranch/1"
@@ -91,16 +93,6 @@ def _size_from_json(value, what: str) -> int:
 
 def _step_text(step) -> str:
     return f"[{step[0]},{step[1]}]" if isinstance(step, tuple) else str(step)
-
-def _step_from_json(value, params: CrystalParams):
-    if params.regime == REGIME_A:
-        if isinstance(value, list) and len(value) == 2:
-            component, i = value
-            if isinstance(component, int) and isinstance(i, int):
-                return (component, i)
-    elif isinstance(value, int) and 0 <= value < params.e:  # a residue of Z/eZ
-        return value
-    raise SchemaMismatchError(f"malformed regime-{params.regime} step {value!r}")
 
 
 def _label_from_json(value) -> IrreducibleLabel:
@@ -250,46 +242,34 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
 
 
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
-    """The lattice of a payload.
+    """The lattice of a payload, which must be the one built at its ``n``.
 
-    The level counts are checked first and every vertex text goes through
-    ``parse_bipartition``.  Edge endpoints are looked up by their text, so
-    an endpoint that is not a listed vertex is a schema mismatch; the
-    ``Lattice`` constructor checks the rest of the structure.  Last, the
-    lattice must equal ``build_lattice`` under a budget of its own vertex
-    count, so a small document cannot ask for a large build.
+    Only the shape is read first: ``n`` a size and ``levels`` a list of
+    lists.  The lattice is built under a budget of the vertex texts the
+    payload lists, so a small document cannot ask for a large build.  Then
+    one comparison checks every vertex, edge and step: the payload's
+    ``edges``, ``levels`` and ``n``, as canonical text, must make the
+    build's canonical document.  Text, not values, is compared, since ``true``
+    or ``1.0`` equals ``1`` as a value but is no integer.
     """
+    import json
     try:
         n = _size_from_json(data["n"], "level count")
-        level_texts = data["levels"]
-        edge_lists = data["edges"]
-        if len(level_texts) != n + 1 or len(edge_lists) != n + 1:
-            raise SchemaMismatchError("lattice payload has inconsistent level count")
-        vertices = {}
-        levels = []
-        for level in level_texts:
-            parsed = []
-            for text in level:
-                if not isinstance(text, str):
-                    raise SchemaMismatchError(f"vertex {text!r} is not a string")
-                bp = vertices[text] = parse_bipartition(text)
-                parsed.append(bp)
-            levels.append(parsed)
-        edges = [
-            [(vertices[p], _step_from_json(s, params), vertices[c]) for p, s, c in level_edges]
-            for level_edges in edge_lists
-        ]
+        levels = data["levels"]
+        if not isinstance(levels, list) or not all(isinstance(level, list) for level in levels):
+            raise SchemaMismatchError("lattice levels are not a list of lists")
+        fields = {"edges": data["edges"], "levels": levels, "n": n}
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatchError(f"malformed lattice payload: {exc}") from exc
     try:
-        lattice = Lattice(params, levels, index_of(edges))
-    except ShiftReplayError as exc:
-        raise SchemaMismatchError(f"lattice payload is inconsistent: {exc}") from exc
-    try:
-        if build_lattice(n, params, lattice.vertex_count()) == lattice:
-            return lattice
+        lattice = build_lattice(n, params, sum(map(len, levels)))
     except ResourceLimitError:
         pass  # the payload lacks some vertex of the lattice
+    else:
+        head, tail = _envelope(params, KIND_LATTICE)
+        given = head + json.dumps(fields, sort_keys=True, separators=(",", ":")) + tail
+        if given == serialize_json(lattice_document(lattice)):
+            return lattice
     raise SchemaMismatchError("lattice payload is not the good lattice at its parameters")
 
 
@@ -456,6 +436,8 @@ def parse_json(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or obj.get("schema") != SCHEMA:
         raise SchemaMismatchError(
             f"expected schema {SCHEMA!r}, got {obj.get('schema')!r}"

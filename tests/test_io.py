@@ -1,13 +1,15 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from dnbranch import io as dio
 from dnbranch.core import INF, classify_regime, regime_a_params
 from dnbranch.crystal import build_lattice
 from dnbranch.dmod import branching_graph, equivalence_classes, unsplit_class
 from dnbranch.errors import ParseError, SchemaMismatchError
-from dnbranch.oracle import verify_level1_calibration
+from dnbranch.oracle import verify_level1_calibration, verify_uniqueness_and_distinctness
 
 
 @pytest.fixture(scope="module")
@@ -299,3 +301,213 @@ def test_headers_no_command_makes_are_misses(e, regime, l):
     doc.update(e=e, regime=regime, l=l)
     with pytest.raises(SchemaMismatchError):
         dio.parse_json(json.dumps(doc))
+
+
+_DOCTOR_SCRIPT = '''
+import json
+
+from dnbranch import io as dio
+from dnbranch.core import classify_regime
+from dnbranch.crystal import build_lattice
+from dnbranch.errors import SchemaMismatchError
+
+
+def doctorings(data, params):
+    """``(name, payload)`` for each way a lattice payload can leave canonical form."""
+    levels, edges = data["levels"], data["edges"]
+    modulus = params.e if params.regime == "B" else params.l
+    first = edges[3][0]
+    second = next(edge for edge in edges[3] if edge[0] == first[0] and edge != first)
+    last = [edge for edge in edges[3] if edge[0] == first[0]][-1]
+
+    def level(m, vertices):
+        return dict(data, levels=levels[:m] + [vertices] + levels[m + 1:])
+
+    def level_edges(m, new):
+        return dict(data, edges=edges[:m] + [new] + edges[m + 1:])
+
+    def replaced(edge, parent, step, child):
+        return level_edges(3, [[parent, step, child] if e is edge else e for e in edges[3]])
+
+    def moved(step, by):
+        return step + by if isinstance(step, int) else [step[0], step[1] + by]
+
+    def wrapped(step, by):
+        return (step + by) % modulus if isinstance(step, int) else [step[0], (step[1] + by) % modulus]
+
+    yield "unsorted level", level(3, levels[3][::-1])
+    yield "wrong size", level(3, levels[3] + ["4|-"])
+    yield "stray child", replaced(first, first[0], first[1], "9|-")
+    yield "stray parent", replaced(first, "9|-", first[1], first[2])
+    yield "child one level down", replaced(second, second[0], second[1], levels[2][0])
+    yield "unsorted edges", level_edges(3, edges[3][::-1])
+    yield "duplicate edge", level_edges(3, [first] + edges[3])
+    yield "unreached vertex", level(4, levels[4] + ["4|-"])
+    # the steps stay sorted and name the same residue
+    yield "step out of range", replaced(last, last[0], moved(last[1], modulus), last[2])
+    yield "negative step", replaced(first, first[0], moved(first[1], -modulus), first[2])
+    yield "empty off-level parent", level_edges(3, [[levels[3][0]]] + edges[3])
+    # the first step of the parent's edges that it lacks
+    taken = [edge[1] for edge in edges[3] if edge[0] == first[0]]
+    free = next(s for s in (wrapped(first[1], k) for k in range(1, modulus)) if s not in taken)
+    yield "relabelled step", replaced(first, first[0], free, first[2])
+    yield "missing edge list", dict(data, edges=edges[:-1])
+    yield "extra edge list", dict(data, edges=edges + [[]])
+
+
+for e in (4, 3):
+    params = classify_regime(5, e)
+    doc = json.loads(dio.serialize_json(dio.lattice_document(build_lattice(5, params))))
+    for name, data in doctorings(doc["data"], params):
+        try:
+            dio.parse_json(json.dumps(dict(doc, data=data)))
+        except SchemaMismatchError:
+            print(e, name, "raised")
+'''
+
+DOCTORINGS = [
+    "unsorted level", "wrong size", "stray child", "stray parent",
+    "child one level down", "unsorted edges", "duplicate edge", "unreached vertex",
+    "step out of range", "negative step", "empty off-level parent", "relabelled step",
+    "missing edge list", "extra edge list",
+]
+
+
+def test_doctored_lattice_documents_are_mismatches(capsys):
+    # regime B at e = 4, regime A at e = 3
+    exec(_DOCTOR_SCRIPT, {})
+    assert capsys.readouterr().out.splitlines() == [
+        f"{e} {name} raised" for e in (4, 3) for name in DOCTORINGS
+    ]
+
+
+def test_doctored_lattice_documents_are_mismatches_under_optimization():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", 'assert False, "asserts are stripped"\n' + _DOCTOR_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        f"{e} {name} raised" for e in (4, 3) for name in DOCTORINGS
+    ]
+
+
+@pytest.mark.parametrize("e", [4, 3])
+def test_every_relabelled_step_is_a_mismatch(e):
+    # regime B: the h recurrence would see it; regime A: the swap mirror would
+    params = classify_regime(5, e)
+    doc = json.loads(dio.serialize_json(dio.lattice_document(build_lattice(5, params))))
+    for level_edges in doc["data"]["edges"]:
+        for edge in level_edges:
+            step = edge[1]
+            edge[1] = (step + 1) % e if isinstance(step, int) else [step[0], (step[1] + 1) % e]
+            with pytest.raises(SchemaMismatchError, match="not the good lattice"):
+                dio.parse_json(json.dumps(doc))
+            edge[1] = step
+    assert dio.parse_json(json.dumps(doc)).params == params
+
+
+def _documents():
+    """Canonical texts of a lattice, labels, branching and report document at
+    n = 4, in regime B (e = 4) and regime A (e = 3)."""
+    texts = []
+    for e in (4, 3):
+        params = classify_regime(4, e)
+        lattice = build_lattice(4, params)
+        report = verify_uniqueness_and_distinctness(4, params)
+        report.failures.append(("input", "expected", "got"))
+        for doc in (
+            dio.lattice_document(lattice),
+            dio.labels_document(params, 4, equivalence_classes(lattice.levels[4], params, lattice)),
+            dio.branching_document(params, 4, branching_graph(4, params, lattice)),
+            dio.report_document(report),
+        ):
+            texts.append(dio.serialize_json(doc))
+    return texts
+
+
+DOCUMENTS = _documents()
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 40) | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(value, path=()):
+    """The path of keys and indices to every value in a JSON tree, the root first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _retyped(value):
+    """The same content as another JSON type."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, (float, list, dict)) or value is None:
+        return json.dumps(value)
+    return [value]
+
+
+@st.composite
+def _mutations(draw):
+    """A canonical document and one field of it changed, retyped, deleted,
+    reordered or duplicated."""
+    text = draw(st.sampled_from(DOCUMENTS))
+    doc = json.loads(text)
+    # a depth first, so a payload's few top fields are drawn as often as its many leaves
+    paths = list(_paths(doc))[1:]
+    depth = draw(st.integers(1, max(map(len, paths))))
+    path = draw(st.sampled_from([path for path in paths if len(path) == depth]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    value = parent[key]
+    kinds = ["value", "type", "delete"] + (["reorder", "duplicate"] if isinstance(value, list) and value else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "value":
+        parent[key] = draw(_JSON_VALUES.filter(lambda new: new != value))
+    elif kind == "type":
+        parent[key] = _retyped(value)
+    elif kind == "delete":
+        del parent[key]
+    elif kind == "reorder":
+        parent[key] = draw(st.permutations(value))
+    else:
+        k = draw(st.integers(0, len(value) - 1))
+        value.insert(k, value[k])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", DOCUMENTS, ids=[f"{k}-{r}" for r in "BA" for k in ("lattice", "labels", "branching", "report")])
+def test_unmutated_documents_round_trip(text):
+    assert dio.serialize_json(dio.parse_json(text)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations())
+def test_mutated_documents_raise_only_schema_or_parse_errors(text):
+    try:
+        dio.parse_json(text)
+    except (SchemaMismatchError, ParseError):
+        pass
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"n":' + "1" * 5000 + "}"])
+def test_json_the_decoder_refuses_is_a_parse_error(text):
+    # nesting too deep for the decoder, an integer too long for int()
+    with pytest.raises(ParseError):
+        dio.parse_json(text)

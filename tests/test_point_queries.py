@@ -127,7 +127,7 @@ def test_removal_images_without_lattice_match_the_table(lattice):
     for level in lat.levels:
         for bp in level:
             for given in (None, lat):
-                image_below = _image_below(bp, params, given, None)
+                image_below = _image_below(bp, params, given)
                 for _, child, image in _good_removals(bp, params, image_below):
                     assert image == table(child)
             # a lone query's h below serves the removals of h(bp) too, which

@@ -1,11 +1,13 @@
 """Full-level commands stream the lattice level by level (``crystal.iter_levels``)."""
 
+import ast
 import contextlib
 import functools
 import io
 import json
 import os
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +51,7 @@ def test_streamed_outputs_match_the_built_lattice(e, n):
     lattice = build_lattice(n, params)
     common = ["--e", _e_text(e), "--n", str(n), "--format"]
 
-    # the streamed lattice document passes every constructor check on the way back
+    # the streamed lattice document reads back, by one comparison with the build
     text = _run(["lattice", *common, "json"])
     assert dio.parse_json(text).data == lattice
     _assert_same(text, dio.serialize_json(dio.lattice_document(lattice)))
@@ -463,3 +465,31 @@ def test_budget_stop_in_text_and_dot_leaves_a_prefix_and_exit_1(monkeypatch, fmt
     lines = whole.splitlines(keepends=True)
     assert out.getvalue() == "".join(lines[: opening + vertex_lines])
     assert len(out.getvalue()) < len(whole)
+
+
+def _call_sites(name: str) -> list[tuple[str, str]]:
+    """``(module, innermost enclosing function)`` of every call of ``name`` in
+    the package, by its bare or attribute name."""
+    package = Path(__file__).resolve().parent.parent / "src" / "dnbranch"
+    sites = []
+
+    def visit(tree, module, enclosing):
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
+                    sites.append((module, enclosing))
+            inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else enclosing
+            visit(node, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return sites
+
+
+def test_every_lattice_is_grown_and_checked_on_the_one_level_path():
+    # a second grower or validator beside the stream would show up here
+    assert _call_sites("_grow") == [("crystal", "iter_levels")]
+    assert _call_sites("_next_images") == [("crystal", "iter_levels")]
+    assert _call_sites("Lattice") == [("crystal", "build_lattice")]
+    assert _call_sites("iter_levels") != []  # the search sees calls
