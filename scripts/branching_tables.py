@@ -10,7 +10,7 @@ import sys
 
 from dnbranch.core import INF, classify_regime, format_bipartition
 from dnbranch.crystal import build_lattice
-from dnbranch.dmod import branching_graph, equivalence_classes, format_label, involution
+from dnbranch.dmod import branching_graph, equivalence_classes, format_label, image_function
 from dnbranch.io import emit_dot
 from dnbranch.oracle import bipartition_dimension
 
@@ -26,8 +26,9 @@ def main():
     params = classify_regime(args.n, e)
     lattice = build_lattice(args.n, params)
     print(f"regime {params.regime}, l={params.l}, {lattice.vertex_count()} vertices")
+    h = image_function(lattice.h)
     for m, level in enumerate(lattice.levels):
-        fixed = sum(1 for bp in level if involution(bp, params, lattice) == bp)
+        fixed = sum(1 for bp in level if h(bp) == bp)
         print(f"  level {m}: {len(level)} vertices, {fixed} fixed points")
 
     labels = equivalence_classes(lattice.levels[args.n], params, lattice)

@@ -58,6 +58,7 @@ from .dmod import (
     branching_graph,
     equivalence_classes,
     format_label,
+    image_function,
     involution,
     level_socles,
     residue_counts,

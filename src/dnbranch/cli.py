@@ -36,7 +36,6 @@ from .core import (
     classify_regime,
     format_bipartition,
     format_node,
-    hat,
     parse_bipartition,
 )
 from .crystal import iter_levels
@@ -50,6 +49,7 @@ from .dmod import (
     _special_cell,
     equivalence_classes,
     format_label,
+    image_function,
     level_socles,
     residue_counts,
 )
@@ -135,12 +135,7 @@ def _top_level(n: int, params: CrystalParams):
         del children  # no edges are needed: hold none while the next level grows
         if bipartition_size(level[0]) == n - 1:
             below = h
-    return level, _as_function(h), _as_function(below)
-
-
-def _as_function(table):
-    """``h`` on a level: its table in regime B, the swap in regime A."""
-    return hat if table is None else table.__getitem__
+    return level, image_function(h), image_function(below)
 
 
 def _level_pairs(n: int, params: CrystalParams):

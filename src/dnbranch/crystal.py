@@ -48,11 +48,12 @@ index, the level and ``h`` hold the same objects.  The stream releases what
 it has passed: ``_grow`` drops that dict once a level is sorted, and
 ``iter_levels`` drops a level's vertices and index once they are yielded,
 before the next level grows.  A consumer keeps that bound only if it does
-the same, so each one (``cli._top_level``, ``cli._level_pairs`` and the
-writers of ``io``) is a loop that deletes the level it has passed: a
-generator expression keeps its loop variable, and ``enumerate`` or ``zip``
-its last item, while the next level grows.  A level's only edge structure,
-there and in ``Lattice``, is its children index; ``edges_of`` flattens it.
+the same, so each one (``cli``, the writers of ``io`` and the streamed
+verify suites) is a loop that deletes the level it has passed: a generator
+expression keeps its loop variable, and ``enumerate`` or ``zip`` its last
+item, while the next level grows.  A level's only edge structure, there and
+in ``Lattice``, is its children index; ``edges_of`` flattens it for
+``Lattice.edges``, which the package does not read.
 ``_next_images`` is the one per-level check of the engine's output.  A
 ``Lattice`` is the stream collected (``build_lattice``), so every lattice,
 streamed or built, is grown and checked on one path.
@@ -312,11 +313,6 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
 # lattice
 
 
-def _level_zero_images(params: CrystalParams) -> dict | None:
-    """``h`` on level 0 as ``_next_images`` gives it: the empty bipartition is fixed."""
-    return {EMPTY_BIPARTITION: EMPTY_BIPARTITION} if params.regime == REGIME_B else None
-
-
 def _next_images(params: CrystalParams, children: dict, images: dict | None) -> dict | None:
     """Check one level's edges against ``h`` and return ``h`` on that level.
 
@@ -485,10 +481,12 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
         del seen, vertex  # the sorted level holds the vertices: free the dict before the yield
         total += len(level)
         if total > max_vertices:
-            raise ResourceLimitError(
-                f"lattice exceeds the vertex budget of {max_vertices}"
-            )
+            raise _over_budget(max_vertices)
         yield level, children
+
+
+def _over_budget(max_vertices: int) -> ResourceLimitError:
+    return ResourceLimitError(f"lattice exceeds the vertex budget of {max_vertices}")
 
 
 def edges_of(children: dict) -> tuple:
@@ -506,7 +504,8 @@ def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTE
     over ``max_vertices``.
     """
     levels = _grow(n, params, max_vertices)
-    images = _level_zero_images(params)
+    # h on level 0, as _next_images gives it: the empty bipartition is fixed
+    images = {EMPTY_BIPARTITION: EMPTY_BIPARTITION} if params.regime == REGIME_B else None
     yield *next(levels), images
     for vertices, children in levels:
         images = _next_images(params, children, images)
@@ -574,7 +573,7 @@ def shift_path(path, params: CrystalParams):
 
 
 def partition_crystal_levels(n: int, l: int | float) -> list[tuple[Partition, ...]]:
-    """Levels of the single-partition crystal generated by good additions."""
+    """Levels of the single-partition crystal generated by good additions, in the vertex budget."""
     modulus = regime_a_params(l).l
     levels: list[tuple[Partition, ...]] = [((),)]
     for _ in range(n):
@@ -584,4 +583,6 @@ def partition_crystal_levels(n: int, l: int | float) -> list[tuple[Partition, ..
                 if a:
                     seen.add(child)
         levels.append(tuple(sorted(seen)))
+        if sum(map(len, levels)) > DEFAULT_VERTEX_BUDGET:
+            raise _over_budget(DEFAULT_VERTEX_BUDGET)
     return levels

@@ -109,6 +109,11 @@ class SocleDecomposition(Frozen):
         object.__setattr__(self, "summands", summands)
 
 
+def image_function(table):
+    """``h`` on a level: the swap for no ``table`` (regime A), else a lookup in it."""
+    return hat if table is None else table.__getitem__
+
+
 def involution(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Bipartition:
@@ -133,9 +138,7 @@ def involution(
     # a vertex's level is its size, so membership is the whole check
     if bp not in lattice:
         raise _not_kleshchev(bp)
-    if params.regime == REGIME_A:
-        return hat(bp)
-    return lattice.h[bp]
+    return image_function(lattice.h)(bp)
 
 
 def equivalence_classes(
@@ -226,7 +229,7 @@ def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None
     if lattice is None:
         return _lone_images(bp, params)[1]
     involution(bp, params, lattice)
-    return hat if params.regime == REGIME_A else lattice.h.__getitem__
+    return image_function(lattice.h)
 
 
 def _special_cell(bp: Bipartition, removals) -> Node | None:
@@ -324,5 +327,5 @@ def branching_graph(
         raise ValueError(f"lattice only covers sizes up to {lattice.n}")
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
-    image_of = hat if lattice.h is None else lattice.h.__getitem__
+    image_of = image_function(lattice.h)
     return list(level_socles(lattice.levels[n], params, image_of, image_of))

@@ -1,11 +1,11 @@
 """Brute-force verifiers and exact dimension counts.
 
-Every suite here checks the crystal and branching engines against
-straight-from-definition recomputations (restricted-partition filters, a
-deliberately naive signature scan, exhaustive path enumeration, exact
-integer dimension bookkeeping).  The verifiers never share code paths with
-the machinery they validate.  A suite computes each fact it compares once per
-run; what it compares, its cases and its failures are those of naive loops.
+The suites read the engine's levels, ``h``, ``good_nodes`` and socles as the
+things under test, and compare them with what is computed apart from it:
+exact integer dimension counts, restricted-partition filters, a deliberately
+naive signature scan and ``f_tilde`` replays of shifted steps and paths.  A
+suite computes each fact it compares once per run; what it compares, its
+cases and its failures are those of naive loops.
 """
 
 from __future__ import annotations
@@ -33,14 +33,8 @@ from .core import (
     remove_node,
     removable_nodes,
 )
-from .crystal import build_lattice, f_tilde, good_nodes, partition_crystal_levels
-from .dmod import (
-    SPLIT,
-    equivalence_classes,
-    format_label,
-    involution,
-    socle_restriction,
-)
+from .crystal import build_lattice, f_tilde, good_nodes, iter_levels, partition_crystal_levels
+from .dmod import SPLIT, format_label, image_function, involution, level_socles
 from .errors import InvariantError, NotSemisimpleError
 
 DEFAULT_PATH_CAP = 100_000
@@ -258,21 +252,21 @@ def verify_h_path_independence(
                 )
     if params.regime == REGIME_B:
         _check_shifted_paths(report, params, lattice, images, cap, replay)
-    for level_edges in lattice.edges:
-        for parent, step, child in level_edges:
-            expected = involution(child, params, lattice)
-            shifted = _shifted_step(step, params)
-            got = replay(involution(parent, params, lattice), shifted)
-            report.cases += 1
-            if got != expected:
-                report.failures.append(
-                    (
-                        f"edge {format_bipartition(parent)} --{step}--> "
-                        f"{format_bipartition(child)} shifted to {shifted}",
-                        format_bipartition(expected),
-                        "no good addable cell" if got is None else format_bipartition(got),
+    for children in lattice.index:
+        for parent, steps in children.items():
+            for step, child in steps.items():
+                shifted = _shifted_step(step, params)
+                got = replay(images[parent], shifted)
+                report.cases += 1
+                if got != images[child]:
+                    report.failures.append(
+                        (
+                            f"edge {format_bipartition(parent)} --{step}--> "
+                            f"{format_bipartition(child)} shifted to {shifted}",
+                            format_bipartition(images[child]),
+                            "no good addable cell" if got is None else format_bipartition(got),
+                        )
                     )
-                )
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -286,17 +280,17 @@ def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationRe
         )
     report = _new_report("semisimple-branching", params, n)
     start = time.perf_counter()
-    lattice = build_lattice(n, params)
-    for m in range(2, n + 1):
-        for label in equivalence_classes(lattice.levels[m], params, lattice):
-            decomposition = socle_restriction(label, params, lattice)
-            total = sum(_label_dimension(s) for s in decomposition.summands)
-            expected = _label_dimension(label)
-            report.cases += 1
-            if total != expected:
-                report.failures.append(
-                    (format_label(label), str(expected), str(total))
-                )
+    below = None
+    for level, children, table in iter_levels(n, params):
+        del children  # no edges are needed: hold none while the next level grows
+        if bipartition_size(level[0]) >= 2:
+            for socle in level_socles(level, params, image_function(table), image_function(below)):
+                expected = _label_dimension(socle.source)
+                total = sum(map(_label_dimension, socle.summands))
+                report.cases += 1
+                if total != expected:
+                    report.failures.append((format_label(socle.source), str(expected), str(total)))
+        below = table
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -310,23 +304,27 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
     in regime A, against good cells in regime B); a non-almost-symmetric,
     non-fixed vertex has pairwise inequivalent good removals.
 
-    ``h`` is computed once per vertex, and each removal and partner image
-    once per cell; the ordered pairs count as cases and are compared, in
+    The levels are streamed, and ``h`` is read on each level and the one
+    below from the stream's tables; each removal and partner image is made
+    once per cell.  The ordered pairs count as cases and are compared, in
     order, only when some removal equals some partner image.
     """
     report = _new_report("uniqueness-distinctness", params, n)
     start = time.perf_counter()
-    lattice = build_lattice(n, params)
-    h = {bp: involution(bp, params, lattice) for level in lattice.levels for bp in level}
-    # removals below a merely-removable cell can leave the lattice, where
-    # only the regime-A component swap still makes sense
-    image = hat if params.regime == REGIME_A else h.__getitem__
-
-    for m in range(1, n + 1):
-        for bp in lattice.levels[m]:
+    below = None
+    for level, children, table in iter_levels(n, params):
+        del children  # no edges are needed: hold none while the next level grows
+        h, h_below = image_function(table), image_function(below)
+        below = table
+        if level[0] == EMPTY_BIPARTITION:
+            continue
+        # removals below a merely-removable cell can leave the lattice, where
+        # only the regime-A component swap still makes sense
+        image = hat if params.regime == REGIME_A else h_below
+        for bp in level:
             good = [node for node, _ in good_nodes(bp, params)]
             removal = {node: remove_node(bp, node) for node in good}
-            special = [b for b, child in removal.items() if child == h[child]]
+            special = [b for b, child in removal.items() if child == h_below(child)]
             report.cases += 1
             if len(special) > 1:
                 report.failures.append(
@@ -334,13 +332,13 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
                 )
                 continue
             if len(special) == 1:
-                if bp == h[bp]:
+                if bp == h(bp):
                     report.failures.append(
                         (format_bipartition(bp), "almost symmetric implies not fixed", "fixed")
                     )
                 pool = removable_nodes(bp) if params.regime == REGIME_A else good
                 skipped = special[0]
-            elif bp != h[bp]:
+            elif bp != h(bp):
                 pool, skipped = good, None
             else:
                 continue
@@ -423,10 +421,11 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
     params = regime_a_params(l)
     report = _new_report("regime-a-decoupling", params, n)
     start = time.perf_counter()
-    lattice = build_lattice(n, params)
     references: dict = {}
-    for m in range(n + 1):
-        got = set(lattice.levels[m])
+    for level, children, _ in iter_levels(n, params):
+        del children  # no edges are needed: hold none while the next level grows
+        m = bipartition_size(level[0])
+        got = set(level)
         expected = restricted_bipartitions(m, l)
         report.cases += 1
         if got != expected:
@@ -439,7 +438,7 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
                 )
             )
             continue
-        for bp in lattice.levels[m]:
+        for bp in level:
             engine = {
                 (node.component, step[1], node.row, node.col)
                 for node, step in good_nodes(bp, params)

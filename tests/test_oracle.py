@@ -16,9 +16,10 @@ from dnbranch.core import (
     remove_node,
     removable_nodes,
 )
-from dnbranch.crystal import build_lattice
-from dnbranch.dmod import involution
-from dnbranch.errors import NotSemisimpleError
+from dnbranch.cli import main
+from dnbranch.crystal import build_lattice, iter_levels, partition_crystal_levels
+from dnbranch.dmod import SocleDecomposition, format_label, involution, level_socles
+from dnbranch.errors import NotSemisimpleError, ResourceLimitError
 from dnbranch.oracle import (
     bipartition_dimension,
     count_standard_bitableaux,
@@ -241,37 +242,71 @@ def test_semisimple_branching_small_case():
     assert report.passed and report.cases == 4
 
 
+def test_semisimple_branching_reports_a_dropped_summand(monkeypatch):
+    # one summand of one socle at level 5 goes missing: that label alone fails,
+    # short by the dimension of the summand
+    import dnbranch.oracle as oracle
+
+    params = classify_regime(6, INF)
+    whole = verify_semisimple_branching(6, params)
+    dropped = []
+
+    def doctored(level, *args):
+        for socle in level_socles(level, *args):
+            if not dropped and socle.source.n == 5 and len(socle.summands) > 1:
+                dropped.append(socle)
+                socle = SocleDecomposition(socle.source, socle.summands[1:])
+            yield socle
+
+    monkeypatch.setattr(oracle, "level_socles", doctored)
+    report = verify_semisimple_branching(6, params)
+    (socle,) = dropped
+    expected = oracle._label_dimension(socle.source)
+    found = expected - oracle._label_dimension(socle.summands[0])
+    assert report.failures == [(format_label(socle.source), str(expected), str(found))]
+    assert report.status == "fail" and report.cases == whole.cases
+
+
 def test_uniqueness_and_distinctness_suites():
     for e, n in ((4, 8), (INF, 7), (2, 4)):
         report = verify_uniqueness_and_distinctness(n, classify_regime(n, e))
         assert report.passed, report.failures[:3]
 
 
-def _fixed_points_moved_to_the_swap(bp, params, lattice=None):
-    image = involution(bp, params, lattice)
+def _fixed_points_moved_to_the_swap(bp, image):
     return image if image != bp else hat(bp)
 
 
-def _swap_fixed_points_pinned(bp, params, lattice=None):
-    image = involution(bp, params, lattice)
+def _swap_fixed_points_pinned(bp, image):
     return bp if image == hat(bp) else image
 
 
+def _doctored_tables(doctor):
+    """``iter_levels`` with every ``h`` table it yields mapped through ``doctor``."""
+
+    def levels(n, params):
+        for vertices, children, table in iter_levels(n, params):
+            yield vertices, children, {bp: doctor(bp, image) for bp, image in table.items()}
+
+    return levels
+
+
 # cases, failure count and SHA-256 of the failure list, recorded before the
-# two pair loops of the suite were folded into one; the doctored involutions
-# reach both the almost-symmetric branch and the plain one
+# two pair loops of the suite were folded into one, when the suite read ``h``
+# through ``involution``; the doctored involutions reach both the
+# almost-symmetric branch and the plain one
 NO_FAILURES = "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
 UNIQUENESS_RECORD = [
     (4, 8, None, 860, 0, NO_FAILURES),
     (6, 9, None, 2771, 0, NO_FAILURES),
     (INF, 8, None, 3121, 0, NO_FAILURES),
-    (4, 8, ("involution", _fixed_points_moved_to_the_swap), 884, 8,
+    (4, 8, ("iter_levels", _doctored_tables(_fixed_points_moved_to_the_swap)), 884, 8,
      "ce512d5d10e0992c51fd6e2fd449685c65ce778e89084b09c74ad2fdcbd17a6c"),
-    (6, 9, ("involution", _fixed_points_moved_to_the_swap), 2823, 8,
+    (6, 9, ("iter_levels", _doctored_tables(_fixed_points_moved_to_the_swap)), 2823, 8,
      "0e3b482321f542ba1f29da69209eaf688db90e6d80b01be54fb65b253cb08ae7"),
-    (4, 8, ("involution", _swap_fixed_points_pinned), 734, 29,
+    (4, 8, ("iter_levels", _doctored_tables(_swap_fixed_points_pinned)), 734, 29,
      "2b3cf941b832cc7d493988704ccad91bea140d1b5a035a5cb41f96a99e7a593d"),
-    (6, 9, ("involution", _swap_fixed_points_pinned), 1993, 129,
+    (6, 9, ("iter_levels", _doctored_tables(_swap_fixed_points_pinned)), 1993, 129,
      "a99caffc4d8a677712db924209702ae50fac0cb112ff1cc6c1adca1e4f2d2b91"),
     # regime A compares against the swap itself; the identity in its place
     # makes every removal its own partner
@@ -319,6 +354,21 @@ def test_level1_calibration_suite():
     for e in (2, 3, 4):
         report = verify_level1_calibration(10, e)
         assert report.passed
+
+
+def test_level1_calibration_stops_at_the_vertex_budget(monkeypatch, capsys):
+    # levels 0..3 of the partition crystal at e = inf hold 1 + 1 + 2 + 3 partitions
+    import dnbranch.crystal as crystal
+
+    monkeypatch.setattr(crystal, "DEFAULT_VERTEX_BUDGET", 7)
+    assert len(partition_crystal_levels(3, INF)) == 4
+    with pytest.raises(ResourceLimitError, match="^lattice exceeds the vertex budget of 7$"):
+        partition_crystal_levels(4, INF)
+    capsys.readouterr()
+    assert main(["verify", "--suite", "level1-calibration", "--e", "inf", "--n", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lattice exceeds the vertex budget of 7\n"
 
 
 @given(bipartitions(max_size=8))
