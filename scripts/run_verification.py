@@ -11,6 +11,7 @@ import sys
 
 from dnbranch.core import INF, classify_regime
 from dnbranch.oracle import (
+    verify_clifford_socle,
     verify_h_path_independence,
     verify_level1_calibration,
     verify_regime_a_decoupling,
@@ -47,6 +48,8 @@ def main():
         ok &= show(verify_uniqueness_and_distinctness(args.max_n, classify_regime(args.max_n, e)))
     for n, e in ((min(args.max_n, 7), INF), (5, 16), (4, 9)):
         ok &= show(verify_semisimple_branching(n, classify_regime(n, e)))
+    for e in (2, 3, 4, 6, INF):
+        ok &= show(verify_clifford_socle(args.max_n, classify_regime(args.max_n, e)))
     print("all suites passed" if ok else "SOME SUITES FAILED")
     return 0 if ok else 1
 

@@ -61,6 +61,7 @@ from .dmod import (
     image_function,
     involution,
     level_socles,
+    parents_index,
     residue_counts,
     socle_restriction,
     unsplit_class,
@@ -71,6 +72,7 @@ from .oracle import (
     count_standard_bitableaux,
     enumerate_bipartitions,
     enumerate_partitions,
+    verify_clifford_socle,
     verify_h_path_independence,
     verify_level1_calibration,
     verify_regime_a_decoupling,

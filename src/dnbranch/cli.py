@@ -51,6 +51,7 @@ from .dmod import (
     format_label,
     image_function,
     level_socles,
+    parents_index,
     residue_counts,
 )
 from .errors import (
@@ -63,6 +64,7 @@ from .errors import (
 from .oracle import (
     VerificationReport,
     bipartition_dimension,
+    verify_clifford_socle,
     verify_h_path_independence,
     verify_level1_calibration,
     verify_regime_a_decoupling,
@@ -123,19 +125,26 @@ def _parse_bipartition_arg(text: str, n: int):
 # commands
 
 
-def _top_level(n: int, params: CrystalParams):
-    """Level ``n`` with ``h`` on it and on level ``n - 1``, each as a function.
+def _top_level(n: int, params: CrystalParams, parents: bool = False):
+    """Level ``n``, ``h`` on it and on level ``n - 1``, each as a function,
+    and, if ``parents``, the parents of each vertex of level ``n``, else ``None``.
 
     Streamed two levels at a time.  The level ``n - 1`` table is kept from
     its own yield, which costs no more than the stream: it holds that table
-    while level ``n`` grows.  No edges are kept.
+    while level ``n`` grows.  Edges below level ``n`` are dropped as they
+    pass.  Level ``n``'s children index, which ``_next_images`` has checked
+    before its yield, is kept only for ``parents`` and inverted by
+    ``parents_index`` as it is consumed: a vertex's parents are its good
+    removals.
     """
-    below = None
+    below = top = None
     for level, children, h in iter_levels(n, params):
-        del children  # no edges are needed: hold none while the next level grows
-        if bipartition_size(level[0]) == n - 1:
+        if bipartition_size(level[0]) < n:
             below = h
-    return level, image_function(h), image_function(below)
+        elif parents:
+            top = children
+        del children  # hold no edges below level n while the next level grows
+    return level, image_function(h), image_function(below), parents_index(top) if parents else None
 
 
 def _level_pairs(n: int, params: CrystalParams):
@@ -175,9 +184,9 @@ def cmd_labels(args) -> int:
 def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
-        # each label's socle is computed as it is written
-        level, image_of, image_below = _top_level(args.n, params)
-        entries = level_socles(level, params, image_of, image_below)
+        # each label's socle is computed as it is written, from its parents
+        level, image_of, image_below, parents = _top_level(args.n, params, parents=True)
+        entries = level_socles(level, params, image_of, image_below, parents)
     else:
         # a single label needs no lattice: its peel and one per further removal give h
         bp = _parse_bipartition_arg(args.bipartition, args.n)
@@ -213,7 +222,7 @@ def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
     bp = _parse_bipartition_arg(args.bipartition, args.n)
     image, image_below = _lone_images(bp, params)
-    special = _special_cell(bp, _good_removals(bp, params, image_below))
+    special = _special_cell(bp, params, image_below)
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")
@@ -252,6 +261,7 @@ def cmd_dims(args) -> int:
 
 
 _SUITES = {
+    "clifford-socle": lambda args: verify_clifford_socle(args.n, classify_regime(args.n, args.e)),
     "path-independence": lambda args: verify_h_path_independence(
         args.n, classify_regime(args.n, args.e)
     ),

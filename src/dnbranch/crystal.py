@@ -33,7 +33,7 @@ bipartition combine:
   removable cell is component 1's first ``R`` if ``r1 > a2``, else
   component 2's first ``R`` if ``r2 > 0``.
 
-``good_nodes`` (the peel and the socle engine) reads the memoised words for
+``good_nodes`` (the peel and a lone label's socle) reads the memoised words for
 good removable cells, and the level generator applies the rule for good
 addable cells inline.  ``i_signature`` and the operators built on it
 (``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the

@@ -8,13 +8,20 @@ maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
 a single label without a lattice replays its own canonical peel shifted by
-``l``.  The socle engine needs ``h`` only of each good removal
-``mu = lambda - A``, one level down, and reads it from whatever gives ``h``
-there: the swap in regime A; in regime B a table on level ``n - 1``, the
-lattice's or the one the level stream has just built; and for a single
-label without a lattice, its own replay for the removal at its smallest
-good step and ``mu``'s own peel for any other.  A single combinatorial
-``h`` serves every base field of characteristic != 2.
+``l``.  A single combinatorial ``h`` serves every base field of
+characteristic != 2.
+
+The socle engine reads each label's good removals ``mu = lambda - A`` and
+``h`` of each, one level down.  A full level takes the removals off its
+edges: ``lambda = f_i mu`` exactly when ``mu = e_i lambda``, so the good
+removals of a vertex are its parents, which ``parents_index`` reads off the
+level's children index.  ``h`` of a removal is then a lookup in the table
+of level ``n - 1`` (the lattice's, or the one the level stream has just
+built) or the swap in regime A.  A single label without a lattice finds its
+good cells through ``good_nodes`` and takes ``h`` of the removal at its
+smallest good step from its own replay and ``mu``'s own peel for any other.
+Both feed ``_socle`` the same ``(mu, h(mu))`` pairs; a removal is special
+when ``mu = h(mu)``.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -152,35 +159,42 @@ def equivalence_classes(
     through ``involution``, its membership check, unless ``image_of`` gives
     ``h`` on the level.
     """
-    labels = []
-    for bp in sorted(level):
-        partner = involution(bp, params, lattice) if image_of is None else image_of(bp)
+    if image_of is None:
+        image_of = lambda bp: involution(bp, params, lattice)
+    return list(_labels(sorted(level), image_of))
+
+
+def _labels(level, image_of) -> Iterator[IrreducibleLabel]:
+    """The labels of a sorted ``level``, in order, one at a time; ``image_of`` gives ``h``."""
+    for bp in level:
+        partner = image_of(bp)
         if bp < partner:
-            labels.append(IrreducibleLabel(UNSPLIT, bp))
+            yield IrreducibleLabel(UNSPLIT, bp)
         elif bp == partner:
             if bipartition_size(bp) == 0:
-                labels.append(IrreducibleLabel(UNSPLIT, bp))
+                yield IrreducibleLabel(UNSPLIT, bp)
             else:
-                labels.append(IrreducibleLabel(SPLIT, bp, "+"))
-                labels.append(IrreducibleLabel(SPLIT, bp, "-"))
-    return labels
+                yield IrreducibleLabel(SPLIT, bp, "+")
+                yield IrreducibleLabel(SPLIT, bp, "-")
 
 
-def _orbit_label(bp: Bipartition, partner: Bipartition) -> IrreducibleLabel:
+def _orbit_rep(bp: Bipartition, partner: Bipartition) -> Bipartition:
+    """The representative of the two-element orbit ``{bp, partner}``."""
     if partner == bp:
         raise FixedPointError(f"{format_bipartition(bp)} is a fixed point, not unsplit")
-    return IrreducibleLabel(UNSPLIT, min(bp, partner))
+    return min(bp, partner)
 
 
 def unsplit_class(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> IrreducibleLabel:
     """Unsplit label of the orbit of ``bp``, which must not be ``h``-fixed."""
-    return _orbit_label(bp, involution(bp, params, lattice))
+    return IrreducibleLabel(UNSPLIT, _orbit_rep(bp, involution(bp, params, lattice)))
 
 
 def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
-    """``(cell, removal, h of the removal)`` for every good removable cell.
+    """``(removal, h of the removal)`` for every good removable cell of
+    ``bp``, found through its component words (``good_nodes``).
 
     ``image_of`` gives ``h`` one level below ``bp``: the swap in regime A, a
     table on that level, or a peel of each removal for a lone label.
@@ -188,7 +202,7 @@ def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     removals = []
     for node, _ in good_nodes(bp, params):
         child = remove_node(bp, node)
-        removals.append((node, child, image_of(child)))
+        removals.append((child, image_of(child)))
     return removals
 
 
@@ -232,9 +246,13 @@ def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None
     return image_function(lattice.h)
 
 
-def _special_cell(bp: Bipartition, removals) -> Node | None:
-    """The unique cell of ``removals`` whose removal from ``bp`` is ``h``-fixed."""
-    special = [node for node, child, image in removals if child == image]
+def _special_cell(bp: Bipartition, params: CrystalParams, image_of) -> Node | None:
+    """The unique good cell whose removal from ``bp`` is ``h``-fixed, if one
+    exists; ``image_of`` gives ``h`` one level below ``bp``."""
+    special = [
+        node for node, _ in good_nodes(bp, params)
+        if (child := remove_node(bp, node)) == image_of(child)
+    ]
     if len(special) > 1:
         raise MultipleSpecialNodesError(
             f"{format_bipartition(bp)} has {len(special)} special nodes"
@@ -246,28 +264,36 @@ def almost_symmetric(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Node | None:
     """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    return _special_cell(bp, _good_removals(bp, params, _image_below(bp, params, lattice)))
+    return _special_cell(bp, params, _image_below(bp, params, lattice))
 
 
 def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
-    """The socle of ``label`` from the good removals of its representative."""
-    summands: list[IrreducibleLabel]
+    """The socle of ``label`` from the ``(mu, h(mu))`` pairs of the good
+    removals ``mu`` of its representative.
+
+    Raises ``MultipleSpecialNodesError`` when two removals are ``h``-fixed
+    and ``InvariantError`` when the socle is not multiplicity free, each
+    naming the label.
+    """
     if label.kind == SPLIT:
         # one unsplit label per orbit of good removals; identical for both signs
-        classes = {_orbit_label(child, image) for _, child, image in removals}
-        summands = sorted(classes, key=label_sort_key)
-    else:
-        special = _special_cell(label.rep, removals)
-        summands = []
-        for node, child, image in removals:
-            if node == special:
-                summands.append(IrreducibleLabel(SPLIT, child, "+"))
-                summands.append(IrreducibleLabel(SPLIT, child, "-"))
-            else:
-                summands.append(_orbit_label(child, image))
-        summands.sort(key=label_sort_key)
-        if len(set(summands)) != len(summands):
-            raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")
+        reps = sorted({_orbit_rep(child, image) for child, image in removals})
+        return SocleDecomposition(label, tuple([IrreducibleLabel(UNSPLIT, rep) for rep in reps]))
+    reps, special = [], []
+    for child, image in removals:
+        if child == image:
+            special.append(child)
+        else:
+            reps.append(_orbit_rep(child, image))
+    if len(special) > 1:
+        raise MultipleSpecialNodesError(f"{format_label(label)} has {len(special)} special nodes")
+    if len(set(reps)) != len(reps):
+        raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")
+    summands = [IrreducibleLabel(UNSPLIT, rep) for rep in reps]
+    for child in special:
+        summands.append(IrreducibleLabel(SPLIT, child, "+"))
+        summands.append(IrreducibleLabel(SPLIT, child, "-"))
+    summands.sort(key=label_sort_key)
     return SocleDecomposition(label, tuple(summands))
 
 
@@ -304,23 +330,43 @@ def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
+def parents_index(children: dict) -> dict:
+    """``{child: (parent, ...)}`` of a children index ``{parent: {step: child}}``.
+
+    A child's parents are its good removals: ``c = f_i p`` exactly when
+    ``p = e_i c``.  ``children`` is emptied as it is read, last parent
+    first, so the index and its inverse are never both whole.
+    """
+    parents: dict = {}
+    known = parents.get
+    while children:
+        parent, steps = children.popitem()
+        for child in steps.values():
+            parents[child] = known(child, ()) + (parent,)  # a tuple holds no spare room
+    return parents
+
+
 def level_socles(
-    level, params: CrystalParams, image_of, image_below
+    level, params: CrystalParams, image_of, image_below, parents
 ) -> Iterator[SocleDecomposition]:
     """Socle decompositions of every label of a full level, in label order.
 
-    Each is made when it is asked for, so a writer need hold only one.
+    ``level`` is in canonical order, as the stream and ``Lattice`` hold it.
+    Each socle is made when it is asked for, so a writer need hold only one.
     ``image_of`` gives ``h`` on the level and ``image_below`` on the level
-    below, where the good removals lie; no membership check is made.
+    below; ``parents``, as ``parents_index`` makes it from the edges into
+    the level, gives each vertex's good removals.  No membership check is
+    made.
     """
-    for label in equivalence_classes(level, params, image_of=image_of):
-        yield _socle(label, _good_removals(label.rep, params, image_below))
+    for label in _labels(level, image_of):
+        yield _socle(label, [(mu, image_below(mu)) for mu in parents[label.rep]])
 
 
 def branching_graph(
     n: int, params: CrystalParams, lattice: Lattice
 ) -> list[SocleDecomposition]:
-    """Socle decompositions of every label at level ``n``, in label order."""
+    """Socle decompositions of every label at level ``n``, in label order,
+    with the good removals read off the lattice's edges into level ``n``."""
     if n < 2:
         raise ValueError("branching needs level n >= 2")
     if n > lattice.n:
@@ -328,4 +374,5 @@ def branching_graph(
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     image_of = image_function(lattice.h)
-    return list(level_socles(lattice.levels[n], params, image_of, image_of))
+    parents = parents_index(dict(lattice.index[n]))  # a copy: the lattice keeps its index
+    return list(level_socles(lattice.levels[n], params, image_of, image_of, parents))

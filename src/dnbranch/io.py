@@ -181,35 +181,36 @@ def _write_joined(write, pieces) -> None:
         comma = ","
 
 
-def _lattice_texts(levels, vertex: str, step, edge: str, sep: str):
+def _lattice_texts(levels, vertex, step, edge, sep: str):
     """Each level's vertex texts, in order, and its edge texts in pieces.
 
     ``levels`` yields each level's ``(vertices, children)`` for levels 0..n,
     ``children`` indexing its edges by parent, then step, as ``iter_levels``
-    yields it.  The format ``vertex`` takes two memoised component texts and
-    ``edge`` a parent's, step's and child's texts; each distinct step fills
-    its text, ``step(step)``, into an edge format of its own.  A parent's
-    text is made once, with its edges, and no table of vertex texts is kept.
-    A piece joins with ``sep`` the edges of ``_CHUNK`` parents; the texts
-    and pieces are made as they are read, before the next level is asked for.
+    yields it.  ``vertex(left, right)`` makes a vertex's text from its two
+    memoised component texts, and ``edge(parent, step, left, right)`` an
+    edge's from its parent's text, its step's memoised text ``step(step)``
+    and its child's component texts; both are f-strings, compiled once.  A
+    parent's text is made once, with its edges, and no table of vertex texts
+    is kept.  A piece joins with ``sep`` the edges of ``_CHUNK`` parents;
+    the texts and pieces are made as they are read, before the next level
+    is asked for.
     """
     parts = _Memo(format_partition)
-    edges = _Memo(lambda s: edge.format("{}", step(s), vertex).format)
-    vertex_text = vertex.format
+    steps = _Memo(step)
     for vertices, children in levels:
         pieces = (
             sep.join(
                 [
-                    edges[s](parent, parts[c[0]], parts[c[1]])
-                    for (left, right), steps in chunk
+                    edge(parent, steps[s], parts[left], parts[right])
+                    for (above_left, above_right), step_children in chunk
                     # one text per parent, bound inside the piece's one comprehension
-                    for parent in (vertex_text(parts[left], parts[right]),)
-                    for s, c in steps.items()
+                    for parent in (vertex(parts[above_left], parts[above_right]),)
+                    for s, (left, right) in step_children.items()
                 ]
             )
             for chunk in _chunks(children.items())
         )
-        yield (vertex_text(parts[left], parts[right]) for left, right in vertices), pieces
+        yield (vertex(parts[left], parts[right]) for left, right in vertices), pieces
         del vertices, children, pieces
 
 
@@ -220,14 +221,18 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     ``edges``, ``levels``, ``n``, so each level's edges are written as the
     level arrives, ``_CHUNK`` parents to a piece, and its vertex strings are
     kept for the closing ``levels`` array, joined ``_CHUNK`` to a piece.  A
-    vertex's JSON string is formatted straight from its component texts:
-    digits, ``,``, ``|`` and ``-`` need no escaping.
+    vertex's JSON string is an f-string of its component texts: digits,
+    ``,``, ``|`` and ``-`` need no escaping.
     """
     head, tail = _envelope(params, KIND_LATTICE)
     write(head + '{"edges":[')
     vertex_pieces = []
     for texts, edge_pieces in _lattice_texts(
-        levels, '"{}|{}"', _step_text, "[{},{},{}]", ","
+        levels,
+        lambda left, right: f'"{left}|{right}"',
+        _step_text,
+        lambda parent, step, left, right: f'[{parent},{step},"{left}|{right}"]',
+        ",",
     ):
         write(",[" if vertex_pieces else "[")
         _write_joined(write, filter(None, edge_pieces))  # a parent may have no edge
@@ -471,7 +476,7 @@ def _write_lattice_lines(levels, write, vertex, vertex_lines, edge) -> None:
     """Write each level's vertex lines as the level arrives, then every edge line.
 
     ``vertex`` and ``edge`` make texts as ``_lattice_texts`` takes them, with
-    ``step_label`` for steps; ``vertex_lines(m, texts)`` is the text of level
+    ``step_label`` for step texts; ``vertex_lines(m, texts)`` is the text of level
     ``m`` from its vertex texts.  Only the edge lines are kept until the
     end, in pieces of ``_CHUNK`` parents.
     """
@@ -488,9 +493,9 @@ def write_lattice_text(levels, write) -> None:
     _write_lattice_lines(
         levels,
         write,
-        "{}|{}",
+        lambda left, right: f"{left}|{right}",
         lambda m, texts: f"level {m}: {' '.join(texts)}\n",
-        "edge: {} --{}--> {}\n",
+        lambda parent, step, left, right: f"edge: {parent} --{step}--> {left}|{right}\n",
     )
 
 
@@ -500,9 +505,9 @@ def write_lattice_dot(levels, write) -> None:
     _write_lattice_lines(
         levels,
         write,
-        '"{}|{}"',
+        lambda left, right: f'"{left}|{right}"',
         lambda m, texts: "".join([f"  {text};\n" for text in texts]),
-        '  {0} -> {2} [label="{1}"];\n',
+        lambda parent, step, left, right: f'  {parent} -> "{left}|{right}" [label="{step}"];\n',
     )
     write("}\n")
 

@@ -2,15 +2,18 @@
 
 The suites read the engine's levels, ``h``, ``good_nodes`` and socles as the
 things under test, and compare them with what is computed apart from it:
-exact integer dimension counts, restricted-partition filters, a deliberately
-naive signature scan and ``f_tilde`` replays of shifted steps and paths.  A
-suite computes each fact it compares once per run; what it compares, its
-cases and its failures are those of naive loops.
+exact integer dimension counts, generated restricted partitions, a
+deliberately naive signature scan, ``f_tilde`` replays of shifted steps and
+paths, and the definitional reference (the ``reference_`` helpers: good
+removals and ``h`` from the per-step operators alone).  A suite computes
+each fact it compares once per run; what it compares, its cases and its
+failures are those of naive loops.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from functools import cache
 from math import comb, factorial
 
@@ -23,19 +26,36 @@ from .core import (
     REGIME_A,
     REGIME_B,
     Record,
+    addable_nodes,
     bipartition_size,
     format_bipartition,
     format_node,
     hat,
-    is_l_restricted,
     is_semisimple,
     regime_a_params,
     remove_node,
     removable_nodes,
+    residue,
 )
-from .crystal import build_lattice, f_tilde, good_nodes, iter_levels, partition_crystal_levels
-from .dmod import SPLIT, format_label, image_function, involution, level_socles
-from .errors import InvariantError, NotSemisimpleError
+from .crystal import (
+    build_lattice,
+    e_tilde,
+    f_tilde,
+    good_nodes,
+    good_removable,
+    iter_levels,
+    partition_crystal_levels,
+)
+from .dmod import (
+    SPLIT,
+    IrreducibleLabel,
+    format_label,
+    image_function,
+    involution,
+    level_socles,
+    parents_index,
+)
+from .errors import InvariantError, NotKleshchevError, NotSemisimpleError, ShiftReplayError
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -113,12 +133,37 @@ def enumerate_bipartitions(n: int):
                 yield (left, right)
 
 
-def restricted_bipartitions(n: int, l: int | float) -> set[Bipartition]:
-    """Bipartitions of ``n`` whose components, each filtered once, are ``l``-restricted."""
-    restricted = [
-        [p for p in enumerate_partitions(k) if is_l_restricted(p, l)] for k in range(n + 1)
-    ]
+def restricted_partitions(n: int, l: int | float):
+    """The ``l``-restricted partitions of ``n``, in the order of
+    ``enumerate_partitions``, generated without the others.
+
+    Parts are chosen largest first.  After a part ``p`` the next lies in
+    ``max(1, p - l + 1)..p``, and the last must be below ``l``, so a prefix
+    is cut as soon as its next part has no room.
+    """
+    return _restricted_tails(n, n, 1, l)
+
+
+def _restricted_tails(rest: int, top: int, low: int, l: int | float):
+    """Restricted tails of sum ``rest`` whose first part lies in ``low..top``."""
+    if rest == 0:
+        if top < l:
+            yield ()
+        return
+    for part in range(min(rest, top), low - 1, -1):
+        for tail in _restricted_tails(rest - part, part, max(1, part - l + 1), l):
+            yield (part,) + tail
+
+
+def _restricted_pairs(restricted: list, n: int) -> set[Bipartition]:
+    """Bipartitions of ``n`` from ``restricted[k]``, the restricted
+    partitions of each ``k <= n``."""
     return {(a, b) for k in range(n + 1) for a in restricted[k] for b in restricted[n - k]}
+
+
+def restricted_bipartitions(n: int, l: int | float) -> set[Bipartition]:
+    """Bipartitions of ``n`` whose components are ``l``-restricted."""
+    return _restricted_pairs([list(restricted_partitions(k, l)) for k in range(n + 1)], n)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +216,73 @@ def _label_dimension(label) -> int:
             raise InvariantError(f"{format_label(label)} has odd dimension {dim}")
         return dim // 2
     return dim
+
+
+# ---------------------------------------------------------------------------
+# definitional reference
+#
+# The ``reference_`` helpers read only ``core`` and the per-step operators
+# (``good_removable``, ``e_tilde``, ``f_tilde``), which list and sort every
+# marked cell of one step: no component word, level stream, lattice or
+# ``dmod`` logic, so a suite that compares the engine with them compares it
+# with the definitions.  A test parses this module to keep it that way.
+
+
+def reference_alphabet(bp: Bipartition, params: CrystalParams):
+    """Every step whose signature can mark a cell of ``bp``: the ``e``
+    residues in regime B, and in regime A ``(component, residue)`` of each
+    removable or addable cell, ascending."""
+    if params.regime == REGIME_B:
+        return range(params.e)
+    cells = removable_nodes(bp) + addable_nodes(bp)
+    return sorted({(node.component, residue(node, params)) for node in cells})
+
+
+def reference_good_removals(bp: Bipartition, params: CrystalParams) -> list[Bipartition]:
+    """``bp - A`` for every good removable cell ``A``: ``e_tilde`` on each
+    step of the alphabet, in step order."""
+    return [
+        mu for step in reference_alphabet(bp, params)
+        if (mu := e_tilde(bp, step, params)) is not None
+    ]
+
+
+def reference_h(bp: Bipartition, params: CrystalParams, known=None) -> Bipartition:
+    """``h(bp)`` by the definitional peel and shifted replay.
+
+    Regime A swaps the components.  Regime B peels ``bp`` with ``e_tilde``,
+    each time at the smallest step with a good removable cell, down to the
+    empty bipartition or to one whose image ``known`` holds (a dict of
+    values this function made), then replays the peeled steps from that
+    image, each shifted by ``l``, with ``f_tilde``.
+    """
+    if params.regime != REGIME_B:
+        return hat(bp)
+    known = {} if known is None else known
+    start, steps = bp, []
+    while bp not in known and bp != EMPTY_BIPARTITION:
+        step = next(
+            (i for i in range(params.e) if good_removable(bp, i, params) is not None), None
+        )
+        if step is None:
+            raise NotKleshchevError(f"the peel of {format_bipartition(start)} strands")
+        steps.append(step)
+        bp = e_tilde(bp, step, params)
+    image = known.get(bp, EMPTY_BIPARTITION)
+    for step in reversed(steps):
+        image = f_tilde(image, (step + params.l) % params.e, params)
+        if image is None:
+            raise ShiftReplayError(f"the shifted peel of {format_bipartition(start)} breaks")
+    return image
+
+
+def reference_restriction(mu: Bipartition, image: Bipartition) -> list[tuple]:
+    """Res of the type-B simple ``D^mu`` to type D, whose ``h(mu)`` is
+    ``image``, as ``(kind, rep, sign)`` labels: ``D(mu)`` when ``mu`` is not
+    fixed, else ``D(mu,+)`` and ``D(mu,-)``."""
+    if mu == image:
+        return [("split", mu, "+"), ("split", mu, "-")]
+    return [("unsplit", min(mu, image), None)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +394,84 @@ def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationRe
     start = time.perf_counter()
     below = None
     for level, children, table in iter_levels(n, params):
-        del children  # no edges are needed: hold none while the next level grows
+        parents = parents_index(children)  # empties the index: the socles read only this
+        del children
         if bipartition_size(level[0]) >= 2:
-            for socle in level_socles(level, params, image_function(table), image_function(below)):
+            socles = level_socles(
+                level, params, image_function(table), image_function(below), parents
+            )
+            for socle in socles:
                 expected = _label_dimension(socle.source)
                 total = sum(map(_label_dimension, socle.summands))
                 report.cases += 1
                 if total != expected:
                     report.failures.append((format_label(socle.source), str(expected), str(total)))
         below = table
+    report.elapsed = time.perf_counter() - start
+    return report
+
+
+def _multiset_text(labels: Counter) -> str:
+    return " ".join(format_label(IrreducibleLabel(*label)) for label in sorted(labels.elements()))
+
+
+def verify_clifford_socle(n: int, params: CrystalParams) -> VerificationReport:
+    """Every socle of levels 2..n against the Clifford identity, counted
+    with multiplicity.
+
+    In type B the socle of the restriction of ``D^lam`` is the sum of
+    ``D^(lam - A)`` over the good removable cells ``A``, and ``D^mu``
+    restricts to type D as ``reference_restriction`` gives.  The socle
+    commutes with that index-2 restriction, so an unsplit label's socle,
+    and the two socles of a split pair together, must be the multiset of
+    ``Res(lam - A)``; since a label's socle is multiplicity free, so is
+    that multiset.  The engine's side is full-level ``branch``'s
+    (``level_socles`` on the streamed parents and ``h`` tables); the other
+    takes the cells ``A`` from ``reference_good_removals`` and ``h`` from
+    ``reference_h``, level by level from the one below.  One case per
+    representative, after a check that both sides have the same ones.
+    """
+    report = _new_report("clifford-socle", params, n)
+    start = time.perf_counter()
+    below = known = None
+    for level, children, table in iter_levels(n, params):
+        parents = parents_index(children)  # empties the index: the socles read only this
+        del children
+        images = {bp: reference_h(bp, params, known) for bp in level}
+        if bipartition_size(level[0]) >= 2:
+            engine: dict = {}
+            socles = level_socles(
+                level, params, image_function(table), image_function(below), parents
+            )
+            for socle in socles:
+                # the two signs of a split label share a representative, so they merge
+                engine.setdefault(socle.source.rep, Counter()).update(
+                    (s.kind, s.rep, s.sign) for s in socle.summands
+                )
+            reps = {min(bp, image) for bp, image in images.items()}
+            report.cases += 1
+            if engine.keys() != reps:
+                report.failures.append(
+                    (
+                        f"level {bipartition_size(level[0])} representatives",
+                        str(sorted(map(format_bipartition, reps - engine.keys()))),
+                        str(sorted(map(format_bipartition, engine.keys() - reps))),
+                    )
+                )
+            for lam in sorted(reps & engine.keys()):
+                expected = Counter()
+                for mu in reference_good_removals(lam, params):
+                    expected.update(reference_restriction(mu, known[mu]))
+                report.cases += 1
+                if engine[lam] != expected:
+                    report.failures.append(
+                        (
+                            format_bipartition(lam),
+                            _multiset_text(expected),
+                            _multiset_text(engine[lam]),
+                        )
+                    )
+        below, known = table, images
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -416,17 +597,20 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
     Level ``m`` of the regime-A lattice must be exactly the pairs of
     ``l``-restricted partitions of total size ``m``, and the engine's good
     cells must match the union of the per-component recomputation, which
-    runs once per distinct partition.
+    runs once per distinct partition.  The restricted partitions of each
+    size are generated once and kept across levels.
     """
     params = regime_a_params(l)
     report = _new_report("regime-a-decoupling", params, n)
     start = time.perf_counter()
     references: dict = {}
+    restricted = []  # the restricted partitions of each size so far, made once
     for level, children, _ in iter_levels(n, params):
         del children  # no edges are needed: hold none while the next level grows
         m = bipartition_size(level[0])
+        restricted.append(list(restricted_partitions(m, l)))
         got = set(level)
-        expected = restricted_bipartitions(m, l)
+        expected = _restricted_pairs(restricted, m)
         report.cases += 1
         if got != expected:
             report.failures.append(
@@ -461,14 +645,15 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
 
 
 def verify_level1_calibration(n: int, e: int | float) -> VerificationReport:
-    """Single-partition crystal levels against the restricted-partition filter."""
+    """Single-partition crystal levels against the restricted partitions,
+    generated as such, so the reference side makes no other partition."""
     params = regime_a_params(e)
     report = _new_report("level1-calibration", params, n)
     start = time.perf_counter()
     levels = partition_crystal_levels(n, e)
     for m in range(n + 1):
         got = set(levels[m])
-        expected = {p for p in enumerate_partitions(m) if is_l_restricted(p, e)}
+        expected = set(restricted_partitions(m, e))
         report.cases += 1
         if got != expected:
             report.failures.append(

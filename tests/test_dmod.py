@@ -9,14 +9,13 @@ import pytest
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
-    REGIME_B,
     Node,
     classify_regime,
     format_bipartition,
     hat,
     parse_bipartition,
 )
-from dnbranch.crystal import build_lattice, e_tilde, f_tilde, good_removable
+from dnbranch.crystal import build_lattice
 from dnbranch.dmod import (
     SPLIT,
     UNSPLIT,
@@ -32,6 +31,7 @@ from dnbranch.dmod import (
     unsplit_class,
 )
 from dnbranch.errors import MultipleSpecialNodesError, NotKleshchevError
+from dnbranch.oracle import reference_good_removals, reference_h, reference_restriction
 
 
 def unsplit(text):
@@ -303,35 +303,9 @@ def test_format_label():
 # restricts to type D as D(mu) when h(mu) != mu and as D(mu,+) + D(mu,-) when
 # h(mu) = mu.  The socle commutes with that index-2 restriction, so an
 # unsplit label's socle, and the two socles of a split pair together, are the
-# multiset of Res(lam - A).  The good removals are the lattice's parent edges.
+# multiset of Res(lam - A).  The good removals and h come from the oracle's
+# definitional reference, not from the lattice the engine reads them off.
 CLIFFORD_POINTS = [(4, 10), (6, 10), (2, 12), (8, 10), (INF, 8), (3, 9)]
-
-
-def _h(mu, params):
-    """``h`` by the definitional scan, sharing no code with the engine's ``h``.
-
-    Regime A swaps the components.  Regime B peels ``mu`` with ``e_tilde``,
-    taking the smallest step that has a good removable cell, then replays
-    the peeled steps, each shifted by ``l``, with ``f_tilde``.
-    """
-    if params.regime != REGIME_B:
-        return hat(mu)
-    steps = []
-    while mu != EMPTY_BIPARTITION:
-        step = next(i for i in range(params.e) if good_removable(mu, i, params) is not None)
-        steps.append(step)
-        mu = e_tilde(mu, step, params)
-    image = EMPTY_BIPARTITION
-    for step in reversed(steps):
-        image = f_tilde(image, (step + params.l) % params.e, params)
-    return image
-
-
-def _type_d_restriction(mu, params):
-    image = _h(mu, params)
-    if image == mu:
-        return [IrreducibleLabel(SPLIT, mu, "+"), IrreducibleLabel(SPLIT, mu, "-")]
-    return [IrreducibleLabel(UNSPLIT, min(mu, image))]
 
 
 @pytest.mark.parametrize("e, n", CLIFFORD_POINTS)
@@ -343,13 +317,15 @@ def test_socles_satisfy_the_clifford_identity(e, n):
         # the two signs of a split label share a representative, so they merge
         engine: dict = {}
         for entry in branching_graph(m, params, lattice):
-            engine.setdefault(entry.source.rep, Counter()).update(entry.summands)
+            engine.setdefault(entry.source.rep, Counter()).update(
+                (s.kind, s.rep, s.sign) for s in entry.summands
+            )
         level = lattice.levels[m]
-        assert engine.keys() == {min(lam, _h(lam, params)) for lam in level}
+        assert engine.keys() == {min(lam, reference_h(lam, params)) for lam in level}
         for lam, socle in engine.items():
             expected = Counter()
-            for mu, _ in lattice.parents(lam):
-                expected.update(_type_d_restriction(mu, params))
+            for mu in reference_good_removals(lam, params):
+                expected.update(reference_restriction(mu, reference_h(mu, params)))
             assert socle == expected, (m, format_bipartition(lam))
 
 
@@ -362,11 +338,12 @@ DOCTORED_REMOVALS = (((), (1, 1)), ((1,), (1,)))
 
 def test_fixed_images_of_two_removals_are_two_special_nodes():
     params = classify_regime(3, INF)
-    (socle,) = level_socles([DOCTORED_LABEL], params, hat, hat)  # the true h
+    parents = {DOCTORED_LABEL: list(DOCTORED_REMOVALS)}
+    (socle,) = level_socles([DOCTORED_LABEL], params, hat, hat, parents)  # the true h
     assert socle.source == IrreducibleLabel(UNSPLIT, DOCTORED_LABEL)
     assert {summand.rep for summand in socle.summands} == set(DOCTORED_REMOVALS)
-    with pytest.raises(MultipleSpecialNodesError):
-        list(level_socles([DOCTORED_LABEL], params, hat, lambda mu: mu))
+    with pytest.raises(MultipleSpecialNodesError, match=r"D\(1\|1,1\) has 2 special nodes"):
+        list(level_socles([DOCTORED_LABEL], params, hat, lambda mu: mu, parents))
 
 
 def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
@@ -378,9 +355,25 @@ def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
         "assert False, 'asserts are stripped'\n"
         f"mu1, mu2 = {DOCTORED_REMOVALS!r}\n"
         "swap = {mu1: mu2, mu2: mu1}\n"
+        f"parents = {{{DOCTORED_LABEL!r}: [mu1, mu2]}}\n"
         "try:\n"
-        f"    list(level_socles([{DOCTORED_LABEL!r}], classify_regime(3, INF), hat, swap.get))\n"
-        "except InvariantError:\n"
-        "    print('raised')\n"
+        f"    list(level_socles([{DOCTORED_LABEL!r}], classify_regime(3, INF), hat, swap.get, parents))\n"
+        "except InvariantError as exc:\n"
+        "    print('raised' if 'D(1|1,1)' in str(exc) else exc)\n"
+    )
+    _assert_raised_under_optimisation(script)
+
+
+def test_two_special_removals_raise_under_optimisation():
+    script = (
+        "from dnbranch.core import INF, classify_regime, hat\n"
+        "from dnbranch.dmod import level_socles\n"
+        "from dnbranch.errors import MultipleSpecialNodesError\n"
+        "assert False, 'asserts are stripped'\n"
+        f"parents = {{{DOCTORED_LABEL!r}: {list(DOCTORED_REMOVALS)!r}}}\n"
+        "try:\n"
+        f"    list(level_socles([{DOCTORED_LABEL!r}], classify_regime(3, INF), hat, lambda mu: mu, parents))\n"
+        "except MultipleSpecialNodesError as exc:\n"
+        "    print('raised' if 'D(1|1,1)' in str(exc) else exc)\n"
     )
     _assert_raised_under_optimisation(script)

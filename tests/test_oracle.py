@@ -1,4 +1,6 @@
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,15 @@ from dnbranch.core import (
 )
 from dnbranch.cli import main
 from dnbranch.crystal import build_lattice, iter_levels, partition_crystal_levels
-from dnbranch.dmod import SocleDecomposition, format_label, involution, level_socles
+from dnbranch.dmod import (
+    SPLIT,
+    UNSPLIT,
+    IrreducibleLabel,
+    SocleDecomposition,
+    format_label,
+    involution,
+    level_socles,
+)
 from dnbranch.errors import NotSemisimpleError, ResourceLimitError
 from dnbranch.oracle import (
     bipartition_dimension,
@@ -26,6 +36,8 @@ from dnbranch.oracle import (
     enumerate_bipartitions,
     enumerate_partitions,
     restricted_bipartitions,
+    restricted_partitions,
+    verify_clifford_socle,
     verify_h_path_independence,
     verify_level1_calibration,
     verify_regime_a_decoupling,
@@ -350,6 +362,14 @@ def test_restricted_bipartitions_match_the_whole_filter(l):
         }
 
 
+@pytest.mark.parametrize("l", [2, 3, 4, INF])
+def test_restricted_partitions_are_the_filter(l):
+    for m in range(15):
+        assert list(restricted_partitions(m, l)) == [
+            p for p in enumerate_partitions(m) if is_l_restricted(p, l)
+        ]
+
+
 def test_level1_calibration_suite():
     for e in (2, 3, 4):
         report = verify_level1_calibration(10, e)
@@ -406,3 +426,114 @@ def test_regime_a_reference_is_compared_at_every_vertex(monkeypatch, l, n, docto
     assert report.cases == n + 1 + len(pairs)
     assert sorted(f[0] for f in report.failures) == sorted(hit)
     assert sorted(calls) == sorted(restricted)  # the scan runs once per partition
+
+
+# the perfbench workload points, both regimes
+CLIFFORD_SUITE_POINTS = [(4, 16), (6, 16), (2, 20), (INF, 14), (3, 16)]
+
+
+@pytest.mark.parametrize("e, n", CLIFFORD_SUITE_POINTS)
+def test_clifford_socle_suite_passes(e, n):
+    report = verify_clifford_socle(n, classify_regime(n, e))
+    assert report.passed, report.failures[:3]
+
+
+def test_clifford_socle_suite_runs_from_the_command_line(capsys):
+    for e in ("4", "inf"):
+        assert main(["verify", "--suite", "clifford-socle", "--e", e, "--n", "7"]) == 0
+        assert "status: pass" in capsys.readouterr().out
+
+
+def _doctored_socles(doctor):
+    """``level_socles`` whose first socle at level 7 that ``doctor`` changes
+    is changed; the changed source goes into ``doctored``."""
+    doctored = []
+
+    def socles(level, *args):
+        for socle in level_socles(level, *args):
+            if not doctored and socle.source.n == 7:
+                summands = doctor(socle.summands)
+                if summands != socle.summands:
+                    doctored.append(socle.source)
+                    socle = SocleDecomposition(socle.source, summands)
+            yield socle
+
+    return socles, doctored
+
+
+def _split_first_unsplit_summand(summands):
+    for k, s in enumerate(summands):
+        if s.kind == UNSPLIT:
+            return (*summands[:k], IrreducibleLabel(SPLIT, s.rep, "+"), *summands[k + 1:])
+    return summands
+
+
+def _drop_the_split_pair(summands):
+    return tuple(s for s in summands if s.kind != SPLIT)
+
+
+@pytest.mark.parametrize("doctor", [_split_first_unsplit_summand, _drop_the_split_pair])
+@pytest.mark.parametrize("e", [4, INF])
+def test_clifford_socle_suite_fails_a_doctored_socle(monkeypatch, e, doctor):
+    import dnbranch.oracle as oracle
+
+    params = classify_regime(8, e)
+    whole = verify_clifford_socle(8, params)
+    socles, doctored = _doctored_socles(doctor)
+    monkeypatch.setattr(oracle, "level_socles", socles)
+    report = verify_clifford_socle(8, params)
+    (source,) = doctored
+    assert [f[0] for f in report.failures] == [format_bipartition(source.rep)]
+    assert report.status == "fail" and report.cases == whole.cases
+
+
+# what the definitional reference may not name: the engine's word memo, its
+# growth loop and stream, and anything of dmod
+ENGINE_NAMES = {"good_nodes", "component_word", "_word_side", "_grow", "iter_levels", "build_lattice"}
+PER_STEP_OPERATORS = {"i_signature", "good_removable", "good_addable", "e_tilde", "f_tilde"}
+
+
+def _engine_names_in_references(source: str) -> dict:
+    """Each reference helper of the oracle's ``source`` with the names it
+    reads that are neither ``core``'s, ``errors``' nor a per-step operator."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("reference_"):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            found[node.name] = sorted(
+                name
+                for name in names
+                if name in ENGINE_NAMES
+                or name == "dmod"
+                or (imported.get(name) not in (None, "core", "errors") and name not in PER_STEP_OPERATORS)
+                or (name in defined and not name.lstrip("_").startswith("reference_"))
+            )
+    return found
+
+
+def test_reference_helpers_share_no_code_with_the_engine():
+    import dnbranch.oracle as oracle
+
+    source = Path(oracle.__file__).read_text()
+    found = _engine_names_in_references(source)
+    assert {
+        "reference_alphabet", "reference_good_removals", "reference_h", "reference_restriction",
+    } <= found.keys()
+    assert not any(found.values()), found
+    # the guard sees an engine call, a dmod name and a suite helper
+    for engine, name in (
+        ("good_nodes(bp, params)[0]", "good_nodes"),
+        ("format_label(bp)", "format_label"),
+        ("_new_report(bp, params, 0)", "_new_report"),
+    ):
+        doctored = source.replace("e_tilde(bp, step, params)) is not None", f"{engine}) is not None")
+        assert name in _engine_names_in_references(doctored)["reference_good_removals"]

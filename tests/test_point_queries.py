@@ -128,13 +128,13 @@ def test_removal_images_without_lattice_match_the_table(lattice):
         for bp in level:
             for given in (None, lat):
                 image_below = _image_below(bp, params, given)
-                for _, child, image in _good_removals(bp, params, image_below):
+                for child, image in _good_removals(bp, params, image_below):
                     assert image == table(child)
             # a lone query's h below serves the removals of h(bp) too, which
             # branch reads when h(bp) is the label's representative
             image, image_below = _lone_images(bp, params)
             assert image == table(bp)
-            for _, child, image in _good_removals(image, params, image_below):
+            for child, image in _good_removals(image, params, image_below):
                 assert image == table(child)
 
 
@@ -271,3 +271,25 @@ def test_non_member_is_a_domain_error_under_optimisation():
         )
         assert (result.returncode, result.stdout) == (3, "")
         assert "Kleshchev" in result.stderr
+
+
+@pytest.mark.parametrize("e, n", [(4, 10), (6, 10), (INF, 8), (3, 9)])
+def test_full_level_branch_equals_every_point_query(e, n):
+    # full-level branch reads each label's good removals off the edges into
+    # level n, a point query reads them off the component words
+    e_text = "inf" if e == INF else str(e)
+    common = ["branch", "--e", e_text, "--n", str(n)]
+    code, full, _ = _run(common)
+    header, *entries = full.split("source: ")
+    assert code == 0 and entries
+    signs = {"+": 0, "-": 0}
+    for entry in entries:
+        label = entry[: entry.index("\n")]
+        rep = label[label.index("(") + 1 : -1]
+        sign = label[1] if label[1] in signs else None
+        argv = [*common, f"--bipartition={rep}"] + (["--sign", sign] if sign else [])
+        assert _run(argv) == (0, f"{header}source: {entry}", ""), label
+        if sign:
+            signs[sign] += 1
+    # split labels, both signs of each, exactly at the even levels
+    assert signs["+"] == signs["-"] and (signs["+"] > 0) == (n % 2 == 0)

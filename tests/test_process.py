@@ -157,6 +157,7 @@ GC_COMMANDS = [
     ["verify", "--suite", "regime-a-decoupling"],
     ["verify", "--suite", "level1-calibration"],
     ["verify", "--suite", "semisimple-branching"],
+    ["verify", "--suite", "clifford-socle"],
 ]
 # a Kleshchev bipartition of each size at both e
 GC_POINTS = {5: "1|2,2", 9: "2,1|2,2,1,1"}

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import dnbranch.dmod as dmod
 from dnbranch import io as dio
 from dnbranch.cli import _level_pairs, _top_level, main
-from dnbranch.core import INF, classify_regime, format_bipartition, remove_node
+from dnbranch.core import INF, bipartition_size, classify_regime, format_bipartition, remove_node
 from dnbranch.crystal import build_lattice, edges_of, good_nodes, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label, level_socles
 from dnbranch.errors import ParseError, ResourceLimitError
@@ -299,14 +300,16 @@ def test_full_level_reads_h_once_per_vertex_and_once_per_label(monkeypatch, e, n
     if lattice.h is not None:
         lattice.h = CountingTable(lattice.h)
     entries = branching_graph(n, params, lattice)
-    # each vertex of level n once, in order, then once per good removal of each label
+    # each vertex of level n once, in order, and once per good removal of each
+    # label, one level down: the removals come from the edges, so they are
+    # compared with the word path's good cells as a multiset, label by label
     vertices = lattice.levels[n]
-    removals = [
-        remove_node(entry.source.rep, node)
-        for entry in entries
-        for node, _ in good_nodes(entry.source.rep, params)
-    ]
-    assert entries and lookups == [*vertices, *removals]
+    assert entries and [bp for bp in lookups if bipartition_size(bp) == n] == list(vertices)
+    read = iter([bp for bp in lookups if bipartition_size(bp) == n - 1])
+    for entry in entries:
+        removals = [remove_node(entry.source.rep, node) for node, _ in good_nodes(entry.source.rep, params)]
+        assert sorted(islice(read, len(removals))) == sorted(removals)
+    assert next(read, None) is None
 
 
 def _peak_mb(call) -> float:
@@ -408,8 +411,8 @@ def _json_pieces(e, n) -> tuple[list, list]:
     params = classify_regime(n, e)
     lattice_pieces, branching_pieces = [], []
     dio.write_lattice_json(params, _level_pairs(n, params), lattice_pieces.append)
-    level, image_of, image_below = _top_level(n, params)
-    entries = level_socles(level, params, image_of, image_below)
+    level, image_of, image_below, parents = _top_level(n, params, parents=True)
+    entries = level_socles(level, params, image_of, image_below, parents)
     dio.write_branching_json(params, n, entries, branching_pieces.append)
     return lattice_pieces, branching_pieces
 
