@@ -46,8 +46,6 @@ from .crystal import (
     iter_levels,
     partition_crystal_levels,
     peel_path,
-    replay_path,
-    shift_path,
 )
 from .dmod import (
     IrreducibleLabel,

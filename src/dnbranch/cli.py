@@ -8,8 +8,9 @@ or hold a space; any other such word is an option.
 Exit codes: 0 success or suite pass, 1 runtime or suite failure, 2 usage
 error, 3 domain error (input bipartition not Kleshchev at the given
 parameters).  A failed write to stdout, a closed pipe or a full disk, is
-a runtime failure.  The derived regime is echoed in every text header so
-it is always visible which side of the parameter split applies.
+a runtime failure, as are a budget stop and an engine invariant error.
+The derived regime is echoed in every text header so it is always
+visible which side of the parameter split applies.
 
 ``main(argv)`` runs one command in the calling process and returns its
 exit code; the tests and the tracer call it.  ``run()`` is the process
@@ -55,11 +56,11 @@ from .dmod import (
     residue_counts,
 )
 from .errors import (
+    DnBranchError,
     InvalidEError,
     NotKleshchevError,
     NotSemisimpleError,
     ParseError,
-    ResourceLimitError,
 )
 from .oracle import (
     VerificationReport,
@@ -188,7 +189,7 @@ def cmd_branch(args) -> int:
         level, image_of, image_below, parents = _top_level(args.n, params, parents=True)
         entries = level_socles(level, params, image_of, image_below, parents)
     else:
-        # a single label needs no lattice: its peel and one per further removal give h
+        # a single label needs no lattice: its memoised peel gives h of it and its removals
         bp = _parse_bipartition_arg(args.bipartition, args.n)
         image, image_below = _lone_images(bp, params)
         fixed = image == bp
@@ -424,7 +425,8 @@ def _dispatch(args) -> int:
     """Run a parsed command; its failures become ``error:`` lines and exit codes.
 
     Stdout is flushed on every return, so a write failure is an ``error:``
-    line with exit 1 and nothing is left for the interpreter to write.
+    line with exit 1 and nothing is left for the interpreter to write; so is
+    every package error but the usage and domain ones.
     """
     try:
         try:
@@ -437,7 +439,7 @@ def _dispatch(args) -> int:
     except NotKleshchevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ResourceLimitError, OSError) as exc:
+    except (DnBranchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

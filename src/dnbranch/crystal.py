@@ -58,8 +58,10 @@ in ``Lattice``, is its children index; ``edges_of`` flattens it for
 ``Lattice`` is the stream collected (``build_lattice``), so every lattice,
 streamed or built, is grown and checked on one path.
 
-``peel_path`` peels a single bipartition down to the empty one, so its
-membership and its path need no lattice; ``replay_path`` folds a path back.
+``peel`` peels a single bipartition by its smallest good step down to
+the first stage a caller knows (the empty one at the latest), so its
+membership, its path (``peel_path``) and, in ``dmod``, ``h`` of a lone
+label need no lattice.
 """
 
 from __future__ import annotations
@@ -367,8 +369,8 @@ class Lattice:
     bipartitions of ``m`` in the canonical total order.
     ``index[m]``, the only edge structure, is the children index ``{parent:
     {step: child}}`` of the edges from level ``m - 1`` to level ``m``;
-    ``edges`` flattens it.  Two builds at equal parameters compare equal.
-    Parents are indexed on the first call of ``parents``.
+    ``edges`` flattens it and ``dmod.parents_index`` inverts a copy of it.
+    Two builds at equal parameters compare equal.
 
     In regime B, ``h`` maps every vertex to its image under the label
     involution, the per-level tables of the stream merged.  In regime A,
@@ -384,7 +386,6 @@ class Lattice:
             for table in tables:
                 self.h.update(table)
         self._vertices = dict.fromkeys(bp for level in self.levels for bp in level)
-        self._parents = None
 
     @property
     def n(self) -> int:
@@ -397,17 +398,6 @@ class Lattice:
 
     def __contains__(self, bp: Bipartition) -> bool:
         return bp in self._vertices
-
-    def parents(self, bp: Bipartition):
-        """``(parent, step)`` pairs of the edges into ``bp``, in edge order."""
-        if self._parents is None:
-            parents: dict = {vertex: [] for vertex in self._vertices}
-            for children in self.index:
-                for parent, steps in children.items():
-                    for step, child in steps.items():
-                        parents[child].append((parent, step))
-            self._parents = {vertex: tuple(v) for vertex, v in parents.items()}
-        return self._parents[bp]
 
     def children(self, bp: Bipartition):
         """``(step, child)`` pairs of the edges leaving ``bp``, in edge order."""
@@ -527,45 +517,35 @@ def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:
     )
 
 
-def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
-    """Addition-order step sequence of the canonical peel of ``bp``.
+def peel(bp: Bipartition, params: CrystalParams, known) -> tuple[Bipartition, list]:
+    """The canonical peel of ``bp`` down to its first stage in ``known``.
 
-    Peels by the smallest step with a good removable cell at every stage;
-    the returned sequence replays from the empty bipartition back to ``bp``.
-    This is also the membership test, with no lattice: the empty
-    bipartition is the only highest-weight vertex of the crystal the lattice
-    spans, and ``e_tilde`` undoes ``f_tilde``, so the peel reaches it exactly
-    from lattice vertices.  Raises ``NotKleshchevError``, with the message
-    of ``dmod.involution``'s lattice check, when the peel strands above it.
+    Peels by the smallest step with a good removable cell at every stage.
+    Returns the stage it stops at and the ``(stage, step)`` pairs above it,
+    ``bp`` first, where ``step`` removes a good cell of ``stage``.  ``known``
+    must hold the empty bipartition.  This is also the membership test, with
+    no lattice: the empty bipartition is the only highest-weight vertex of
+    the crystal the lattice spans, and ``e_tilde`` undoes ``f_tilde``, so the
+    peel reaches it exactly from lattice vertices.  Raises
+    ``NotKleshchevError``, with the message of ``dmod.involution``'s lattice
+    check, when the peel strands above it.
     """
-    steps = []
+    stages = []
     current = bp
-    while current != EMPTY_BIPARTITION:
+    while current not in known:
         good = good_nodes(current, params)
         if not good:
             raise _not_kleshchev(bp)
         node, step = good[0]
-        steps.append(step)
+        stages.append((current, step))
         current = remove_node(current, node)
-    steps.reverse()
-    return tuple(steps)
+    return current, stages
 
 
-def replay_path(path, params: CrystalParams) -> Bipartition | None:
-    """Fold the step sequence from the empty bipartition; ``None`` if it breaks."""
-    current = EMPTY_BIPARTITION
-    for step in path:
-        current = f_tilde(current, step, params)
-        if current is None:
-            return None
-    return current
-
-
-def shift_path(path, params: CrystalParams):
-    """Shift every residue of a regime-B path by ``l`` inside ``Z/eZ``."""
-    if params.regime != REGIME_B:
-        raise ValueError("path shifting is only defined in regime B")
-    return tuple((step + params.l) % params.e for step in path)
+def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
+    """Addition-order step sequence of the canonical peel of ``bp`` to the
+    empty bipartition; ``peel`` with its membership check."""
+    return tuple([step for _, step in reversed(peel(bp, params, (EMPTY_BIPARTITION,))[1])])
 
 
 # ---------------------------------------------------------------------------

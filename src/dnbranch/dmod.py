@@ -7,9 +7,8 @@ two-element orbit of a Kleshchev bipartition under the involution ``h``
 maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
-a single label without a lattice replays its own canonical peel shifted by
-``l``.  A single combinatorial ``h`` serves every base field of
-characteristic != 2.
+a single label without a lattice from one memoised peel (``_lone_images``).
+A single combinatorial ``h`` serves every base field of characteristic != 2.
 
 The socle engine reads each label's good removals ``mu = lambda - A`` and
 ``h`` of each, one level down.  A full level takes the removals off its
@@ -18,10 +17,9 @@ removals of a vertex are its parents, which ``parents_index`` reads off the
 level's children index.  ``h`` of a removal is then a lookup in the table
 of level ``n - 1`` (the lattice's, or the one the level stream has just
 built) or the swap in regime A.  A single label without a lattice finds its
-good cells through ``good_nodes`` and takes ``h`` of the removal at its
-smallest good step from its own replay and ``mu``'s own peel for any other.
-Both feed ``_socle`` the same ``(mu, h(mu))`` pairs; a removal is special
-when ``mu = h(mu)``.
+good cells through ``good_nodes`` and reads ``h`` of each from the peel
+that gave the label's own.  Both feed ``_socle`` the same ``(mu, h(mu))``
+pairs; a removal is special when ``mu = h(mu)``.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -40,6 +38,7 @@ from collections.abc import Iterator
 from .core import (
     Bipartition,
     CrystalParams,
+    EMPTY_BIPARTITION,
     Frozen,
     INF,
     Node,
@@ -58,9 +57,7 @@ from .crystal import (
     _not_kleshchev,
     f_tilde,
     good_nodes,
-    peel_path,
-    replay_path,
-    shift_path,
+    peel,
 )
 from .errors import (
     FixedPointError,
@@ -129,14 +126,13 @@ def involution(
     Regime A swaps the components.  In regime B, with a lattice, ``h`` is
     its table, built from its edges: ``h(c)`` is the child of ``h(p)`` along
     step ``(i + l) mod e`` for every edge ``(p, i, c)``.  Without one, the
-    canonical peel of ``bp`` is replayed from the empty bipartition with
-    every residue shifted by ``l``.  Either way this is the membership
-    check: ``NotKleshchevError`` unless ``bp`` is Kleshchev, and with a
-    lattice ``ValueError`` when ``bp`` lies above its top level.
+    canonical peel of ``bp`` is replayed with every residue shifted by ``l``
+    (``_lone_images``).  Either way this is the membership check:
+    ``NotKleshchevError`` unless ``bp`` is Kleshchev, and with a lattice
+    ``ValueError`` when ``bp`` lies above its top level.
     """
     if lattice is None:
-        path = peel_path(bp, params)
-        return hat(bp) if params.regime == REGIME_A else _shifted_replay(bp, path, params)[1]
+        return _lone_images(bp, params)[0]
     if params != lattice.params:
         raise ValueError("params do not match the lattice they came with")
     m = bipartition_size(bp)
@@ -197,7 +193,7 @@ def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     ``bp``, found through its component words (``good_nodes``).
 
     ``image_of`` gives ``h`` one level below ``bp``: the swap in regime A, a
-    table on that level, or a peel of each removal for a lone label.
+    table on that level, or the memoised peel of a lone label.
     """
     removals = []
     for node, _ in good_nodes(bp, params):
@@ -206,35 +202,39 @@ def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     return removals
 
 
-def _shifted_replay(bp: Bipartition, path, params: CrystalParams):
-    """``bp``'s canonical peel ``path`` replayed with every step shifted by ``l``.
-
-    Returns the replay one step before its end and ``h(bp)``, its end.
-    """
-    path = shift_path(path, params)
-    before = replay_path(path[:-1], params)
-    image = before if not path or before is None else f_tilde(before, path[-1], params)
-    if image is None:
-        raise ShiftReplayError(f"the shifted canonical path of {format_bipartition(bp)} breaks")
-    return before, image
-
-
 def _lone_images(bp: Bipartition, params: CrystalParams):
-    """``h(bp)`` and ``h`` one level below a lone ``bp``, from one peel, its membership check.
+    """``h(bp)`` and ``h`` one level below a lone ``bp``, from one memoised
+    peel; the peel of ``bp`` is its membership check.
 
-    In regime B the peel's first stage removes the good cell of ``bp``'s
-    smallest step and the rest is that removal's peel, so the shifted replay
-    passes the removal's ``h`` one step before ``h(bp)``; the two are each
-    other's image.  Other removals are peeled.
+    Regime A swaps the components.  In regime B a bipartition's canonical
+    peel stops at its first stage whose image is known, from ``{∅: ∅}``, and
+    its stages are replayed from that image with every step shifted by
+    ``l``.  Each stage records its image and, ``h`` being an involution, the
+    image's image, so a removal on a peel already made, or the image of
+    one, is a lookup.
     """
-    path = peel_path(bp, params)
+    known = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
     if params.regime == REGIME_A:
+        peel(bp, params, known)
         return hat(bp), hat
-    before, image = _shifted_replay(bp, path, params)
-    # the removal at the smallest good step; the empty bipartition has none
-    first = remove_node(bp, good_nodes(bp, params)[0][0]) if path else image
-    known = {first: before, before: first}
-    return image, lambda mu: known[mu] if mu in known else involution(mu, params)
+    e, l = params.e, params.l
+
+    def image_of(mu: Bipartition) -> Bipartition:
+        if mu in known:
+            return known[mu]
+        base, stages = peel(mu, params, known)
+        image = known[base]
+        for stage, step in reversed(stages):
+            image = f_tilde(image, (step + l) % e, params)
+            if image is None:
+                raise ShiftReplayError(
+                    f"the shifted canonical path of {format_bipartition(mu)} breaks"
+                )
+            known[stage] = image
+            known[image] = stage
+        return image
+
+    return image_of(bp), image_of
 
 
 def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None):

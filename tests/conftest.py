@@ -3,8 +3,8 @@
 import hypothesis.strategies as st
 import pytest
 
-from dnbranch.core import classify_regime
-from dnbranch.crystal import build_lattice
+from dnbranch.core import EMPTY_BIPARTITION, classify_regime
+from dnbranch.crystal import build_lattice, f_tilde
 
 
 @st.composite
@@ -36,3 +36,26 @@ def lattice_inf_n6():
 
     params = classify_regime(6, INF)
     return params, build_lattice(6, params)
+
+
+def parent_pairs(lattice, bp):
+    """``(parent, step)`` pairs of the edges into ``bp``, in edge order, read
+    off ``lattice.index``."""
+    into = lattice.index[sum(bp[0]) + sum(bp[1])]
+    return tuple(
+        (parent, step)
+        for parent, steps in into.items()
+        for step, child in steps.items()
+        if child == bp
+    )
+
+
+def fold_steps(steps, params):
+    """``f_tilde`` folded along ``steps`` from the empty bipartition;
+    ``None`` once a step has no good addable cell."""
+    current = EMPTY_BIPARTITION
+    for step in steps:
+        current = f_tilde(current, step, params)
+        if current is None:
+            return None
+    return current

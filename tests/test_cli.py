@@ -230,6 +230,42 @@ def test_resource_limit_maps_to_exit_1(capsys, monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "clifford-socle", "--e", "4", "--n", "6"],
+        ["verify", "--suite", "semisimple-branching", "--e", "inf", "--n", "6"],
+        ["branch", "--e", "4", "--n", "6"],
+    ],
+    ids=["clifford-socle", "semisimple-branching", "branch"],
+)
+def test_engine_invariant_error_maps_to_exit_1(capsys, monkeypatch, argv):
+    # a socle that breaks an engine invariant ends the run with one error
+    # line naming the label, not a traceback
+    import dnbranch.dmod as dmod
+    from dnbranch.errors import InvariantError
+
+    labels = []
+
+    def broken(label, removals):
+        labels.append(dmod.format_label(label))
+        raise InvariantError(f"socle of {labels[-1]} is not multiplicity free")
+
+    monkeypatch.setattr(dmod, "_socle", broken)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: socle of {labels[0]} is not multiplicity free\n"
+
+
+def test_broken_shifted_replay_in_a_point_query_maps_to_exit_1(capsys, monkeypatch):
+    import dnbranch.dmod as dmod
+
+    monkeypatch.setattr(dmod, "f_tilde", lambda bp, step, params: None)
+    code, out, err = run(capsys, "involution", "--e", "4", "--n", "3", "--bipartition=2|1")
+    assert (code, out) == (1, "")
+    assert err == "error: the shifted canonical path of 2|1 breaks\n"
+
+
 def _cap_address_space():
     import resource
 

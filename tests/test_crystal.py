@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import bipartitions, partitions
+from conftest import bipartitions, fold_steps, parent_pairs, partitions
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
@@ -33,12 +33,10 @@ from dnbranch.crystal import (
     iter_levels,
     partition_crystal_levels,
     peel_path,
-    replay_path,
-    shift_path,
 )
 from dnbranch.dmod import involution
 from dnbranch.errors import NotKleshchevError, ResourceLimitError, ShiftReplayError
-from dnbranch.oracle import enumerate_bipartitions, enumerate_partitions
+from dnbranch.oracle import enumerate_bipartitions, enumerate_partitions, reference_h
 
 
 def test_partition_signature_examples():
@@ -196,24 +194,15 @@ def test_replay_inverts_canonical_path(lattice_e4_n6):
     params, lattice = lattice_e4_n6
     for level in lattice.levels:
         for bp in level:
-            assert replay_path(peel_path(bp, params), params) == bp
-
-
-def test_replay_path_edge_cases():
-    params = classify_regime(5, 4)
-    assert replay_path((), params) == EMPTY_BIPARTITION
-    # brute force: the second landing spot of residue 0 has no addable cell
-    sig = i_signature(((1,), ()), 0, params)
-    assert sig.phi == 0
-    assert replay_path((0, 0), params) is None
+            assert fold_steps(peel_path(bp, params), params) == bp
 
 
 def test_shift_symmetry_on_canonical_paths(lattice_e4_n6):
     params, lattice = lattice_e4_n6
     for level in lattice.levels:
         for bp in level:
-            shifted = shift_path(peel_path(bp, params), params)
-            assert replay_path(shifted, params) is not None
+            shifted = [(step + params.l) % params.e for step in peel_path(bp, params)]
+            assert fold_steps(shifted, params) is not None
 
 
 @pytest.mark.parametrize("e", [2, 4, 6])
@@ -223,8 +212,7 @@ def test_h_table_equals_canonical_path_replay(e):
     assert len(lattice.h) == lattice.vertex_count()
     for level in lattice.levels:
         for bp in level:
-            shifted = shift_path(peel_path(bp, params), params)
-            assert lattice.h[bp] == replay_path(shifted, params)
+            assert lattice.h[bp] == reference_h(bp, params)
 
 
 def test_h_table_absent_in_regime_a():
@@ -286,7 +274,7 @@ def test_index_follows_the_edges(e):
             parents[child].append((parent, step))
             children[parent].append((step, child))
     for bp in parents:
-        assert lattice.parents(bp) == tuple(parents[bp])
+        assert parent_pairs(lattice, bp) == tuple(parents[bp])
         assert lattice.children(bp) == tuple(children[bp])
     with pytest.raises(KeyError):
         lattice.children(((9,), ()))
@@ -296,18 +284,12 @@ def test_parents_examples():
     # 1|1 at e=4 is reached along steps 0 then 2 and along 2 then 0
     params = classify_regime(4, 4)
     lattice = build_lattice(4, params)
-    assert lattice.parents(EMPTY_BIPARTITION) == ()
-    assert lattice.parents(((1,), (1,))) == ((((), (1,)), 0), (((1,), ()), 2))
+    assert parent_pairs(lattice, EMPTY_BIPARTITION) == ()
+    assert parent_pairs(lattice, ((1,), (1,))) == ((((), (1,)), 0), (((1,), ()), 2))
     # at l=2 the only path to 1,1|- adds (1,0) then (1,1)
     lattice = build_lattice(2, regime_a_params(2))
-    assert lattice.parents(((1, 1), ())) == ((((1,), ()), (1, 1)),)
-    assert lattice.parents(((1,), ())) == ((EMPTY_BIPARTITION, (1, 0)),)
-
-
-def test_shift_path_rejected_in_regime_a():
-    params = classify_regime(4, INF)
-    with pytest.raises(ValueError):
-        shift_path((0, 1), params)
+    assert parent_pairs(lattice, ((1, 1), ())) == ((((1,), ()), (1, 1)),)
+    assert parent_pairs(lattice, ((1,), ())) == ((EMPTY_BIPARTITION, (1, 0)),)
 
 
 def test_peel_success_equals_membership():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from conftest import bipartitions
+from conftest import bipartitions, parent_pairs
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
@@ -59,7 +59,7 @@ def _lattice_paths(bp, lattice):
         return [()]
     return [
         path + (step,)
-        for parent, step in lattice.parents(bp)
+        for parent, step in parent_pairs(lattice, bp)
         for path in _lattice_paths(parent, lattice)
     ]
 

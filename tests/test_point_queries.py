@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from conftest import fold_steps
 from dnbranch.cli import main
 from dnbranch.core import (
     INF,
@@ -15,7 +16,7 @@ from dnbranch.core import (
     parse_bipartition,
     remove_node,
 )
-from dnbranch.crystal import build_lattice, good_nodes, peel_path, replay_path, shift_path
+from dnbranch.crystal import build_lattice, f_tilde, good_nodes, peel, peel_path
 from dnbranch.dmod import (
     _good_removals,
     _image_below,
@@ -88,7 +89,7 @@ def test_peel_succeeds_exactly_on_lattice_vertices(lattice):
         for bp in enumerate_bipartitions(m):
             if bp in lat:
                 members += 1
-                assert replay_path(peel_path(bp, params), params) == bp
+                assert fold_steps(peel_path(bp, params), params) == bp
             else:
                 with pytest.raises(NotKleshchevError) as exc:
                     peel_path(bp, params)
@@ -121,7 +122,7 @@ def test_socle_without_lattice_matches_the_lattice(lattice):
 
 def test_removal_images_without_lattice_match_the_table(lattice):
     # h of each good removal comes, without a lattice, from the label's
-    # replay or the removal's own peel, and from the table with one
+    # memoised peel, and from the table with one
     params, lat = lattice
     table = hat if lat.h is None else lat.h.__getitem__
     for level in lat.levels:
@@ -143,11 +144,11 @@ def _count_peels(monkeypatch) -> list:
 
     calls = []
 
-    def counting_peel(bp, params):
+    def counting_peel(bp, params, known):
         calls.append(bp)
-        return peel_path(bp, params)
+        return peel(bp, params, known)
 
-    monkeypatch.setattr(dmod, "peel_path", counting_peel)
+    monkeypatch.setattr(dmod, "peel", counting_peel)
     return calls
 
 
@@ -158,7 +159,7 @@ QUERY_LABEL = "2,1|3,2,2,2,1,1,1,1"
 def test_point_query_peels_once(monkeypatch, command):
     # regime B: one peel checks the label, and its replay gives h of the
     # removal at its smallest good step, so only the other good removal is
-    # peeled for its h
+    # peeled for its h; the removals of h(label) are images already known
     calls = _count_peels(monkeypatch)
     argv = [command, "--e", "4", "--n", "16", f"--bipartition={QUERY_LABEL}"]
     assert _run(argv)[0] == 0
@@ -175,6 +176,23 @@ def test_regime_a_point_query_peels_once(monkeypatch, command):
     assert calls == [parse_bipartition(QUERY_LABEL)]
 
 
+def _record_replays(monkeypatch) -> list:
+    """The ``(image, step)`` pairs given to ``f_tilde`` through ``dmod`` or
+    ``crystal``, in call order."""
+    import dnbranch.crystal as crystal
+    import dnbranch.dmod as dmod
+
+    calls = []
+
+    def recording(bp, step, params):
+        calls.append((bp, step))
+        return f_tilde(bp, step, params)
+
+    monkeypatch.setattr(dmod, "f_tilde", recording)
+    monkeypatch.setattr(crystal, "f_tilde", recording)
+    return calls
+
+
 def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
     # the label's own shifted replay holds and every other replay breaks, so
     # the error can come only from h of a removal the label's replay does
@@ -187,16 +205,37 @@ def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
     good = good_nodes(lam, params)
     assert len(good) == 2
     removals = {format_bipartition(remove_node(lam, node)) for node, _ in good[1:]}
-    label_replay = shift_path(peel_path(lam, params), params)[:-1]
+    with monkeypatch.context() as recording:
+        calls = _record_replays(recording)
+        involution(lam, params)
+    label_replay = set(calls)
 
-    def replay_the_label_only(path, params):
-        return replay_path(path, params) if path == label_replay else None
+    def replay_the_label_only(bp, step, params):
+        return f_tilde(bp, step, params) if (bp, step) in label_replay else None
 
-    monkeypatch.setattr(dmod, "replay_path", replay_the_label_only)
+    monkeypatch.setattr(dmod, "f_tilde", replay_the_label_only)
     for query in (lambda: almost_symmetric(lam, params), lambda: socle_restriction(label, params)):
         with pytest.raises(ShiftReplayError) as exc:
             query()
         assert str(exc.value) in {f"the shifted canonical path of {mu} breaks" for mu in removals}
+
+
+@pytest.mark.parametrize("e", [4, 6])
+def test_lone_query_replays_no_step_twice(monkeypatch, e):
+    # h(bp), h of every good removal of bp and of every good removal of h(bp):
+    # each (image, step) pair reaches f_tilde at most once in one query
+    calls = _record_replays(monkeypatch)
+    params = classify_regime(8, e)
+    queries = 0
+    for level in build_lattice(8, params).levels:
+        for bp in level:
+            calls.clear()
+            image, image_below = _lone_images(bp, params)
+            for start in (bp, image):
+                _good_removals(start, params, image_below)
+            assert len(calls) == len(set(calls)), format_bipartition(bp)
+            queries += bool(calls)
+    assert queries > 100
 
 
 def test_non_members_are_rejected_without_lattice():

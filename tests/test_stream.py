@@ -511,3 +511,28 @@ def test_every_lattice_is_grown_and_checked_on_the_one_level_path():
         if isinstance(node, ast.Attribute) and node.attr == "edges"
     ]
     assert reads == []
+
+
+def test_lone_h_has_one_route():
+    # the memoised peel of ``dmod._lone_images`` is the only lattice-free
+    # route to h: no other dmod function replays with f_tilde, and no path
+    # replay or shift helper is left beside it
+    package = Path(__file__).resolve().parent.parent / "src" / "dnbranch"
+    dmod_tree = ast.parse((package / "dmod.py").read_text())
+    callers = [
+        getattr(statement, "name", "<module>")
+        for statement in dmod_tree.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call)
+        and "f_tilde" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert callers == ["_lone_images"]
+    names = {
+        name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+    }
+    assert names.isdisjoint({"replay_path", "shift_path", "_shifted_replay"})
