@@ -34,7 +34,6 @@ def show(report):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=8)
-    parser.add_argument("--path-n", type=int, default=6, help="level bound for exhaustive path checks")
     args = parser.parse_args()
 
     ok = True
@@ -43,7 +42,7 @@ def main():
     for l in (2, 3, INF):
         ok &= show(verify_regime_a_decoupling(args.max_n, l))
     for e in (2, 4, 6):
-        ok &= show(verify_h_path_independence(args.path_n, classify_regime(args.path_n, e)))
+        ok &= show(verify_h_path_independence(args.max_n, classify_regime(args.max_n, e)))
     for e in (2, 4, 6, INF):
         ok &= show(verify_uniqueness_and_distinctness(args.max_n, classify_regime(args.max_n, e)))
     for n, e in ((min(args.max_n, 7), INF), (5, 16), (4, 9)):

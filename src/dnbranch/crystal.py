@@ -368,8 +368,9 @@ class Lattice:
     (``build_lattice``).  ``levels[m]`` is the tuple of reachable
     bipartitions of ``m`` in the canonical total order.
     ``index[m]``, the only edge structure, is the children index ``{parent:
-    {step: child}}`` of the edges from level ``m - 1`` to level ``m``;
-    ``edges`` flattens it and ``dmod.parents_index`` inverts a copy of it.
+    {step: child}}`` of the edges from level ``m - 1`` to level ``m``, so the
+    edges leaving ``bp`` are ``index[|bp| + 1].get(bp, {})``; ``edges``
+    flattens it and ``dmod.parents_index`` inverts a copy of it.
     Two builds at equal parameters compare equal.
 
     In regime B, ``h`` maps every vertex to its image under the label
@@ -398,13 +399,6 @@ class Lattice:
 
     def __contains__(self, bp: Bipartition) -> bool:
         return bp in self._vertices
-
-    def children(self, bp: Bipartition):
-        """``(step, child)`` pairs of the edges leaving ``bp``, in edge order."""
-        if bp not in self._vertices:
-            raise KeyError(bp)
-        above = sum(bp[0]) + sum(bp[1]) + 1
-        return tuple(self.index[above].get(bp, {}).items()) if above <= self.n else ()
 
     def vertex_count(self) -> int:
         return len(self._vertices)

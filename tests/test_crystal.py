@@ -268,16 +268,11 @@ def test_index_follows_the_edges(e):
     params = classify_regime(6, e)
     lattice = build_lattice(6, params)
     parents = {bp: [] for level in lattice.levels for bp in level}
-    children = {bp: [] for level in lattice.levels for bp in level}
     for level_edges in lattice.edges:
         for parent, step, child in level_edges:
             parents[child].append((parent, step))
-            children[parent].append((step, child))
     for bp in parents:
         assert parent_pairs(lattice, bp) == tuple(parents[bp])
-        assert lattice.children(bp) == tuple(children[bp])
-    with pytest.raises(KeyError):
-        lattice.children(((9,), ()))
 
 
 def test_parents_examples():

@@ -103,7 +103,7 @@ def test_dimension_satisfies_the_removal_recurrence():
 
 
 def test_path_independence_suites():
-    for e, n in ((4, 6), (6, 5)):
+    for e, n in ((4, 6), (6, 5), (6, 12), (8, 12)):
         report = verify_h_path_independence(n, classify_regime(n, e))
         assert report.passed and report.cases > 0 and not report.failures
 
@@ -115,68 +115,80 @@ def test_path_independence_vacuous_in_regime_a():
 
 def test_path_independence_catches_a_wrong_involution(monkeypatch):
     # an involution that swaps two orbits at level 3 still squares to the
-    # identity, so only the edge check can see it; regime A replays no paths
+    # identity, so only the edge check can see it
     import dnbranch.oracle as oracle
 
     a, b = ((3,), ()), ((2,), (1,))
     twist = {a: hat(b), hat(b): a, b: hat(a), hat(a): b}
-    monkeypatch.setattr(oracle, "involution", lambda bp, params, lattice: twist.get(bp, hat(bp)))
+    monkeypatch.setattr(oracle, "image_function", lambda table: lambda bp: twist.get(bp, hat(bp)))
     report = verify_h_path_independence(4, classify_regime(4, INF))
     assert report.failures and all(item.startswith("edge ") for item, _, _ in report.failures)
 
 
-@pytest.mark.parametrize("e, n, cases", [(4, 7, 1072), (6, 7, 2825), (2, 10, 564)])
+@pytest.mark.parametrize("e, n, cases", [(4, 7, 391), (6, 7, 568), (2, 10, 307)])
 def test_path_independence_case_counts(e, n, cases):
-    # one case per vertex, per path from the empty bipartition and per edge
+    # one case per vertex and per edge
     report = verify_h_path_independence(n, classify_regime(n, e))
     assert report.passed and report.cases == cases
 
 
-def test_path_replay_catches_a_wrong_involution_in_regime_b(monkeypatch):
+def _patch_h(monkeypatch, twist):
+    """Make the suite read ``h`` from the stream's tables, except on ``twist``."""
     import dnbranch.oracle as oracle
 
+    monkeypatch.setattr(
+        oracle, "image_function", lambda table: lambda bp: twist.get(bp, table[bp])
+    )
+
+
+def test_path_independence_catches_a_wrong_involution_in_regime_b(monkeypatch):
     params = classify_regime(5, 4)
     lattice = build_lattice(5, params)
     h = lattice.h
     moved = [bp for bp in lattice.levels[3] if h[bp] != bp]
     a = moved[0]
     b = next(bp for bp in moved if bp not in (a, h[a]))
-    twist = {a: h[b], h[b]: a, b: h[a], h[a]: b}
-    monkeypatch.setattr(
-        oracle, "involution", lambda bp, params, lattice: twist.get(bp, lattice.h[bp])
-    )
+    _patch_h(monkeypatch, {a: h[b], h[b]: a, b: h[a], h[a]: b})
     report = verify_h_path_independence(5, params)
-    assert any(" path [" in item for item, _, _ in report.failures)
+    assert len(report.failures) == 14
+    assert all(item.startswith("edge ") for item, _, _ in report.failures)
 
 
-def test_path_independence_inconclusive_when_capped():
-    report = verify_h_path_independence(5, classify_regime(5, 4), cap=1)
-    assert report.truncated
-    assert report.status == "inconclusive"
-    assert not report.passed
+def test_path_independence_reports_an_image_off_its_level(monkeypatch, capsys):
+    # h maps one vertex to a bipartition of its size that is not a vertex:
+    # a fail report naming it, and a clean exit 1, not a KeyError
+    params = classify_regime(5, 4)
+    lattice = build_lattice(5, params)
+    stray = next(bp for bp in enumerate_bipartitions(3) if bp not in lattice)
+    moved = lattice.levels[3][0]
+    _patch_h(monkeypatch, {moved: stray})
+    report = verify_h_path_independence(5, params)
+    assert report.status == "fail"
+    assert (format_bipartition(moved), "an h image on level 3", format_bipartition(stray)) in (
+        report.failures
+    )
+    capsys.readouterr()
+    assert main(["verify", "--suite", "path-independence", "--e", "4", "--n", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert "status: fail" in out and f"  {format_bipartition(moved)}: " in out
+    assert "Traceback" not in err
 
 
-def _unmemoised_path_independence(n, params, cap, f_tilde):
-    """The path-independence suite as naive loops: ``f_tilde`` at every tree node and edge."""
+def _naive_path_independence(n, params, f_tilde):
+    """The path-independence checks as naive loops over a built lattice:
+    ``f_tilde`` at every node of the path tree and at every edge."""
     lattice = build_lattice(n, params)
-    cases, failures, truncated = 0, [], False
+    failures = []
     images = {bp: involution(bp, params, lattice) for level in lattice.levels for bp in level}
     assert all(images[images[bp]] == bp for bp in images)
-    cases += len(images)
-    reached = {}
 
     def walk(vertex, endpoint, path):
-        nonlocal cases, truncated
-        reached[vertex] = reached.get(vertex, 0) + 1
-        if reached[vertex] > cap:
-            truncated = True
-            return
-        cases += 1
         if endpoint != images[vertex]:
             got = "replay failed" if endpoint is None else format_bipartition(endpoint)
             item = f"{format_bipartition(vertex)} path {path}"
             failures.append((item, format_bipartition(images[vertex]), got))
-        for step, child in lattice.children(vertex):
+        above = len(path) + 1
+        for step, child in (lattice.index[above].get(vertex, {}) if above <= n else {}).items():
             shifted = (step + params.l) % params.e
             nxt = None if endpoint is None else f_tilde(endpoint, shifted, params)
             walk(child, nxt, path + [step])
@@ -186,7 +198,6 @@ def _unmemoised_path_independence(n, params, cap, f_tilde):
         for parent, step, child in level_edges:
             shifted = (step + params.l) % params.e
             got = f_tilde(images[parent], shifted, params)
-            cases += 1
             if got != images[child]:
                 failures.append(
                     (
@@ -196,14 +207,14 @@ def _unmemoised_path_independence(n, params, cap, f_tilde):
                         "no good addable cell" if got is None else format_bipartition(got),
                     )
                 )
-    return cases, failures, truncated
+    return failures
 
 
-@pytest.mark.parametrize("cap", [100_000, 2])
 @pytest.mark.parametrize("wrong", ["none", "other"])
-def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
-    # one (endpoint, shifted step) replays wrongly: the suite must report it
-    # at every tree node and edge that reaches it, as naive loops do
+def test_edge_check_fails_where_the_path_walk_fails(monkeypatch, wrong):
+    # one (image, shifted step) replays wrongly: the streamed suite reports
+    # exactly the naive edge failures, the naive path walk fails too, and the
+    # suite replays each edge once
     import dnbranch.oracle as oracle
 
     params = classify_regime(7, 4)
@@ -217,13 +228,7 @@ def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
             return None if wrong == "none" else lattice.h[parent]
         return real(bp, step, params)
 
-    naive = []
-
-    def naive_f_tilde(bp, step, params):
-        naive.append((bp, step))
-        return doctored(bp, step, params)
-
-    expected = _unmemoised_path_independence(7, params, cap, naive_f_tilde)
+    naive = _naive_path_independence(7, params, doctored)
     calls = []
 
     def counting(bp, step, params):
@@ -231,13 +236,12 @@ def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
         return doctored(bp, step, params)
 
     monkeypatch.setattr(oracle, "f_tilde", counting)
-    report = verify_h_path_independence(7, params, cap=cap)
-    assert (report.cases, report.failures, report.truncated) == expected
-    assert expected[1] and expected[2] == (cap == 2)
-    assert sum(1 for item, _, _ in expected[1] if " path [" in item) > 1
-    # one replay per distinct (endpoint, step), and only those the naive loops make
-    assert len(calls) == len(set(calls)) and set(calls) == set(naive)
-    assert len(naive) > len(calls)
+    report = verify_h_path_independence(7, params)
+    assert report.failures == [f for f in naive if f[0].startswith("edge ")]
+    assert report.failures and any(" path [" in item for item, _, _ in naive)
+    edges = [edge for level_edges in lattice.edges for edge in level_edges]
+    assert len(calls) == len(set(calls)) == len(edges)
+    assert report.cases == lattice.vertex_count() + len(edges)
 
 
 def test_semisimple_branching_suite():

@@ -495,12 +495,9 @@ def test_every_lattice_is_grown_and_checked_on_the_one_level_path():
     assert _call_sites("_grow") == [("crystal", "iter_levels")]
     assert _call_sites("_next_images") == [("crystal", "iter_levels")]
     assert _call_sites("Lattice") == [("crystal", "build_lattice")]
-    # every verify suite but path-independence streams; only its path-tree walk and
-    # the lattice-document check build a whole lattice
-    assert _call_sites("build_lattice") == [
-        ("io", "_lattice_from_data"),
-        ("oracle", "verify_h_path_independence"),
-    ]
+    # every verify suite streams; only the lattice-document check builds a
+    # whole lattice
+    assert _call_sites("build_lattice") == [("io", "_lattice_from_data")]
     assert _call_sites("iter_levels") != []  # the search sees calls
     # no code of the package reads a flat edge view (``Lattice.edges``)
     package = Path(__file__).resolve().parent.parent / "src" / "dnbranch"
