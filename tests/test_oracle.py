@@ -174,15 +174,22 @@ def test_path_independence_reports_an_image_off_its_level(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def _naive_path_independence(n, params, f_tilde):
+def _naive_path_independence(n, params, cap, f_tilde):
     """The path-independence checks as naive loops over a built lattice:
-    ``f_tilde`` at every node of the path tree and at every edge."""
+    ``f_tilde`` at every node of the path tree, each vertex visited at most
+    ``cap`` times, and at every edge. Returns ``(failures, truncated)``."""
     lattice = build_lattice(n, params)
-    failures = []
+    failures, truncated = [], False
     images = {bp: involution(bp, params, lattice) for level in lattice.levels for bp in level}
     assert all(images[images[bp]] == bp for bp in images)
+    reached = {}
 
     def walk(vertex, endpoint, path):
+        nonlocal truncated
+        reached[vertex] = reached.get(vertex, 0) + 1
+        if reached[vertex] > cap:
+            truncated = True
+            return
         if endpoint != images[vertex]:
             got = "replay failed" if endpoint is None else format_bipartition(endpoint)
             item = f"{format_bipartition(vertex)} path {path}"
@@ -207,14 +214,16 @@ def _naive_path_independence(n, params, f_tilde):
                         "no good addable cell" if got is None else format_bipartition(got),
                     )
                 )
-    return failures
+    return failures, truncated
 
 
+@pytest.mark.parametrize("cap", [100_000, 2])
 @pytest.mark.parametrize("wrong", ["none", "other"])
-def test_edge_check_fails_where_the_path_walk_fails(monkeypatch, wrong):
-    # one (image, shifted step) replays wrongly: the streamed suite reports
-    # exactly the naive edge failures, the naive path walk fails too, and the
-    # suite replays each edge once
+def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
+    # one (image, shifted step) replays wrongly: the streamed suite, which
+    # keeps no replay memo and no cap, reports exactly the naive edge
+    # failures, whether the naive path walk runs whole or is capped; the
+    # walk fails too, and the suite replays each edge once
     import dnbranch.oracle as oracle
 
     params = classify_regime(7, 4)
@@ -228,7 +237,13 @@ def test_edge_check_fails_where_the_path_walk_fails(monkeypatch, wrong):
             return None if wrong == "none" else lattice.h[parent]
         return real(bp, step, params)
 
-    naive = _naive_path_independence(7, params, doctored)
+    naive_calls = []
+
+    def naive_f_tilde(bp, step, params):
+        naive_calls.append((bp, step))
+        return doctored(bp, step, params)
+
+    naive, truncated = _naive_path_independence(7, params, cap, naive_f_tilde)
     calls = []
 
     def counting(bp, step, params):
@@ -238,9 +253,11 @@ def test_edge_check_fails_where_the_path_walk_fails(monkeypatch, wrong):
     monkeypatch.setattr(oracle, "f_tilde", counting)
     report = verify_h_path_independence(7, params)
     assert report.failures == [f for f in naive if f[0].startswith("edge ")]
-    assert report.failures and any(" path [" in item for item, _, _ in naive)
+    assert report.failures and sum(1 for item, _, _ in naive if " path [" in item) > 1
+    assert truncated == (cap == 2) and not report.truncated and report.status == "fail"
     edges = [edge for level_edges in lattice.edges for edge in level_edges]
     assert len(calls) == len(set(calls)) == len(edges)
+    assert set(calls) <= set(naive_calls) and len(naive_calls) > len(calls)
     assert report.cases == lattice.vertex_count() + len(edges)
 
 
