@@ -428,7 +428,10 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     reaches it first.  ``children``, the level's only edge structure, indexes
     its edges from the level below by parent, then step: parents go in
     canonical order and each parent's steps ascend, so ``edges_of`` walks it
-    in ``(parent, step)`` order.
+    in ``(parent, step)`` order.  In regime B both component words are
+    indexed by residue, and the left one is looked up once per run of
+    parents with the same left component, which the sorted level makes
+    adjacent.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -436,16 +439,21 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     yield level, {}
     total = 1
     regime_b, e, l, shift = params.regime == REGIME_B, params.e, params.l, params.multicharge[1]
+    residues = range(e) if regime_b else None
     for _ in range(n):
         children = {}
         seen = {}
         vertex = seen.setdefault
+        last_left = None
         for parent in level:
             steps = children[parent] = {}
             left, right = parent
             if regime_b:
-                words = zip(_word_side(left, 0, e, REGIME_B), _word_side(right, shift, e, REGIME_B))
-                for i, (word1, word2) in enumerate(words):
+                if left != last_left:  # the level is sorted: parents sharing a left are adjacent
+                    last_left, words1 = left, _word_side(left, 0, e, REGIME_B)
+                words2 = _word_side(right, shift, e, REGIME_B)
+                for i in residues:
+                    word1, word2 = words1[i], words2[i]
                     if word2[0] > word1[1]:
                         child = left, word2[4]
                         steps[i] = vertex(child, child)

@@ -267,18 +267,30 @@ def almost_symmetric(
     return _special_cell(bp, params, _image_below(bp, params, lattice))
 
 
-def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
+class _UnsplitLabels(dict):
+    """Unsplit labels by representative, each made when first asked for."""
+
+    def __missing__(self, rep: Bipartition) -> IrreducibleLabel:
+        label = self[rep] = IrreducibleLabel(UNSPLIT, rep)
+        return label
+
+
+def _socle(label: IrreducibleLabel, removals, unsplit=None) -> SocleDecomposition:
     """The socle of ``label`` from the ``(mu, h(mu))`` pairs of the good
     removals ``mu`` of its representative.
 
-    Raises ``MultipleSpecialNodesError`` when two removals are ``h``-fixed
-    and ``InvariantError`` when the socle is not multiplicity free, each
-    naming the label.
+    ``unsplit``, an ``_UnsplitLabels``, lends the unsplit summands, so a
+    caller that makes many socles makes each summand label once.  Raises
+    ``MultipleSpecialNodesError`` when two removals are ``h``-fixed and
+    ``InvariantError`` when the socle is not multiplicity free, each naming
+    the label.
     """
+    if unsplit is None:
+        unsplit = _UnsplitLabels()
     if label.kind == SPLIT:
         # one unsplit label per orbit of good removals; identical for both signs
         reps = sorted({_orbit_rep(child, image) for child, image in removals})
-        return SocleDecomposition(label, tuple([IrreducibleLabel(UNSPLIT, rep) for rep in reps]))
+        return SocleDecomposition(label, tuple([unsplit[rep] for rep in reps]))
     reps, special = [], []
     for child, image in removals:
         if child == image:
@@ -289,7 +301,7 @@ def _socle(label: IrreducibleLabel, removals) -> SocleDecomposition:
         raise MultipleSpecialNodesError(f"{format_label(label)} has {len(special)} special nodes")
     if len(set(reps)) != len(reps):
         raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")
-    summands = [IrreducibleLabel(UNSPLIT, rep) for rep in reps]
+    summands = [unsplit[rep] for rep in reps]
     for child in special:
         summands.append(IrreducibleLabel(SPLIT, child, "+"))
         summands.append(IrreducibleLabel(SPLIT, child, "-"))
@@ -355,11 +367,12 @@ def level_socles(
     Each socle is made when it is asked for, so a writer need hold only one.
     ``image_of`` gives ``h`` on the level and ``image_below`` on the level
     below; ``parents``, as ``parents_index`` makes it from the edges into
-    the level, gives each vertex's good removals.  No membership check is
-    made.
+    the level, gives each vertex's good removals.  Each unsplit summand
+    label is made once for the level.  No membership check is made.
     """
+    unsplit = _UnsplitLabels()
     for label in _labels(level, image_of):
-        yield _socle(label, [(mu, image_below(mu)) for mu in parents[label.rep]])
+        yield _socle(label, [(mu, image_below(mu)) for mu in parents[label.rep]], unsplit)
 
 
 def branching_graph(

@@ -25,6 +25,9 @@ writes as its input arrives, in pieces of bounded size:
   the sorted names come first.
 
 ``serialize_json`` and ``emit_dot`` collect these pieces into one string.
+A verify report is formatted too, its strings escaped as ``json.dumps``
+escapes them (``_json_value``), so no document is written through
+``json``; only reading one (``parse_json``) imports it.
 Labels and branching documents share one label writer.  A lattice
 document is read by one comparison: rewritten canonically, it must be the
 document of the lattice built at its parameters, under a budget of its own
@@ -345,16 +348,54 @@ def _branching_from_data(data):
         raise SchemaMismatchError(f"malformed branching payload: {exc}") from exc
 
 
-def _report_data(report: VerificationReport):
-    return {
-        "suite": report.suite,
-        "n": report.n,
-        "cases": report.cases,
-        "failures": [list(f) for f in report.failures],
-        "elapsed": report.elapsed,
-        "truncated": report.truncated,
-        "status": report.status,
-    }
+def _char_escape(code: int) -> str:
+    """A character's text in a JSON string, as ``json.dumps`` writes it:
+    printable ASCII as itself, any other code point ``\\uXXXX``, a pair of
+    surrogates above the basic plane."""
+    if 0x20 <= code < 0x7F:
+        return chr(code)
+    if code > 0xFFFF:
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+# ``str.translate`` table of JSON string escapes, filled as characters are met
+_ESCAPES = _Memo(_char_escape)
+_ESCAPES.update(
+    str.maketrans(
+        {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    )
+)
+
+
+def _json_value(value) -> str:
+    """``json.dumps`` of a string, a bool, an int or a float."""
+    if isinstance(value, str):
+        return f'"{value.translate(_ESCAPES)}"'
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value == INF or value == -INF:
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _report_json(report: VerificationReport) -> str:
+    """The canonical ``data`` text of a report, keys in sorted order; each
+    failure is a list of three strings."""
+    failures = ",".join(
+        [f"[{','.join(map(_json_value, failure))}]" for failure in report.failures]
+    )
+    return (
+        f'{{"cases":{_json_value(report.cases)},"elapsed":{_json_value(report.elapsed)},'
+        f'"failures":[{failures}],"n":{_json_value(report.n)},'
+        f'"status":{_json_value(report.status)},"suite":{_json_value(report.suite)},'
+        f'"truncated":{_json_value(report.truncated)}}}'
+    )
 
 
 def _report_from_data(params: CrystalParams, data) -> VerificationReport:
@@ -426,8 +467,7 @@ def serialize_json(doc: Document) -> str:
     if doc.kind == KIND_LABELS:
         data = _labels_json(doc.data)
     elif doc.kind == KIND_REPORT:
-        import json  # only a report needs it: the other writers format their ASCII fields
-        data = json.dumps(_report_data(doc.data), sort_keys=True, separators=(",", ":"))
+        data = _report_json(doc.data)
     else:
         raise ValueError(f"unknown document kind {doc.kind!r}")
     head, tail = _envelope(doc.params, doc.kind)

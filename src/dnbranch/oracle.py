@@ -1,8 +1,8 @@
 """Brute-force verifiers and exact dimension counts.
 
-The suites read the engine's levels, ``h``, ``good_nodes`` and socles as the
-things under test, and compare them with what is computed apart from it:
-exact integer dimension counts, generated restricted partitions, a
+The suites read the engine's levels, edges, ``h``, ``good_nodes`` and socles
+as the things under test, and compare them with what is computed apart from
+it: exact integer dimension counts, generated restricted partitions, a
 deliberately naive signature scan, ``f_tilde`` replays of shifted steps,
 and the definitional reference (the ``reference_`` helpers: good removals
 and ``h`` from the per-step operators alone).  A suite computes
@@ -451,61 +451,80 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
     in regime A, against good cells in regime B); a non-almost-symmetric,
     non-fixed vertex has pairwise inequivalent good removals.
 
-    The levels are streamed, and ``h`` is read on each level and the one
-    below from the stream's tables; each removal and partner image is made
-    once per cell.  The ordered pairs count as cases and are compared, in
-    order, only when some removal equals some partner image.
+    The levels are streamed, and a vertex's good removals are its parents
+    in the edges into its level (``parents_index``: ``lam = f_i mu`` exactly
+    when ``mu = e_i lam``), as full-level ``branch`` reads them; ``h`` is read
+    on each level and the one below from the stream's tables.  Only the
+    regime-A pool of an almost symmetric vertex, every removable cell, is
+    made from cells.  The ordered pairs count as cases and are compared, in
+    order, only when some removal equals some partner image; then the
+    vertex's cells are found (``_collisions``) to name them.
     """
     report = _new_report("uniqueness-distinctness", params, n)
     start = time.perf_counter()
+    regime_a = params.regime == REGIME_A
     below = None
     for level, children, table in iter_levels(n, params):
-        del children  # no edges are needed: hold none while the next level grows
+        parents = parents_index(children)  # empties the index: the checks read only this
+        del children
         h, h_below = image_function(table), image_function(below)
         below = table
         if level[0] == EMPTY_BIPARTITION:
             continue
         # removals below a merely-removable cell can leave the lattice, where
         # only the regime-A component swap still makes sense
-        image = hat if params.regime == REGIME_A else h_below
+        image = hat if regime_a else h_below
         for bp in level:
-            good = [node for node, _ in good_nodes(bp, params)]
-            removal = {node: remove_node(bp, node) for node in good}
-            special = [b for b, child in removal.items() if child == h_below(child)]
+            removals = parents[bp]
+            special = [mu for mu in removals if mu == h_below(mu)]
             report.cases += 1
             if len(special) > 1:
                 report.failures.append(
                     (format_bipartition(bp), "at most one special node", str(len(special)))
                 )
                 continue
-            if len(special) == 1:
+            if special:
                 if bp == h(bp):
                     report.failures.append(
                         (format_bipartition(bp), "almost symmetric implies not fixed", "fixed")
                     )
-                pool = removable_nodes(bp) if params.regime == REGIME_A else good
-                skipped = special[0]
+                if regime_a:
+                    removals = [remove_node(bp, c) for c in removable_nodes(bp)]
+                partners = [image(mu) for mu in removals if mu not in special]
             elif bp != h(bp):
-                pool, skipped = good, None
+                partners = list(map(image, removals))
             else:
                 continue
-            removal.update((c, remove_node(bp, c)) for c in pool if c not in removal)
-            partners = {c: image(removal[c]) for c in pool if c != skipped}
-            report.cases += len(pool) * len(partners)
-            if {removal[b] for b in pool}.isdisjoint(partners.values()):
-                continue
-            for b in pool:
-                for c, partner in partners.items():
-                    if removal[b] == partner:
-                        report.failures.append(
-                            (
-                                format_bipartition(bp),
-                                f"removal at {format_node(b)} differs from partner of {format_node(c)}",
-                                "equal",
-                            )
-                        )
+            report.cases += len(removals) * len(partners)
+            if not set(removals).isdisjoint(partners):
+                report.failures.extend(_collisions(bp, params, special, image))
+        del parents  # hold no edges while the next level grows
     report.elapsed = time.perf_counter() - start
     return report
+
+
+def _collisions(bp: Bipartition, params: CrystalParams, special: list, image) -> list:
+    """The failures of a vertex some of whose removals equal partner images,
+    naming its cells: for each cell ``b`` of the pool (every removable cell
+    of a regime-A almost symmetric vertex, else the good cells, in
+    ``good_nodes`` order), each cell ``c`` whose removal is not ``special``
+    and whose partner image is the removal at ``b``."""
+    if special and params.regime == REGIME_A:
+        pool = removable_nodes(bp)
+    else:
+        pool = [node for node, _ in good_nodes(bp, params)]
+    removal = {c: remove_node(bp, c) for c in pool}
+    partners = {c: image(mu) for c, mu in removal.items() if mu not in special}
+    return [
+        (
+            format_bipartition(bp),
+            f"removal at {format_node(b)} differs from partner of {format_node(c)}",
+            "equal",
+        )
+        for b in pool
+        for c, partner in partners.items()
+        if removal[b] == partner
+    ]
 
 
 def _reference_good_removables(parts: Partition, l: int | float):

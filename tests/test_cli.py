@@ -247,7 +247,7 @@ def test_engine_invariant_error_maps_to_exit_1(capsys, monkeypatch, argv):
 
     labels = []
 
-    def broken(label, removals):
+    def broken(label, removals, unsplit=None):
         labels.append(dmod.format_label(label))
         raise InvariantError(f"socle of {labels[-1]} is not multiplicity free")
 

@@ -14,8 +14,9 @@ from dnbranch.core import (
     format_bipartition,
     hat,
     parse_bipartition,
+    remove_node,
 )
-from dnbranch.crystal import build_lattice
+from dnbranch.crystal import build_lattice, good_nodes, iter_levels
 from dnbranch.dmod import (
     SPLIT,
     UNSPLIT,
@@ -26,6 +27,7 @@ from dnbranch.dmod import (
     format_label,
     involution,
     level_socles,
+    parents_index,
     residue_counts,
     socle_restriction,
     unsplit_class,
@@ -377,3 +379,17 @@ def test_two_special_removals_raise_under_optimisation():
         "    print('raised' if 'D(1|1,1)' in str(exc) else exc)\n"
     )
     _assert_raised_under_optimisation(script)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 6, INF])
+def test_stream_parents_are_the_good_removals(e):
+    # full-level branch and uniqueness-distinctness read a vertex's good
+    # removals off the edges into its level: lam = f_i mu exactly when mu = e_i lam
+    params = classify_regime(9, e)
+    for level, children, _ in iter_levels(9, params):
+        parents = parents_index(children)
+        for bp in level:
+            got = parents.get(bp, ())
+            good = [remove_node(bp, node) for node, _ in good_nodes(bp, params)]
+            assert len(set(got)) == len(got) == len(good), format_bipartition(bp)
+            assert set(got) == set(good) == set(reference_good_removals(bp, params))

@@ -3,8 +3,8 @@
 A point query is mostly interpreter start-up and import, so the package keeps
 ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``, about half of
 the package's import time), file-handling modules such as ``tempfile`` and
-``pathlib``, ``argparse`` and, for point queries, ``json`` off its import
-path.  Every layer is still imported eagerly by
+``pathlib``, ``argparse`` and, but for a read of a document, ``json`` off
+its import path.  Every layer is still imported eagerly by
 ``dnbranch.cli``: the benchmark's tracer wraps only the modules loaded by
 that import.
 """
@@ -119,7 +119,7 @@ def test_module_does_not_import_dataclasses(module):
 HEAVY = ["dataclasses", "inspect", "ast", "dis"]
 # file handling that no command needs, together about 15 ms under -S, and
 # argparse with gettext, locale and (for its help width) shutil, about 4 ms;
-# only verify reports and parse_json use the json module
+# only parse_json uses the json module: a verify report is written as text
 UNWANTED = ["tempfile", "pathlib", "shutil", "random", "argparse", "gettext", "locale", "json"]
 LAYERS = [f"dnbranch.{name}" for name in ("core", "crystal", "dmod", "io", "oracle")]
 
@@ -136,6 +136,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     seen["involution"] = sorted(sys.modules)
     codes.append(dnbranch.cli.main(["dims", "--bipartition=2,1|3,2"]))
     seen["dims"] = sorted(sys.modules)
+    codes.append(dnbranch.cli.main(["verify", "--suite", "uniqueness-distinctness",
+                                    "--e", "4", "--n", "6", "--format", "json"]))
+    seen["verify"] = sorted(sys.modules)
 print(repr({"codes": codes, "seen": seen}))
 """
 
@@ -149,8 +152,8 @@ def test_point_query_loads_every_layer_and_no_heavy_module():
     )
     assert result.returncode == 0, result.stderr
     out = ast.literal_eval(result.stdout)
-    assert out["codes"] == [0, 0]
-    assert list(out["seen"]) == ["import", "involution", "dims"]
+    assert out["codes"] == [0, 0, 0]
+    assert list(out["seen"]) == ["import", "involution", "dims", "verify"]
     for stage, modules in out["seen"].items():
         unwanted = HEAVY + UNWANTED
         assert [name for name in unwanted if name in modules] == [], stage

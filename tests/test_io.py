@@ -10,7 +10,11 @@ from dnbranch.core import INF, classify_regime, regime_a_params
 from dnbranch.crystal import build_lattice
 from dnbranch.dmod import branching_graph, equivalence_classes, unsplit_class
 from dnbranch.errors import ParseError, SchemaMismatchError
-from dnbranch.oracle import verify_level1_calibration, verify_uniqueness_and_distinctness
+from dnbranch.oracle import (
+    VerificationReport,
+    verify_level1_calibration,
+    verify_uniqueness_and_distinctness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,48 @@ def test_report_round_trip():
     parsed = dio.parse_json(text)
     assert parsed.data == report
     assert dio.serialize_json(parsed) == text
+
+
+# failure texts a report writer must escape as ``json.dumps`` does: quotes,
+# backslashes, controls (with and without short escapes), DEL, non-ASCII in
+# the basic plane and astral characters, which JSON writes as surrogate pairs
+AWKWARD_TEXTS = [
+    'say "equal" \\ twice',
+    "\x00\x01\x1f \n\r\t\b\f",
+    "del \x7f, then ~",
+    "h(λ) ≠ λ, é, \u2028",
+    "astral \U0001d11e \U0001f600",
+    "",
+]
+
+
+@pytest.mark.parametrize("elapsed", [0.0, 3, 0.1 + 0.2, 12345.678901234567, 5e-324])
+@pytest.mark.parametrize("failures", [0, 2])
+def test_report_text_is_json_dumps_without_json(monkeypatch, elapsed, failures):
+    triples = [tuple(AWKWARD_TEXTS[:3]), tuple(AWKWARD_TEXTS[3:])][:failures]
+    report = VerificationReport(
+        "uniqueness-distinctness", 4, "B", 2, 7, cases=12, failures=triples, elapsed=elapsed
+    )
+    data = {
+        "suite": report.suite,
+        "n": 7,
+        "cases": 12,
+        "failures": [list(triple) for triple in triples],
+        "elapsed": elapsed,
+        "truncated": False,
+        "status": report.status,
+    }
+    whole = {"data": data, "e": 4, "kind": "report", "l": 2, "regime": "B", "schema": dio.SCHEMA}
+    expected = json.dumps(whole, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def no_dumps(*args, **kwargs):
+        raise AssertionError("a report is written without json.dumps")
+
+    monkeypatch.setattr(json, "dumps", no_dumps)
+    text = dio.serialize_json(dio.report_document(report))
+    assert text == expected
+    assert text.isascii()
+    assert dio.parse_json(text).data == report
 
 
 def test_parse_rejections():
