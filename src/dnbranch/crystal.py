@@ -321,11 +321,14 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
     ``children`` indexes the edges into the level by parent, then step, and
     ``images`` is ``h`` on the level below.  Regime B builds the level's
     table by the edge recurrence; regime A, where ``h`` is the component
-    swap, checks each edge's swap mirror and returns ``None``.  Raises
-    ``ShiftReplayError``.
+    swap, checks each edge's swap mirror (``_swap_closed``) and returns
+    ``None``.  Raises ``ShiftReplayError``, naming the first edge in index
+    order that fails.
     """
     no_children = {}
     if params.regime == REGIME_A:
+        if _swap_closed(children):
+            return None
         for parent, steps in children.items():
             mirror_steps = children.get(hat(parent), no_children)
             for (component, i), child in steps.items():
@@ -334,7 +337,7 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
                         f"edge {format_bipartition(parent)} --{component}:{i}--> "
                         f"{format_bipartition(child)} has no component-swap mirror"
                     )
-        return None
+        raise InvariantError("the swap check found an edge with no mirror that the edge loop missed")
     e = params.e
     shifted = [(i + params.l) % e for i in range(e)]
     level_images = {}
@@ -357,6 +360,31 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
                     f"edges into {format_bipartition(child)} give two h images"
                 )
     return level_images
+
+
+def _swap_closed(children: dict) -> bool:
+    """Whether every edge ``(p, (c, i), ch)`` of a regime-A children index
+    has its mirror ``(hat(p), (3 - c, i), hat(ch))``.
+
+    The swap pairs the parents, so a pair is read once, from its smaller
+    member: when each of that member's edges has a mirror and the other
+    member has as many edges, the other's edges are exactly the mirrors.
+    """
+    for parent, steps in children.items():
+        mirror = hat(parent)
+        mirror_steps = children.get(mirror)
+        if mirror_steps is None:
+            if steps:
+                return False
+            continue
+        if mirror < parent:
+            continue  # read from its mirror
+        if len(mirror_steps) != len(steps):
+            return False
+        for (component, i), child in steps.items():
+            if mirror_steps.get((3 - component, i)) != (child[1], child[0]):
+                return False
+    return True
 
 
 class Lattice:

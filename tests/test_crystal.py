@@ -10,6 +10,7 @@ from dnbranch.core import (
     Node,
     bipartition_size,
     classify_regime,
+    format_bipartition,
     hat,
     is_l_restricted,
     regime_a_params,
@@ -233,6 +234,55 @@ def _relabel(children, parent, step, e):
     doctored = dict(children)
     doctored[parent] = dict(sorted(steps.items()))
     return doctored
+
+
+def _first_unmirrored(children):
+    """The message for the first edge, in index order, whose component-swap
+    mirror is not in ``children``, edge by edge; ``None`` when every one is."""
+    for parent, steps in children.items():
+        for (component, i), child in steps.items():
+            if children.get(hat(parent), {}).get((3 - component, i)) != hat(child):
+                return (
+                    f"edge {format_bipartition(parent)} --{component}:{i}--> "
+                    f"{format_bipartition(child)} has no component-swap mirror"
+                )
+    return None
+
+
+def _swap_doctorings(children, level):
+    """Regime-A indexes with one edge dropped, added, or sent to another
+    child, or one parent dropped with its edges."""
+    for parent, steps in children.items():
+        for step in steps:
+            dropped = {**children, parent: {s: c for s, c in steps.items() if s != step}}
+            yield dropped
+            moved = next(v for v in level if v != steps[step])
+            yield {**children, parent: {**steps, step: moved}}
+        spare = next(((c, i) for c in (1, 2) for i in range(4) if (c, i) not in steps), None)
+        yield {**children, parent: {**steps, spare: level[0]}}
+        yield {p: s for p, s in children.items() if p != parent}
+
+
+@pytest.mark.parametrize("e, n", [(INF, 5), (3, 6)])
+def test_swap_check_names_the_first_edge_with_no_mirror(e, n):
+    # the regime-A check reads each pair of mirror parents once; when it
+    # fails, the message names the edge a plain edge-by-edge loop finds first
+    import dnbranch.crystal as crystal
+
+    params = classify_regime(n, e)
+    checked = 0
+    for level, children in crystal._grow(n, params, 10**6):
+        assert crystal._next_images(params, children, None) is None
+        for doctored in _swap_doctorings(children, level):
+            expected = _first_unmirrored(doctored)
+            if expected is None:
+                assert crystal._next_images(params, doctored, None) is None
+                continue
+            with pytest.raises(ShiftReplayError) as caught:
+                crystal._next_images(params, doctored, None)
+            assert str(caught.value) == expected
+            checked += 1
+    assert checked > 100
 
 
 @pytest.mark.parametrize("e", [4, 3])

@@ -80,7 +80,8 @@ AWKWARD_TEXTS = [
 ]
 
 
-@pytest.mark.parametrize("elapsed", [0.0, 3, 0.1 + 0.2, 12345.678901234567, 5e-324])
+# elapsed as a run gives it, as an int, and as a parsed document may hold it
+@pytest.mark.parametrize("elapsed", [0.0, 3, 0.1 + 0.2, 12345.678901234567, 5e-324, INF, -INF])
 @pytest.mark.parametrize("failures", [0, 2])
 def test_report_text_is_json_dumps_without_json(monkeypatch, elapsed, failures):
     triples = [tuple(AWKWARD_TEXTS[:3]), tuple(AWKWARD_TEXTS[3:])][:failures]
