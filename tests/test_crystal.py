@@ -254,11 +254,10 @@ def _swap_doctorings(children, level):
     child, or one parent dropped with its edges."""
     for parent, steps in children.items():
         for step in steps:
-            dropped = {**children, parent: {s: c for s, c in steps.items() if s != step}}
-            yield dropped
+            yield {**children, parent: {s: c for s, c in steps.items() if s != step}}
             moved = next(v for v in level if v != steps[step])
             yield {**children, parent: {**steps, step: moved}}
-        spare = next(((c, i) for c in (1, 2) for i in range(4) if (c, i) not in steps), None)
+        spare = next((1, i) for i in range(len(steps) + 1) if (1, i) not in steps)
         yield {**children, parent: {**steps, spare: level[0]}}
         yield {p: s for p, s in children.items() if p != parent}
 
