@@ -24,7 +24,6 @@ from .core import (
     format_bipartition,
     format_node,
     hat,
-    is_l_restricted,
     is_semisimple,
     parse_bipartition,
     regime_a_params,
@@ -37,7 +36,6 @@ from .crystal import (
     Signature,
     build_lattice,
     e_tilde,
-    edges_of,
     f_tilde,
     good_addable,
     good_nodes,
@@ -45,7 +43,6 @@ from .crystal import (
     i_signature,
     iter_levels,
     partition_crystal_levels,
-    peel_path,
 )
 from .dmod import (
     IrreducibleLabel,
@@ -67,8 +64,6 @@ from .dmod import (
 from .oracle import (
     VerificationReport,
     bipartition_dimension,
-    count_standard_bitableaux,
-    enumerate_bipartitions,
     enumerate_partitions,
     verify_clifford_socle,
     verify_h_path_independence,

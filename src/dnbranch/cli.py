@@ -187,7 +187,7 @@ def cmd_branch(args) -> int:
     if args.bipartition is None:
         # each label's socle is computed as it is written, from its parents
         level, image_of, image_below, parents = _top_level(args.n, params, parents=True)
-        entries = level_socles(level, params, image_of, image_below, parents)
+        entries = level_socles(level, image_of, image_below, parents)
     else:
         # a single label needs no lattice: its memoised peel gives h of it and its removals
         bp = _parse_bipartition_arg(args.bipartition, args.n)

@@ -95,6 +95,17 @@ class Frozen(Record):
         return (self.__class__, self._values(self))
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make) -> None:
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class CrystalParams(Frozen):
     """Crystal parameters derived from the quantum characteristic ``e``.
 
@@ -171,16 +182,6 @@ def residue(node: Node, params: CrystalParams) -> int:
 
 # ---------------------------------------------------------------------------
 # partitions
-
-
-def is_l_restricted(parts: Partition, l: int | float) -> bool:
-    """True when every consecutive difference (last part included) is < ``l``."""
-    if l == INF:
-        return True
-    return all(
-        parts[i] - (parts[i + 1] if i + 1 < len(parts) else 0) < l
-        for i in range(len(parts))
-    )
 
 
 def _partition_removables(parts: Partition) -> list[tuple[int, int]]:

@@ -52,16 +52,14 @@ the same, so each one (``cli``, the writers of ``io`` and the streamed
 verify suites) is a loop that deletes the level it has passed: a generator
 expression keeps its loop variable, and ``enumerate`` or ``zip`` its last
 item, while the next level grows.  A level's only edge structure, there and
-in ``Lattice``, is its children index; ``edges_of`` flattens it for
-``Lattice.edges``, which the package does not read.
+in ``Lattice``, is its children index.
 ``_next_images`` is the one per-level check of the engine's output.  A
 ``Lattice`` is the stream collected (``build_lattice``), so every lattice,
 streamed or built, is grown and checked on one path.
 
 ``peel`` peels a single bipartition by its smallest good step down to
 the first stage a caller knows (the empty one at the latest), so its
-membership, its path (``peel_path``) and, in ``dmod``, ``h`` of a lone
-label need no lattice.
+membership and, in ``dmod``, ``h`` of a lone label need no lattice.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ REMOVABLE = "R"
 
 # residue (regime B) or (component, residue) (regime A)
 Step = int | tuple[int, int]
-Path = tuple[Step, ...]
 
 DEFAULT_VERTEX_BUDGET = 5_000_000
 # most residues a finite alphabet may have where every residue is listed
@@ -321,23 +318,30 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
     ``children`` indexes the edges into the level by parent, then step, and
     ``images`` is ``h`` on the level below.  Regime B builds the level's
     table by the edge recurrence; regime A, where ``h`` is the component
-    swap, checks each edge's swap mirror (``_swap_closed``) and returns
-    ``None``.  Raises ``ShiftReplayError``, naming the first edge in index
-    order that fails.
+    swap, checks each edge's swap mirror and returns ``None``.  A regime-A
+    parent whose edges all have mirrors, and whose mirror has as many edges,
+    closes its mirror, which is then skipped.  Raises ``ShiftReplayError``,
+    naming the first edge in index order that fails.
     """
     no_children = {}
     if params.regime == REGIME_A:
-        if _swap_closed(children):
-            return None
+        closed = set()
         for parent, steps in children.items():
-            mirror_steps = children.get(hat(parent), no_children)
+            if parent in closed:
+                continue
+            mirror = hat(parent)
+            mirror_steps = children.get(mirror, no_children)
             for (component, i), child in steps.items():
                 if mirror_steps.get((3 - component, i)) != (child[1], child[0]):
                     raise ShiftReplayError(
                         f"edge {format_bipartition(parent)} --{component}:{i}--> "
                         f"{format_bipartition(child)} has no component-swap mirror"
                     )
-        raise InvariantError("the swap check found an edge with no mirror that the edge loop missed")
+            if len(mirror_steps) == len(steps):
+                # the step map (c, i) -> (3 - c, i) is injective, so the
+                # mirror's edges are exactly the mirrors of these
+                closed.add(mirror)
+        return None
     e = params.e
     shifted = [(i + params.l) % e for i in range(e)]
     level_images = {}
@@ -362,31 +366,6 @@ def _next_images(params: CrystalParams, children: dict, images: dict | None) -> 
     return level_images
 
 
-def _swap_closed(children: dict) -> bool:
-    """Whether every edge ``(p, (c, i), ch)`` of a regime-A children index
-    has its mirror ``(hat(p), (3 - c, i), hat(ch))``.
-
-    The swap pairs the parents, so a pair is read once, from its smaller
-    member: when each of that member's edges has a mirror and the other
-    member has as many edges, the other's edges are exactly the mirrors.
-    """
-    for parent, steps in children.items():
-        mirror = hat(parent)
-        mirror_steps = children.get(mirror)
-        if mirror_steps is None:
-            if steps:
-                return False
-            continue
-        if mirror < parent:
-            continue  # read from its mirror
-        if len(mirror_steps) != len(steps):
-            return False
-        for (component, i), child in steps.items():
-            if mirror_steps.get((3 - component, i)) != (child[1], child[0]):
-                return False
-    return True
-
-
 class Lattice:
     """Levels 0..n of the good lattice with labeled covering edges: the
     level stream, collected.
@@ -397,8 +376,8 @@ class Lattice:
     bipartitions of ``m`` in the canonical total order.
     ``index[m]``, the only edge structure, is the children index ``{parent:
     {step: child}}`` of the edges from level ``m - 1`` to level ``m``, so the
-    edges leaving ``bp`` are ``index[|bp| + 1].get(bp, {})``; ``edges``
-    flattens it and ``dmod.parents_index`` inverts a copy of it.
+    edges leaving ``bp`` are ``index[|bp| + 1].get(bp, {})``, and
+    ``dmod.parents_index`` inverts a copy of it.
     Two builds at equal parameters compare equal.
 
     In regime B, ``h`` maps every vertex to its image under the label
@@ -419,11 +398,6 @@ class Lattice:
     @property
     def n(self) -> int:
         return len(self.levels) - 1
-
-    @property
-    def edges(self) -> tuple:
-        """Each level's ``(parent, step, child)`` edges, flattened from ``index`` per read."""
-        return tuple(map(edges_of, self.index))
 
     def __contains__(self, bp: Bipartition) -> bool:
         return bp in self._vertices
@@ -455,11 +429,10 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     other component, and is the level's own vertex object, whichever edge
     reaches it first.  ``children``, the level's only edge structure, indexes
     its edges from the level below by parent, then step: parents go in
-    canonical order and each parent's steps ascend, so ``edges_of`` walks it
-    in ``(parent, step)`` order.  In regime B both component words are
-    indexed by residue, and the left one is looked up once per run of
-    parents with the same left component, which the sorted level makes
-    adjacent.
+    canonical order and each parent's steps ascend.  In regime B both
+    component words are indexed by residue, and the left one is looked up
+    once per run of parents with the same left component, which the sorted
+    level makes adjacent.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -507,11 +480,6 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
 
 def _over_budget(max_vertices: int) -> ResourceLimitError:
     return ResourceLimitError(f"lattice exceeds the vertex budget of {max_vertices}")
-
-
-def edges_of(children: dict) -> tuple:
-    """The ``(parent, step, child)`` edges of a children index, in index order."""
-    return tuple([(p, step, c) for p, steps in children.items() for step, c in steps.items()])
 
 
 def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTEX_BUDGET):
@@ -570,12 +538,6 @@ def peel(bp: Bipartition, params: CrystalParams, known) -> tuple[Bipartition, li
         stages.append((current, step))
         current = remove_node(current, node)
     return current, stages
-
-
-def peel_path(bp: Bipartition, params: CrystalParams) -> Path:
-    """Addition-order step sequence of the canonical peel of ``bp`` to the
-    empty bipartition; ``peel`` with its membership check."""
-    return tuple([step for _, step in reversed(peel(bp, params, (EMPTY_BIPARTITION,))[1])])
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
+from functools import partial
 
 from .core import (
     Bipartition,
@@ -44,6 +45,7 @@ from .core import (
     Node,
     REGIME_A,
     REGIME_B,
+    _Memo,
     bipartition_size,
     format_bipartition,
     hat,
@@ -267,26 +269,18 @@ def almost_symmetric(
     return _special_cell(bp, params, _image_below(bp, params, lattice))
 
 
-class _UnsplitLabels(dict):
-    """Unsplit labels by representative, each made when first asked for."""
-
-    def __missing__(self, rep: Bipartition) -> IrreducibleLabel:
-        label = self[rep] = IrreducibleLabel(UNSPLIT, rep)
-        return label
-
-
 def _socle(label: IrreducibleLabel, removals, unsplit=None) -> SocleDecomposition:
     """The socle of ``label`` from the ``(mu, h(mu))`` pairs of the good
     removals ``mu`` of its representative.
 
-    ``unsplit``, an ``_UnsplitLabels``, lends the unsplit summands, so a
-    caller that makes many socles makes each summand label once.  Raises
-    ``MultipleSpecialNodesError`` when two removals are ``h``-fixed and
-    ``InvariantError`` when the socle is not multiplicity free, each naming
-    the label.
+    ``unsplit``, a ``_Memo`` of unsplit labels by representative, lends
+    the unsplit summands, so a caller that makes many socles makes each
+    summand label once.  Raises ``MultipleSpecialNodesError`` when two
+    removals are ``h``-fixed and ``InvariantError`` when the socle is not
+    multiplicity free, each naming the label.
     """
     if unsplit is None:
-        unsplit = _UnsplitLabels()
+        unsplit = _Memo(partial(IrreducibleLabel, UNSPLIT))
     if label.kind == SPLIT:
         # one unsplit label per orbit of good removals; identical for both signs
         reps = sorted({_orbit_rep(child, image) for child, image in removals})
@@ -358,9 +352,7 @@ def parents_index(children: dict) -> dict:
     return parents
 
 
-def level_socles(
-    level, params: CrystalParams, image_of, image_below, parents
-) -> Iterator[SocleDecomposition]:
+def level_socles(level, image_of, image_below, parents) -> Iterator[SocleDecomposition]:
     """Socle decompositions of every label of a full level, in label order.
 
     ``level`` is in canonical order, as the stream and ``Lattice`` hold it.
@@ -370,7 +362,7 @@ def level_socles(
     the level, gives each vertex's good removals.  Each unsplit summand
     label is made once for the level.  No membership check is made.
     """
-    unsplit = _UnsplitLabels()
+    unsplit = _Memo(partial(IrreducibleLabel, UNSPLIT))
     for label in _labels(level, image_of):
         yield _socle(label, [(mu, image_below(mu)) for mu in parents[label.rep]], unsplit)
 
@@ -388,4 +380,4 @@ def branching_graph(
         raise ValueError("params do not match the lattice they came with")
     image_of = image_function(lattice.h)
     parents = parents_index(dict(lattice.index[n]))  # a copy: the lattice keeps its index
-    return list(level_socles(lattice.levels[n], params, image_of, image_of, parents))
+    return list(level_socles(lattice.levels[n], image_of, image_of, parents))

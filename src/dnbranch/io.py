@@ -45,6 +45,7 @@ from .core import (
     REGIME_A,
     REGIME_B,
     Record,
+    _Memo,
     format_partition,
     parse_bipartition,
 )
@@ -140,17 +141,6 @@ def _params_from_header(obj) -> CrystalParams:
 
 # ---------------------------------------------------------------------------
 # payload encoders
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with ``make(key)``."""
-
-    def __init__(self, make) -> None:
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 # parents per edge piece and vertices per vertex piece of a lattice document

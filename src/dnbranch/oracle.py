@@ -120,15 +120,6 @@ def enumerate_partitions(n: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def enumerate_bipartitions(n: int):
-    """All bipartitions of ``n``, right-hand partitions listed once per size."""
-    for k in range(n + 1):
-        rights = list(enumerate_partitions(n - k))
-        for left in enumerate_partitions(k):
-            for right in rights:
-                yield (left, right)
-
-
 def restricted_partitions(n: int, l: int | float):
     """The ``l``-restricted partitions of ``n``, in the order of
     ``enumerate_partitions``, generated without the others.
@@ -157,11 +148,6 @@ def _restricted_pairs(restricted: list, n: int) -> set[Bipartition]:
     return {(a, b) for k in range(n + 1) for a in restricted[k] for b in restricted[n - k]}
 
 
-def restricted_bipartitions(n: int, l: int | float) -> set[Bipartition]:
-    """Bipartitions of ``n`` whose components are ``l``-restricted."""
-    return _restricted_pairs([list(restricted_partitions(k, l)) for k in range(n + 1)], n)
-
-
 # ---------------------------------------------------------------------------
 # dimensions
 
@@ -188,20 +174,6 @@ def bipartition_dimension(bp: Bipartition) -> int:
         comb(n, sum(bp[0]))
         * standard_tableaux_count(bp[0])
         * standard_tableaux_count(bp[1])
-    )
-
-
-def count_standard_bitableaux(bp: Bipartition) -> int:
-    """Explicit enumeration of standard fillings, one removal chain at a time.
-
-    Exponential on purpose; used only to cross-check the closed formula on
-    small diagrams.
-    """
-    if bipartition_size(bp) == 0:
-        return 1
-    return sum(
-        count_standard_bitableaux(remove_node(bp, node))
-        for node in removable_nodes(bp)
     )
 
 
@@ -363,9 +335,7 @@ def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationRe
         parents = parents_index(children)  # empties the index: the socles read only this
         del children
         if bipartition_size(level[0]) >= 2:
-            socles = level_socles(
-                level, params, image_function(table), image_function(below), parents
-            )
+            socles = level_socles(level, image_function(table), image_function(below), parents)
             for socle in socles:
                 expected = _label_dimension(socle.source)
                 total = sum(map(_label_dimension, socle.summands))
@@ -406,9 +376,7 @@ def verify_clifford_socle(n: int, params: CrystalParams) -> VerificationReport:
         images = {bp: reference_h(bp, params, known) for bp in level}
         if bipartition_size(level[0]) >= 2:
             engine: dict = {}
-            socles = level_socles(
-                level, params, image_function(table), image_function(below), parents
-            )
+            socles = level_socles(level, image_function(table), image_function(below), parents)
             for socle in socles:
                 # the two signs of a split label share a representative, so they merge
                 engine.setdefault(socle.source.rep, Counter()).update(

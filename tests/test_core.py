@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from conftest import bipartitions, partitions
+from conftest import bipartitions, is_l_restricted, partitions
 from dnbranch.core import (
     INF,
     Node,
@@ -13,7 +13,6 @@ from dnbranch.core import (
     classify_regime,
     format_bipartition,
     hat,
-    is_l_restricted,
     is_semisimple,
     parse_bipartition,
     remove_node,

@@ -2,7 +2,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import bipartitions, fold_steps, parent_pairs, partitions
+from conftest import (
+    bipartitions,
+    edges_of,
+    enumerate_bipartitions,
+    fold_steps,
+    is_l_restricted,
+    lattice_edges,
+    parent_pairs,
+    partitions,
+    peel_path,
+)
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
@@ -12,7 +22,6 @@ from dnbranch.core import (
     classify_regime,
     format_bipartition,
     hat,
-    is_l_restricted,
     regime_a_params,
     remove_node,
 )
@@ -24,7 +33,6 @@ from dnbranch.crystal import (
     _word_side,
     build_lattice,
     component_word,
-    edges_of,
     e_tilde,
     f_tilde,
     good_addable,
@@ -33,11 +41,10 @@ from dnbranch.crystal import (
     i_signature,
     iter_levels,
     partition_crystal_levels,
-    peel_path,
 )
 from dnbranch.dmod import involution
 from dnbranch.errors import NotKleshchevError, ResourceLimitError, ShiftReplayError
-from dnbranch.oracle import enumerate_bipartitions, enumerate_partitions, reference_h
+from dnbranch.oracle import enumerate_partitions, reference_h
 
 
 def test_partition_signature_examples():
@@ -156,7 +163,7 @@ def test_build_lattice_is_deterministic():
     first = build_lattice(5, params)
     second = build_lattice(5, params)
     assert first == second
-    assert first.levels == second.levels and first.edges == second.edges
+    assert first.levels == second.levels and lattice_edges(first) == lattice_edges(second)
 
 
 def test_build_lattice_vertex_budget():
@@ -250,38 +257,71 @@ def _first_unmirrored(children):
 
 
 def _swap_doctorings(children, level):
-    """Regime-A indexes with one edge dropped, added, or sent to another
-    child, or one parent dropped with its edges."""
+    """Changes ``(parent, steps)`` to a regime-A index, each to apply alone:
+    one edge dropped, added, or sent to another child, or (``steps`` is
+    ``None``) one parent dropped with its edges."""
     for parent, steps in children.items():
         for step in steps:
-            yield {**children, parent: {s: c for s, c in steps.items() if s != step}}
+            yield parent, {s: c for s, c in steps.items() if s != step}
             moved = next(v for v in level if v != steps[step])
-            yield {**children, parent: {**steps, step: moved}}
+            yield parent, {**steps, step: moved}
         spare = next((1, i) for i in range(len(steps) + 1) if (1, i) not in steps)
-        yield {**children, parent: {**steps, spare: level[0]}}
-        yield {p: s for p, s in children.items() if p != parent}
+        yield parent, {**steps, spare: level[0]}
+        yield parent, None
+
+
+def _doctored(children, *changes):
+    """``children`` with each ``(parent, steps)`` change made, in place in index order."""
+    doctored = dict(children)
+    for parent, steps in changes:
+        if steps is None:
+            del doctored[parent]
+        else:
+            doctored[parent] = steps
+    return doctored
+
+
+def _assert_swap_check_as_plain_loop(params, doctored) -> bool:
+    """Whether ``_next_images`` rejects ``doctored``, after asserting that it
+    does exactly where the plain loop finds an unmirrored edge, naming it."""
+    import dnbranch.crystal as crystal
+
+    expected = _first_unmirrored(doctored)
+    if expected is None:
+        assert crystal._next_images(params, doctored, None) is None
+        return False
+    with pytest.raises(ShiftReplayError) as caught:
+        crystal._next_images(params, doctored, None)
+    assert str(caught.value) == expected
+    return True
 
 
 @pytest.mark.parametrize("e, n", [(INF, 5), (3, 6)])
 def test_swap_check_names_the_first_edge_with_no_mirror(e, n):
-    # the regime-A check reads each pair of mirror parents once; when it
+    # the regime-A check skips a parent whose mirror has closed it; when it
     # fails, the message names the edge a plain edge-by-edge loop finds first
     import dnbranch.crystal as crystal
 
     params = classify_regime(n, e)
-    checked = 0
+    checked = paired = 0
     for level, children in crystal._grow(n, params, 10**6):
         assert crystal._next_images(params, children, None) is None
-        for doctored in _swap_doctorings(children, level):
-            expected = _first_unmirrored(doctored)
-            if expected is None:
-                assert crystal._next_images(params, doctored, None) is None
-                continue
-            with pytest.raises(ShiftReplayError) as caught:
-                crystal._next_images(params, doctored, None)
-            assert str(caught.value) == expected
-            checked += 1
+        changes = list(_swap_doctorings(children, level))
+        for change in changes:
+            checked += _assert_swap_check_as_plain_loop(params, _doctored(children, change))
+        # two changes on different parents: a parent and its mirror, or a
+        # parent and the next in index order, so a skip or a later parent's
+        # failure must give way to an earlier parent's
+        after = dict(zip(children, list(children)[1:]))
+        for first in changes:
+            partners = {hat(first[0]), after.get(first[0])} - {first[0]}
+            for second in changes:
+                if second[0] in partners:
+                    paired += _assert_swap_check_as_plain_loop(
+                        params, _doctored(children, first, second)
+                    )
     assert checked > 100
+    assert paired > 100
 
 
 @pytest.mark.parametrize("e", [4, 3])
@@ -317,7 +357,7 @@ def test_index_follows_the_edges(e):
     params = classify_regime(6, e)
     lattice = build_lattice(6, params)
     parents = {bp: [] for level in lattice.levels for bp in level}
-    for level_edges in lattice.edges:
+    for level_edges in lattice_edges(lattice):
         for parent, step, child in level_edges:
             parents[child].append((parent, step))
     for bp in parents:
@@ -461,7 +501,7 @@ def test_lattice_regenerates_from_definitional_operators(e):
     lattice = build_lattice(n, params)
     levels, edges = _regenerate(n, params)
     assert [list(level) for level in lattice.levels] == levels
-    assert [list(level_edges) for level_edges in lattice.edges] == edges
+    assert [list(level_edges) for level_edges in lattice_edges(lattice)] == edges
     if params.regime == REGIME_B:
         h = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
         for level_edges in edges:

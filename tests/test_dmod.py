@@ -339,19 +339,18 @@ DOCTORED_REMOVALS = (((), (1, 1)), ((1,), (1,)))
 
 
 def test_fixed_images_of_two_removals_are_two_special_nodes():
-    params = classify_regime(3, INF)
     parents = {DOCTORED_LABEL: list(DOCTORED_REMOVALS)}
-    (socle,) = level_socles([DOCTORED_LABEL], params, hat, hat, parents)  # the true h
+    (socle,) = level_socles([DOCTORED_LABEL], hat, hat, parents)  # the true h
     assert socle.source == IrreducibleLabel(UNSPLIT, DOCTORED_LABEL)
     assert {summand.rep for summand in socle.summands} == set(DOCTORED_REMOVALS)
     with pytest.raises(MultipleSpecialNodesError, match=r"D\(1\|1,1\) has 2 special nodes"):
-        list(level_socles([DOCTORED_LABEL], params, hat, lambda mu: mu, parents))
+        list(level_socles([DOCTORED_LABEL], hat, lambda mu: mu, parents))
 
 
 def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
     # the two removals map to each other, so both give the same unsplit label
     script = (
-        "from dnbranch.core import INF, classify_regime, hat\n"
+        "from dnbranch.core import hat\n"
         "from dnbranch.dmod import level_socles\n"
         "from dnbranch.errors import InvariantError\n"
         "assert False, 'asserts are stripped'\n"
@@ -359,7 +358,7 @@ def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
         "swap = {mu1: mu2, mu2: mu1}\n"
         f"parents = {{{DOCTORED_LABEL!r}: [mu1, mu2]}}\n"
         "try:\n"
-        f"    list(level_socles([{DOCTORED_LABEL!r}], classify_regime(3, INF), hat, swap.get, parents))\n"
+        f"    list(level_socles([{DOCTORED_LABEL!r}], hat, swap.get, parents))\n"
         "except InvariantError as exc:\n"
         "    print('raised' if 'D(1|1,1)' in str(exc) else exc)\n"
     )
@@ -368,13 +367,13 @@ def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
 
 def test_two_special_removals_raise_under_optimisation():
     script = (
-        "from dnbranch.core import INF, classify_regime, hat\n"
+        "from dnbranch.core import hat\n"
         "from dnbranch.dmod import level_socles\n"
         "from dnbranch.errors import MultipleSpecialNodesError\n"
         "assert False, 'asserts are stripped'\n"
         f"parents = {{{DOCTORED_LABEL!r}: {list(DOCTORED_REMOVALS)!r}}}\n"
         "try:\n"
-        f"    list(level_socles([{DOCTORED_LABEL!r}], classify_regime(3, INF), hat, lambda mu: mu, parents))\n"
+        f"    list(level_socles([{DOCTORED_LABEL!r}], hat, lambda mu: mu, parents))\n"
         "except MultipleSpecialNodesError as exc:\n"
         "    print('raised' if 'D(1|1,1)' in str(exc) else exc)\n"
     )

@@ -1,11 +1,21 @@
 import ast
 import hashlib
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import bipartitions, parent_pairs
+from conftest import (
+    bipartitions,
+    count_standard_bitableaux,
+    enumerate_bipartitions,
+    is_l_restricted,
+    lattice_edges,
+    parent_pairs,
+    restricted_bipartitions,
+)
 from dnbranch.core import (
     EMPTY_BIPARTITION,
     INF,
@@ -13,7 +23,6 @@ from dnbranch.core import (
     format_bipartition,
     format_partition,
     hat,
-    is_l_restricted,
     regime_a_params,
     remove_node,
     removable_nodes,
@@ -32,10 +41,7 @@ from dnbranch.dmod import (
 from dnbranch.errors import NotSemisimpleError, ResourceLimitError
 from dnbranch.oracle import (
     bipartition_dimension,
-    count_standard_bitableaux,
-    enumerate_bipartitions,
     enumerate_partitions,
-    restricted_bipartitions,
     restricted_partitions,
     verify_clifford_socle,
     verify_h_path_independence,
@@ -201,7 +207,7 @@ def _naive_path_independence(n, params, cap, f_tilde):
             walk(child, nxt, path + [step])
 
     walk(EMPTY_BIPARTITION, EMPTY_BIPARTITION, [])
-    for level_edges in lattice.edges:
+    for level_edges in lattice_edges(lattice):
         for parent, step, child in level_edges:
             shifted = (step + params.l) % params.e
             got = f_tilde(images[parent], shifted, params)
@@ -228,7 +234,7 @@ def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
 
     params = classify_regime(7, 4)
     lattice = build_lattice(7, params)
-    parent, step, child = lattice.edges[4][1]
+    parent, step, child = lattice_edges(lattice)[4][1]
     bad = (lattice.h[parent], (step + params.l) % params.e)
     real = oracle.f_tilde
 
@@ -255,7 +261,7 @@ def test_path_replay_memo_hides_no_failure(monkeypatch, cap, wrong):
     assert report.failures == [f for f in naive if f[0].startswith("edge ")]
     assert report.failures and sum(1 for item, _, _ in naive if " path [" in item) > 1
     assert truncated == (cap == 2) and not report.truncated and report.status == "fail"
-    edges = [edge for level_edges in lattice.edges for edge in level_edges]
+    edges = [edge for level_edges in lattice_edges(lattice) for edge in level_edges]
     assert len(calls) == len(set(calls)) == len(edges)
     assert set(calls) <= set(naive_calls) and len(naive_calls) > len(calls)
     assert report.cases == lattice.vertex_count() + len(edges)
@@ -463,6 +469,55 @@ def test_clifford_socle_suite_runs_from_the_command_line(capsys):
     for e in ("4", "inf"):
         assert main(["verify", "--suite", "clifford-socle", "--e", e, "--n", "7"]) == 0
         assert "status: pass" in capsys.readouterr().out
+
+
+def _drop_an_edge_with_its_mirror(grow, lattice):
+    """``_grow`` whose top level loses one edge together with its ``h``
+    mirror (the step swapped in regime A, shifted by ``l`` in regime B), the
+    first such pair whose loss leaves every vertex a parent: so the edges
+    left are closed under ``h`` and the level passes ``_next_images``."""
+    params, n = lattice.params, lattice.n
+    image = hat if lattice.h is None else lattice.h.__getitem__
+
+    def mirror(step):
+        return (3 - step[0], step[1]) if lattice.h is None else (step + params.l) % params.e
+
+    def doctored(size, params, max_vertices):
+        levels = list(grow(size, params, max_vertices))
+        children = {p: dict(steps) for p, steps in levels[n][1].items()}
+        parents = Counter(c for steps in children.values() for c in steps.values())
+        parent, step = next(
+            (p, s)
+            for p, steps in children.items()
+            for s, c in steps.items()
+            if all(parents[v] > k for v, k in Counter([c, image(c)]).items())
+        )
+        del children[parent][step], children[image(parent)][mirror(step)]
+        levels[n] = (levels[n][0], children)
+        return iter(levels)
+
+    return doctored
+
+
+@pytest.mark.parametrize("e", [4, INF])
+def test_clifford_socle_fails_an_edge_lost_with_its_h_mirror(monkeypatch, capsys, e):
+    # the level check, path-independence and uniqueness-distinctness read
+    # only the edges present; clifford-socle takes the good removals from
+    # the definitional reference, so it sees the lost pair
+    import dnbranch.crystal as crystal
+
+    n = 8
+    lattice = build_lattice(n, classify_regime(n, e))
+    monkeypatch.setattr(crystal, "_grow", _drop_an_edge_with_its_mirror(crystal._grow, lattice))
+    levels = list(iter_levels(n, lattice.params))  # passes the level check
+    assert sum(map(len, levels[n][1].values())) == sum(map(len, lattice.index[n].values())) - 2
+    capsys.readouterr()
+    argv = ["verify", "--suite", "clifford-socle", "--e", "inf" if e == INF else str(e)]
+    assert main([*argv, "--n", str(n), "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    report = json.loads(out)["data"]
+    assert report["status"] == "fail" and len(report["failures"]) >= 1
+    assert err == ""
 
 
 def _doctored_socles(doctor):

@@ -6,7 +6,7 @@ import io
 
 import pytest
 
-from conftest import fold_steps
+from conftest import enumerate_bipartitions, fold_steps, peel_path
 from dnbranch.cli import main
 from dnbranch.core import (
     INF,
@@ -16,7 +16,7 @@ from dnbranch.core import (
     parse_bipartition,
     remove_node,
 )
-from dnbranch.crystal import build_lattice, f_tilde, good_nodes, peel, peel_path
+from dnbranch.crystal import build_lattice, f_tilde, good_nodes, peel
 from dnbranch.dmod import (
     _good_removals,
     _image_below,
@@ -27,7 +27,6 @@ from dnbranch.dmod import (
     socle_restriction,
 )
 from dnbranch.errors import NotKleshchevError, ShiftReplayError
-from dnbranch.oracle import enumerate_bipartitions
 
 # every bipartition of size n, member or not, at each of these points
 GRID = [(4, 7), (6, 7), (INF, 6), (3, 7), (2, 8)]
