@@ -476,14 +476,14 @@ def _drop_an_edge_with_its_mirror(grow, lattice):
     mirror (the step swapped in regime A, shifted by ``l`` in regime B), the
     first such pair whose loss leaves every vertex a parent: so the edges
     left are closed under ``h`` and the level passes ``_next_images``."""
-    params, n = lattice.params, lattice.n
+    n, e, l = lattice.n, lattice.params.e, lattice.params.l
     image = hat if lattice.h is None else lattice.h.__getitem__
 
     def mirror(step):
-        return (3 - step[0], step[1]) if lattice.h is None else (step + params.l) % params.e
+        return (3 - step[0], step[1]) if lattice.h is None else (step + l) % e
 
-    def doctored(size, params, max_vertices):
-        levels = list(grow(size, params, max_vertices))
+    def doctored(*args):
+        levels = list(grow(*args))
         children = {p: dict(steps) for p, steps in levels[n][1].items()}
         parents = Counter(c for steps in children.values() for c in steps.values())
         parent, step = next(
