@@ -99,6 +99,15 @@ DEFAULT_VERTEX_BUDGET = 5_000_000
 MAX_RESIDUE_ALPHABET = 10_000
 
 
+def check_alphabet(modulus: int | float) -> None:
+    """Raise ``ResourceLimitError`` before a finite alphabet of over
+    ``MAX_RESIDUE_ALPHABET`` residues is listed."""
+    if modulus != INF and modulus > MAX_RESIDUE_ALPHABET:
+        raise ResourceLimitError(
+            f"the residue alphabet of {modulus} letters exceeds the limit of {MAX_RESIDUE_ALPHABET}"
+        )
+
+
 class Signature(Frozen):
     """Residue word of marked cells, before and after cancellation.
 
@@ -436,10 +445,12 @@ def _grow(n: int, params: CrystalParams, max_vertices: int):
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    regime_b, e, l, shift = params.regime == REGIME_B, params.e, params.l, params.multicharge[1]
+    if regime_b:
+        check_alphabet(e)  # every residue of Z/eZ is listed per parent
     level = (EMPTY_BIPARTITION,)
     yield level, {}
     total = 1
-    regime_b, e, l, shift = params.regime == REGIME_B, params.e, params.l, params.multicharge[1]
     residues = range(e) if regime_b else None
     for _ in range(n):
         children = {}
@@ -489,7 +500,8 @@ def iter_levels(n: int, params: CrystalParams, max_vertices: int = DEFAULT_VERTE
     the level below as ``_grow`` builds it.  ``h`` is the involution on the
     level, a table in regime B and ``None`` in regime A.  Each level passes
     ``_next_images``.  Raises ``ResourceLimitError`` once the levels hold
-    over ``max_vertices``.
+    over ``max_vertices``, and in regime B before level 0 when ``e`` is
+    over ``MAX_RESIDUE_ALPHABET``.
     """
     levels = _grow(n, params, max_vertices)
     # h on level 0, as _next_images gives it: the empty bipartition is fixed

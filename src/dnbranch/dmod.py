@@ -54,9 +54,9 @@ from .core import (
     residue,
 )
 from .crystal import (
-    MAX_RESIDUE_ALPHABET,
     Lattice,
     _not_kleshchev,
+    check_alphabet,
     f_tilde,
     good_nodes,
     peel,
@@ -65,7 +65,6 @@ from .errors import (
     FixedPointError,
     InvariantError,
     MultipleSpecialNodesError,
-    ResourceLimitError,
     ShiftReplayError,
 )
 
@@ -325,12 +324,8 @@ def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
     """
     counts = Counter(residue(node, params) for node in nodes_of(bp))
     modulus = params.e if params.regime == REGIME_B else params.l
+    check_alphabet(modulus)
     if modulus != INF:
-        if modulus > MAX_RESIDUE_ALPHABET:
-            raise ResourceLimitError(
-                f"the residue alphabet of {modulus} letters exceeds the limit "
-                f"of {MAX_RESIDUE_ALPHABET}"
-            )
         for k in range(int(modulus)):
             counts.setdefault(k, 0)
     return dict(sorted(counts.items()))

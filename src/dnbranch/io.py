@@ -28,26 +28,29 @@ writes as its input arrives, in pieces of bounded size:
 A verify report is formatted too, its strings escaped as ``json.dumps``
 escapes them (``_json_value``), so no document is written through
 ``json``; only reading one (``parse_json``) imports it.
-Labels and branching documents share one label writer.  A lattice
-document is read by one comparison: rewritten canonically, it must be the
-document of the lattice built at its parameters, under a budget of its own
-vertex count.
+Labels and branching documents share one label writer.  Every document
+is read by one comparison: decoded, then written again, it must be its own
+canonical text.  A lattice is decoded by building it at its parameters,
+under a budget of its own vertex count, and regime-B growth lists no
+alphabet of over ``crystal.MAX_RESIDUE_ALPHABET`` residues, so a small
+document cannot ask for a large build.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 
 from .core import (
     CrystalParams,
     INF,
     REGIME_A,
-    REGIME_B,
     Record,
     _Memo,
+    classify_regime,
     format_partition,
     parse_bipartition,
+    regime_a_params,
 )
 from .crystal import Lattice, build_lattice
 from .dmod import IrreducibleLabel, SPLIT, SocleDecomposition, UNSPLIT, format_label
@@ -81,14 +84,6 @@ def _extended_text(value) -> str:
     return '"inf"' if value == INF else str(int(value))
 
 
-def _extended_from_json(value):
-    if value == "inf":
-        return INF
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise SchemaMismatchError(f"expected an integer or 'inf', got {value!r}")
-
-
 def _size_from_json(value, what: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
@@ -100,43 +95,26 @@ def _step_text(step) -> str:
 
 
 def _label_from_json(value) -> IrreducibleLabel:
-    if not isinstance(value, dict) or "kind" not in value or "rep" not in value:
-        raise SchemaMismatchError(f"malformed label {value!r}")
-    kind, text = value["kind"], value["rep"]
-    if not isinstance(text, str):
-        raise SchemaMismatchError(f"label rep {text!r} is not a string")
-    try:
-        rep = parse_bipartition(text)
-    except ParseError as exc:
-        raise SchemaMismatchError(f"malformed label rep: {exc}") from exc
+    """The label of a payload entry.  Its kind and a split label's sign are
+    checked here, since the writer would write any other value back."""
+    kind, rep = value["kind"], parse_bipartition(value["rep"])
     if kind == UNSPLIT:
         return IrreducibleLabel(UNSPLIT, rep)
-    if kind == SPLIT:
-        if value.get("sign") not in ("+", "-"):
-            raise SchemaMismatchError(f"split label needs a sign: {value!r}")
+    if kind == SPLIT and value["sign"] in ("+", "-"):
         return IrreducibleLabel(SPLIT, rep, value["sign"])
-    raise SchemaMismatchError(f"unknown label kind {kind!r}")
+    raise SchemaMismatchError(f"malformed label {value!r}")
 
 
-def _params_from_header(obj) -> CrystalParams:
-    """The crystal parameters of a header, if some command can make them.
+def _params(e, regime: str) -> CrystalParams:
+    """The crystal parameters of a document at ``e`` in ``regime``.
 
-    Those are the parameters of ``classify_regime`` and ``regime_a_params``:
-    regime B needs a finite even ``e >= 2`` with ``l = e // 2``, and regime
-    A needs ``l = e`` with ``e`` an integer ``>= 2`` or ``inf``.
+    Regime A is ``regime_a_params(e)``.  Any other regime is read as
+    ``classify_regime`` at every large ``n``, which is regime B exactly at
+    a finite even ``e``; a document whose regime is not that one does not
+    round-trip.  Either raises ``InvalidEError`` unless ``e`` is an integer
+    ``>= 2`` or ``INF``.
     """
-    e = _extended_from_json(obj["e"])
-    l = _extended_from_json(obj["l"])
-    regime = obj["regime"]
-    if regime == REGIME_B:
-        if e == INF or e < 2 or e % 2 or l != e // 2:
-            raise SchemaMismatchError(f"no regime-B parameters have e={e!r}, l={l!r}")
-        return CrystalParams(e=e, regime=REGIME_B, l=l, multicharge=(0, l))
-    if regime == REGIME_A:
-        if l != e or e < 2:
-            raise SchemaMismatchError(f"no regime-A parameters have e={e!r}, l={l!r}")
-        return CrystalParams(e=e, regime=REGIME_A, l=l)
-    raise SchemaMismatchError(f"unknown regime {regime!r}")
+    return regime_a_params(e) if regime == REGIME_A else classify_regime(INF, e)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +125,10 @@ def _params_from_header(obj) -> CrystalParams:
 _CHUNK = 256
 
 
-def _chunks(items, size: int = _CHUNK):
-    """``items`` in consecutive lists of ``size`` (the last may be shorter)."""
+def _chunks(items):
+    """``items`` in consecutive lists of ``_CHUNK`` (the last may be shorter)."""
     items = iter(items)
-    while chunk := list(islice(items, size)):
+    while chunk := list(islice(items, _CHUNK)):
         yield chunk
 
 
@@ -240,35 +218,11 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
 
 
 def _lattice_from_data(params: CrystalParams, data) -> Lattice:
-    """The lattice of a payload, which must be the one built at its ``n``.
-
-    Only the shape is read first: ``n`` a size and ``levels`` a list of
-    lists.  The lattice is built under a budget of the vertex texts the
-    payload lists, so a small document cannot ask for a large build.  Then
-    one comparison checks every vertex, edge and step: the payload's
-    ``edges``, ``levels`` and ``n``, as canonical text, must make the
-    build's canonical document.  Text, not values, is compared, since ``true``
-    or ``1.0`` equals ``1`` as a value but is no integer.
-    """
-    import json
-    try:
-        n = _size_from_json(data["n"], "level count")
-        levels = data["levels"]
-        if not isinstance(levels, list) or not all(isinstance(level, list) for level in levels):
-            raise SchemaMismatchError("lattice levels are not a list of lists")
-        fields = {"edges": data["edges"], "levels": levels, "n": n}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaMismatchError(f"malformed lattice payload: {exc}") from exc
-    try:
-        lattice = build_lattice(n, params, sum(map(len, levels)))
-    except ResourceLimitError:
-        pass  # the payload lacks some vertex of the lattice
-    else:
-        head, tail = _envelope(params, KIND_LATTICE)
-        given = head + json.dumps(fields, sort_keys=True, separators=(",", ":")) + tail
-        if given == serialize_json(lattice_document(lattice)):
-            return lattice
-    raise SchemaMismatchError("lattice payload is not the good lattice at its parameters")
+    """The lattice built at a payload's parameters and ``n``, under a budget
+    of the vertex texts the payload lists, so a small document cannot ask
+    for a large build.  ``parse_json`` then checks every vertex, edge and
+    step by comparing the build's document with the payload's text."""
+    return build_lattice(data["n"], params, sum(map(len, data["levels"])))
 
 
 _label_fields = attrgetter("kind", "rep", "sign")
@@ -292,14 +246,11 @@ def _labels_json(payload) -> str:
     return f'{{"labels":[{labels}],"n":{payload["n"]}}}'
 
 
-def _labels_from_data(data):
-    try:
-        return {
-            "n": _size_from_json(data["n"], "label size"),
-            "labels": [_label_from_json(v) for v in data["labels"]],
-        }
-    except (KeyError, TypeError) as exc:
-        raise SchemaMismatchError(f"malformed labels payload: {exc}") from exc
+def _labels_from_data(params: CrystalParams, data):
+    return {
+        "n": _size_from_json(data["n"], "label size"),
+        "labels": list(map(_label_from_json, data["labels"])),
+    }
 
 
 def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
@@ -324,18 +275,14 @@ def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
     write(f'],"n":{n}}}{tail}')
 
 
-def _branching_from_data(data):
-    try:
-        entries = [
-            SocleDecomposition(
-                _label_from_json(entry["source"]),
-                tuple(_label_from_json(s) for s in entry["summands"]),
-            )
-            for entry in data["entries"]
-        ]
-        return {"n": _size_from_json(data["n"], "branching size"), "entries": entries}
-    except (KeyError, TypeError) as exc:
-        raise SchemaMismatchError(f"malformed branching payload: {exc}") from exc
+def _branching_from_data(params: CrystalParams, data):
+    entries = [
+        SocleDecomposition(
+            _label_from_json(entry["source"]), tuple(map(_label_from_json, entry["summands"]))
+        )
+        for entry in data["entries"]
+    ]
+    return {"n": _size_from_json(data["n"], "branching size"), "entries": entries}
 
 
 def _char_escape(code: int) -> str:
@@ -389,20 +336,12 @@ def _report_json(report: VerificationReport) -> str:
 
 
 def _report_from_data(params: CrystalParams, data) -> VerificationReport:
-    try:
-        suite, failures = data["suite"], data["failures"]
-        elapsed, truncated = data["elapsed"], data["truncated"]
-        n = _size_from_json(data["n"], "report size")
-        cases = _size_from_json(data["cases"], "case count")
-    except (KeyError, TypeError) as exc:
-        raise SchemaMismatchError(f"malformed report payload: {exc}") from exc
+    """The report of a payload.  Its texts, ``elapsed`` and ``truncated``
+    are checked here, since the writer would write any other value back."""
+    suite, elapsed, truncated = data["suite"], data["elapsed"], data["truncated"]
+    failures = [(given, expected, got) for given, expected, got in data["failures"]]
     if not (
-        isinstance(suite, str)
-        and isinstance(failures, list)
-        and all(
-            isinstance(f, list) and len(f) == 3 and all(isinstance(x, str) for x in f)
-            for f in failures
-        )
+        all(isinstance(text, str) for text in (suite, *chain.from_iterable(failures)))
         and isinstance(elapsed, (int, float))
         and not isinstance(elapsed, bool)
         and isinstance(truncated, bool)
@@ -413,10 +352,10 @@ def _report_from_data(params: CrystalParams, data) -> VerificationReport:
         e=params.e,
         regime=params.regime,
         l=params.l,
-        n=n,
-        cases=cases,
-        failures=[tuple(f) for f in failures],
-        elapsed=float(elapsed),
+        n=_size_from_json(data["n"], "report size"),
+        cases=_size_from_json(data["cases"], "case count"),
+        failures=failures,
+        elapsed=elapsed,
         truncated=truncated,
     )
 
@@ -435,13 +374,7 @@ def branching_document(params: CrystalParams, n: int, entries) -> Document:
     return Document(params, KIND_BRANCHING, {"n": n, "entries": list(entries)})
 
 def report_document(report: VerificationReport) -> Document:
-    params = CrystalParams(
-        e=report.e,
-        regime=report.regime,
-        l=report.l,
-        multicharge=(0, int(report.l)) if report.regime == REGIME_B else (0, 0),
-    )
-    return Document(params, KIND_REPORT, report)
+    return Document(_params(report.e, report.regime), KIND_REPORT, report)
 
 
 def serialize_json(doc: Document) -> str:
@@ -464,8 +397,27 @@ def serialize_json(doc: Document) -> str:
     return head + data + tail
 
 
+# the payload reader of each document kind: ``(params, data)`` to ``Document.data``
+_READERS = {
+    KIND_LATTICE: _lattice_from_data,
+    KIND_LABELS: _labels_from_data,
+    KIND_BRANCHING: _branching_from_data,
+    KIND_REPORT: _report_from_data,
+}
+
+
 def parse_json(text: str) -> Document:
-    """Parse a canonical document, rejecting unknown schemas and shapes."""
+    """Parse a canonical document: decoded and written again, it must be its
+    own canonical text.
+
+    The header's ``e`` and ``regime`` fix the parameters, ``l`` among them,
+    and the kind's reader decodes the payload.  ``serialize_json`` of the
+    result must equal the input rewritten with sorted keys and no
+    whitespace, so a missing or extra key, a wrong ``l`` or a value in
+    another spelling or JSON type (``true`` or ``1.0`` for ``1``) is a
+    mismatch.  Text, not values, is compared, since ``true == 1``.  Any
+    failure to decode or write is a ``SchemaMismatchError``.
+    """
     import json
     try:
         obj = json.loads(text)
@@ -473,25 +425,25 @@ def parse_json(text: str) -> Document:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.colno) from exc
     except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("schema") != SCHEMA:
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != SCHEMA:
+        raise SchemaMismatchError(f"expected schema {SCHEMA!r}, got {schema!r}")
+    try:
+        kind = obj["kind"]
+        params = _params(INF if obj["e"] == "inf" else obj["e"], obj["regime"])
+        doc = Document(params, kind, _READERS[kind](params, obj["data"]))
+        canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(obj) + "\n"
+        same = serialize_json(doc) == canonical
+    except SchemaMismatchError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, ResourceLimitError) as exc:
+        raise SchemaMismatchError(f"malformed document: {exc}") from exc
+    if not same:
         raise SchemaMismatchError(
-            f"expected schema {SCHEMA!r}, got {obj.get('schema')!r}"
-            if isinstance(obj, dict)
-            else "top level is not an object"
+            f"the {kind} document does not round-trip"
+            " (a lattice one: not the good lattice at its parameters)"
         )
-    for key in ("e", "regime", "l", "kind", "data"):
-        if key not in obj:
-            raise SchemaMismatchError(f"missing key {key!r}")
-    params, kind, data = _params_from_header(obj), obj["kind"], obj["data"]
-    if kind == KIND_LATTICE:
-        return Document(params, kind, _lattice_from_data(params, data))
-    if kind == KIND_LABELS:
-        return Document(params, kind, _labels_from_data(data))
-    if kind == KIND_BRANCHING:
-        return Document(params, kind, _branching_from_data(data))
-    if kind == KIND_REPORT:
-        return Document(params, kind, _report_from_data(params, data))
-    raise SchemaMismatchError(f"unknown document kind {kind!r}")
+    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,14 @@ def test_residue_alphabet_limit_is_inclusive(capsys):
     assert "residue alphabet" in err
 
 
+@pytest.mark.parametrize("command", ["lattice", "labels", "branch"])
+def test_regime_b_alphabet_over_the_limit_ends_a_full_level_command(capsys, command):
+    # e // 2 < n puts e = 20002 in regime B, whose growth would list every residue
+    code, _, err = run(capsys, command, "--e", "20002", "--n", "10002")
+    assert code == 1
+    assert err == "error: the residue alphabet of 20002 letters exceeds the limit of 10000\n"
+
+
 def test_bipartition_size_mismatch_is_usage_error(capsys):
     code, _, err = run(
         capsys, "branch", "--e", "inf", "--n", "4", "--bipartition", "2,1|1,1"

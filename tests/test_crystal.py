@@ -27,6 +27,7 @@ from dnbranch.core import (
 )
 from dnbranch.crystal import (
     ADDABLE,
+    MAX_RESIDUE_ALPHABET,
     REMOVABLE,
     _good_removable_side,
     _reduce,
@@ -170,6 +171,17 @@ def test_build_lattice_vertex_budget():
     params = classify_regime(6, INF)
     with pytest.raises(ResourceLimitError):
         build_lattice(6, params, max_vertices=10)
+
+
+def test_regime_b_growth_lists_no_alphabet_over_the_limit():
+    # regime B lists every residue of Z/eZ per parent; at the limit growth
+    # runs into the vertex budget, above it it stops before level 0
+    top = MAX_RESIDUE_ALPHABET
+    with pytest.raises(ResourceLimitError, match="vertex budget"):
+        build_lattice(top // 2 + 1, classify_regime(top // 2 + 1, top), max_vertices=10)
+    levels = iter_levels(top // 2 + 2, classify_regime(top // 2 + 2, top + 2))
+    with pytest.raises(ResourceLimitError, match="residue alphabet"):
+        next(levels)
 
 
 def test_canonical_path_examples():

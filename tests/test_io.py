@@ -147,14 +147,26 @@ PAYLOAD_FAULTS = [
     ("labels", ("n",), True),
     ("labels", ("labels", 0, "rep"), 5),
     ("labels", ("labels", 0, "rep"), "1|2|3"),
+    # no writer makes these: an extra key, a sign on an unsplit label, a rep
+    # that parses but is not written so
+    ("labels", ("extra",), 0),
+    ("labels", ("labels", 0, "extra"), 0),
+    ("labels", ("labels", 0, "sign"), "+"),
+    ("labels", ("labels", 3, "rep"), "+1|1,1"),
+    ("labels", ("labels", 3, "rep"), " 1|1,1"),
+    ("labels", ("labels", 3, "rep"), "1|1, 1"),
+    ("labels", ("labels", 0, "kind"), "other"),
     ("branching", ("n",), "x"),
     ("branching", ("n",), 3.0),
     ("branching", ("entries", 0, "source", "rep"), 5),
     ("branching", ("entries", 0, "summands", 0, "rep"), "x"),
+    ("branching", ("entries", 3, "summands", 0, "sign"), "x"),
+    ("branching", ("entries", 3, "summands", 0, "kind"), "other"),
     ("report", ("n",), "x"),
     ("report", ("n",), 3.7),
     ("report", ("cases",), "x"),
     ("report", ("cases",), -2),
+    ("report", ("cases",), True),
     ("report", ("suite",), 5),
     ("report", ("elapsed",), "x"),
     ("report", ("elapsed",), False),
@@ -317,6 +329,16 @@ def test_regime_b_header_with_infinite_l_is_a_miss(b4_n5):
     text = dio.serialize_json(dio.lattice_document(lattice))
     with pytest.raises(SchemaMismatchError):
         dio.parse_json(text.replace('"l":2', '"l":"inf"'))
+
+
+def test_a_regime_b_alphabet_over_the_limit_is_read_without_a_build():
+    # growth would list all 2 * 10**7 residues before it met the vertex budget
+    text = (
+        '{"data":{"edges":[[]],"levels":[["-|-"]],"n":1},"e":20000000,"kind":"lattice",'
+        '"l":10000000,"regime":"B","schema":"dnbranch/1"}\n'
+    )
+    with pytest.raises(SchemaMismatchError, match="residue alphabet"):
+        dio.parse_json(text)
 
 
 @pytest.mark.parametrize("e, n", [(4, 8), (6, 9), (3, 8), (INF, 7)])
@@ -497,6 +519,13 @@ def _paths(value, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _at(doc, path):
+    """The value at ``path`` in a JSON tree."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _retyped(value):
     """The same content as another JSON type."""
     if isinstance(value, bool):
@@ -511,19 +540,18 @@ def _retyped(value):
 @st.composite
 def _mutations(draw):
     """A canonical document and one field of it changed, retyped, deleted,
-    reordered or duplicated."""
+    reordered, duplicated or given a new key."""
     text = draw(st.sampled_from(DOCUMENTS))
     doc = json.loads(text)
     # a depth first, so a payload's few top fields are drawn as often as its many leaves
     paths = list(_paths(doc))[1:]
     depth = draw(st.integers(1, max(map(len, paths))))
     path = draw(st.sampled_from([path for path in paths if len(path) == depth]))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _at(doc, path[:-1])
     key = path[-1]
     value = parent[key]
     kinds = ["value", "type", "delete"] + (["reorder", "duplicate"] if isinstance(value, list) and value else [])
+    kinds += ["add"] if isinstance(value, dict) else []
     kind = draw(st.sampled_from(kinds))
     if kind == "value":
         parent[key] = draw(_JSON_VALUES.filter(lambda new: new != value))
@@ -533,15 +561,32 @@ def _mutations(draw):
         del parent[key]
     elif kind == "reorder":
         parent[key] = draw(st.permutations(value))
+    elif kind == "add":
+        value[draw(st.text(max_size=5).filter(lambda new: new not in value))] = draw(_JSON_VALUES)
     else:
         k = draw(st.integers(0, len(value) - 1))
         value.insert(k, value[k])
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("text", DOCUMENTS, ids=[f"{k}-{r}" for r in "BA" for k in ("lattice", "labels", "branching", "report")])
+DOCUMENT_IDS = [f"{k}-{r}" for r in "BA" for k in ("lattice", "labels", "branching", "report")]
+
+
+@pytest.mark.parametrize("text", DOCUMENTS, ids=DOCUMENT_IDS)
 def test_unmutated_documents_round_trip(text):
     assert dio.serialize_json(dio.parse_json(text)) == text
+
+
+@pytest.mark.parametrize("text", DOCUMENTS, ids=DOCUMENT_IDS)
+def test_a_key_added_to_any_object_is_a_mismatch(text):
+    doc = json.loads(text)
+    objects = [path for path in _paths(doc) if isinstance(_at(doc, path), dict)]
+    assert len(objects) > 1
+    for path in objects:
+        _at(doc, path)["extra"] = 0
+        with pytest.raises(SchemaMismatchError):
+            dio.parse_json(json.dumps(doc))
+        del _at(doc, path)["extra"]
 
 
 @settings(max_examples=300, deadline=None)
