@@ -34,6 +34,10 @@ EMPTY_BIPARTITION: Bipartition = ((), ())
 REGIME_A = "A"
 REGIME_B = "B"
 
+# the marks of a signature word's cells
+ADDABLE = "A"
+REMOVABLE = "R"
+
 
 class Node(NamedTuple):
     """Cell address inside a bipartition diagram."""

@@ -1,19 +1,12 @@
-"""Good-node signature rule, crystal operators, lattice generation and paths.
+"""Component words, lattice generation and the peel: the engine's crystal.
 
-The signature rule, spelled out once and enforced by the calibration suites:
-
-* list the addable and removable cells of a fixed residue in reading order,
-  component 1 before component 2, rows top to bottom;
-* repeatedly delete a removable entry immediately followed by an addable
-  one; the survivors always look like ``A...A R...R``;
-* the good removable cell is the leftmost surviving ``R``, the good addable
-  cell the rightmost surviving ``A``.
-
-In regime B the whole bipartition carries one signature per residue in
-``Z/eZ``.  In regime A the rule is applied to each component separately, so
-crystal operators are indexed by a *step* ``(component, residue)`` instead
-of a bare residue.  Lattice edge labels and path entries use the same step
-encoding.
+The signature rule is spelled out in ``reference``, whose per-step scan
+applies it literally; no engine module calls that scan, and this module
+only re-exports its names.  In regime B the whole bipartition carries one
+signature per residue in ``Z/eZ``.  In regime A the rule is applied to each
+component separately, so crystal operators are indexed by a *step*
+``(component, residue)`` instead of a bare residue.  Lattice edge labels and
+path entries use the same step encoding.
 
 The engine reads the rule through component words.  A component's marked
 cells of one residue depend only on its partition, its residue offset (``0``
@@ -34,11 +27,8 @@ bipartition combine:
   component 2's first ``R`` if ``r2 > 0``.
 
 ``good_nodes`` (the peel and a lone label's socle) reads the memoised words for
-good removable cells, and the level generator applies the rule for good
-addable cells inline.  ``i_signature`` and the operators built on it
-(``good_removable``, ``good_addable``, ``e_tilde``, ``f_tilde``) are the
-per-residue definitional scan: they list and sort all marked cells of the
-bipartition and keep one residue.
+good removable cells.  The level generator applies the rule for good addable
+cells inline, and ``good_child`` for a lone label's shifted replay in ``dmod``.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
@@ -48,11 +38,11 @@ index, the level and ``h`` hold the same objects.  The stream releases what
 it has passed: ``_grow`` drops that dict once a level is sorted, and
 ``iter_levels`` drops a level's vertices and index once they are yielded,
 before the next level grows.  A consumer keeps that bound only if it does
-the same, so each one (``cli``, the writers of ``io`` and the streamed
-verify suites) is a loop that deletes the level it has passed: a generator
-expression keeps its loop variable, and ``enumerate`` or ``zip`` its last
-item, while the next level grows.  A level's only edge structure, there and
-in ``Lattice``, is its children index.
+the same, so each one (``cli``, the writers of ``io`` and the one driver of
+the streamed verify suites) is a loop that deletes the level it has passed:
+a generator expression keeps its loop variable, and ``enumerate`` or
+``zip`` its last item, while the next level grows.  A level's only edge
+structure, there and in ``Lattice``, is its children index.
 ``_next_images`` is the one per-level check of the engine's output.  A
 ``Lattice`` is the stream collected (``build_lattice``), so every lattice,
 streamed or built, is grown and checked on one path.
@@ -64,32 +54,34 @@ membership and, in ``dmod``, ``h`` of a lone label need no lattice.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import cache
 
+from . import reference
 from .core import (
+    ADDABLE,
     Bipartition,
     CrystalParams,
     EMPTY_BIPARTITION,
-    Frozen,
     INF,
     Node,
     Partition,
     REGIME_A,
     REGIME_B,
-    add_node,
-    addable_nodes,
+    REMOVABLE,
     format_bipartition,
     hat,
     regime_a_params,
     remove_node,
-    removable_nodes,
-    residue,
 )
-from .errors import InvariantError, NotKleshchevError, ResourceLimitError, ShiftReplayError
+from .errors import NotKleshchevError, ResourceLimitError, ShiftReplayError
 
-ADDABLE = "A"
-REMOVABLE = "R"
+# the definitional crystal, importable from here too; nothing here calls it
+Signature = reference.Signature
+i_signature = reference.i_signature
+good_removable = reference.good_removable
+good_addable = reference.good_addable
+e_tilde = reference.e_tilde
+f_tilde = reference.f_tilde
 
 # residue (regime B) or (component, residue) (regime A)
 Step = int | tuple[int, int]
@@ -106,113 +98,6 @@ def check_alphabet(modulus: int | float) -> None:
         raise ResourceLimitError(
             f"the residue alphabet of {modulus} letters exceeds the limit of {MAX_RESIDUE_ALPHABET}"
         )
-
-
-class Signature(Frozen):
-    """Residue word of marked cells, before and after cancellation.
-
-    ``reduced`` never has a removable entry directly before an addable one;
-    ``eps`` counts surviving removable cells, ``phi`` surviving addable ones.
-    """
-
-    __slots__ = ("residue", "entries", "reduced", "eps", "phi")
-
-    def __init__(
-        self,
-        residue: int,
-        entries: tuple[tuple[Node, str], ...],
-        reduced: tuple[tuple[Node, str], ...],
-        eps: int,
-        phi: int,
-    ) -> None:
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "phi", phi)
-
-
-def _reduce(entries: Iterable[tuple[Node, str]]) -> tuple[tuple[Node, str], ...]:
-    stack: list[tuple[Node, str]] = []
-    for entry in entries:
-        if entry[1] == ADDABLE and stack and stack[-1][1] == REMOVABLE:
-            stack.pop()
-        else:
-            stack.append(entry)
-    for k in range(len(stack) - 1):
-        if stack[k][1] == REMOVABLE and stack[k + 1][1] == ADDABLE:
-            raise InvariantError("reduced signature is not of the shape A...A R...R")
-    return tuple(stack)
-
-
-def i_signature(
-    bp: Bipartition, i: int, params: CrystalParams, component: int | None = None
-) -> Signature:
-    """Signature of residue ``i``.
-
-    Regime B reads the whole bipartition; regime A requires ``component``
-    because the rule there never mixes the two components.
-    """
-    if params.regime == REGIME_A:
-        if component not in (1, 2):
-            raise ValueError("regime A signatures are computed per component")
-        components = (component,)
-    else:
-        components = (1, 2) if component is None else (component,)
-    marked = [(node, REMOVABLE) for node in removable_nodes(bp)] + [
-        (node, ADDABLE) for node in addable_nodes(bp)
-    ]
-    entries = tuple(
-        sorted(
-            (
-                (node, mark)
-                for node, mark in marked
-                if node.component in components and residue(node, params) == i
-            ),
-            key=lambda entry: (entry[0].component, entry[0].row, entry[0].col),
-        )
-    )
-    reduced = _reduce(entries)
-    eps = sum(1 for _, mark in reduced if mark == REMOVABLE)
-    return Signature(i, entries, reduced, eps=eps, phi=len(reduced) - eps)
-
-
-def _signature_for_step(bp: Bipartition, step, params: CrystalParams) -> Signature:
-    if params.regime == REGIME_B:
-        if not isinstance(step, int):
-            raise ValueError(f"regime B steps are residues, got {step!r}")
-        return i_signature(bp, step, params)
-    component, i = step
-    return i_signature(bp, i, params, component=component)
-
-
-def good_removable(bp: Bipartition, step, params: CrystalParams) -> Node | None:
-    """Leftmost surviving removable cell of the step's signature, if any."""
-    for node, mark in _signature_for_step(bp, step, params).reduced:
-        if mark == REMOVABLE:
-            return node
-    return None
-
-
-def good_addable(bp: Bipartition, step, params: CrystalParams) -> Node | None:
-    """Rightmost surviving addable cell of the step's signature, if any."""
-    best = None
-    for node, mark in _signature_for_step(bp, step, params).reduced:
-        if mark == ADDABLE:
-            best = node
-    return best
-
-
-def e_tilde(bp: Bipartition, step, params: CrystalParams) -> Bipartition | None:
-    """Remove the good removable cell of ``step``; ``None`` when absent."""
-    node = good_removable(bp, step, params)
-    return None if node is None else remove_node(bp, node)
-
-
-def f_tilde(bp: Bipartition, step, params: CrystalParams) -> Bipartition | None:
-    """Add the good addable cell of ``step``; ``None`` when absent."""
-    node = good_addable(bp, step, params)
-    return None if node is None else add_node(bp, node)
 
 
 # the summary of a residue with no marked cell
@@ -315,6 +200,19 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
         if word[1]:
             nodes.append((Node(2, *word[3]), step))
     return nodes
+
+
+def good_child(bp: Bipartition, i: int, params: CrystalParams) -> Bipartition | None:
+    """``bp`` with the good addable cell of residue ``i`` added, ``None``
+    when there is none, in regime B: the rule ``_grow`` applies inline, on
+    component words.  They are not memoised, as a memo entry holds ``e``
+    summaries and a lone replay meets each image once."""
+    left, right = bp
+    word1 = component_word(left, 0, params.e).get(i, _NO_WORD)
+    word2 = component_word(right, params.multicharge[1], params.e).get(i, _NO_WORD)
+    if word2[0] > word1[1]:
+        return left, word2[4]
+    return (word1[4], right) if word1[0] else None
 
 
 # ---------------------------------------------------------------------------

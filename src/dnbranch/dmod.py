@@ -57,7 +57,7 @@ from .crystal import (
     Lattice,
     _not_kleshchev,
     check_alphabet,
-    f_tilde,
+    good_child,
     good_nodes,
     peel,
 )
@@ -128,7 +128,8 @@ def involution(
     its table, built from its edges: ``h(c)`` is the child of ``h(p)`` along
     step ``(i + l) mod e`` for every edge ``(p, i, c)``.  Without one, the
     canonical peel of ``bp`` is replayed with every residue shifted by ``l``
-    (``_lone_images``).  Either way this is the membership check:
+    (``_lone_images``, by ``good_child``, not ``reference``).  Either way
+    this is the membership check:
     ``NotKleshchevError`` unless ``bp`` is Kleshchev, and with a lattice
     ``ValueError`` when ``bp`` lies above its top level.
     """
@@ -209,16 +210,19 @@ def _lone_images(bp: Bipartition, params: CrystalParams):
 
     Regime A swaps the components.  In regime B a bipartition's canonical
     peel stops at its first stage whose image is known, from ``{∅: ∅}``, and
-    its stages are replayed from that image with every step shifted by
-    ``l``.  Each stage records its image and, ``h`` being an involution, the
-    image's image, so a removal on a peel already made, or the image of
-    one, is a lookup.
+    its stages are replayed from that image by ``good_child``, with every
+    step shifted by ``l``.  Each stage records its image and, ``h`` being
+    an involution, the image's image, so a removal on a peel already made,
+    or the image of one, is a lookup.  The peel and the replay read one
+    word summary per residue of ``Z/eZ``, so regime B checks the alphabet
+    first (``check_alphabet``).
     """
     known = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
     if params.regime == REGIME_A:
         peel(bp, params, known)
         return hat(bp), hat
     e, l = params.e, params.l
+    check_alphabet(e)
 
     def image_of(mu: Bipartition) -> Bipartition:
         if mu in known:
@@ -226,7 +230,7 @@ def _lone_images(bp: Bipartition, params: CrystalParams):
         base, stages = peel(mu, params, known)
         image = known[base]
         for stage, step in reversed(stages):
-            image = f_tilde(image, (step + l) % e, params)
+            image = good_child(image, (step + l) % e, params)
             if image is None:
                 raise ShiftReplayError(
                     f"the shifted canonical path of {format_bipartition(mu)} breaks"

@@ -2,12 +2,11 @@
 
 The suites read the engine's levels, edges, ``h``, ``good_nodes`` and socles
 as the things under test, and compare them with what is computed apart from
-it: exact integer dimension counts, generated restricted partitions, a
-deliberately naive signature scan, ``f_tilde`` replays of shifted steps,
-and the definitional reference (the ``reference_`` helpers: good removals
-and ``h`` from the per-step operators alone).  A suite computes
-each fact it compares once per run; what it compares, its cases and its
-failures are those of naive loops.
+it: exact integer dimension counts, generated restricted partitions, and
+the definitional crystal of ``reference``, which no engine module calls.  A
+suite computes each fact it compares once per run; what it compares, its
+cases and its failures are those of naive loops.  The streamed suites share
+one driver (``_streamed_suite``) and give it only their per-level check.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from .core import (
     Bipartition,
     CrystalParams,
     EMPTY_BIPARTITION,
-    INF,
     Partition,
     REGIME_A,
     REGIME_B,
     Record,
-    addable_nodes,
     bipartition_size,
     format_bipartition,
     format_node,
@@ -34,16 +31,8 @@ from .core import (
     regime_a_params,
     remove_node,
     removable_nodes,
-    residue,
 )
-from .crystal import (
-    e_tilde,
-    f_tilde,
-    good_nodes,
-    good_removable,
-    iter_levels,
-    partition_crystal_levels,
-)
+from .crystal import good_nodes, iter_levels, partition_crystal_levels
 from .dmod import (
     SPLIT,
     IrreducibleLabel,
@@ -52,7 +41,14 @@ from .dmod import (
     level_socles,
     parents_index,
 )
-from .errors import InvariantError, NotKleshchevError, NotSemisimpleError, ShiftReplayError
+from .errors import InvariantError, NotSemisimpleError
+from .reference import (
+    _reference_good_removables,
+    f_tilde,
+    reference_good_removals,
+    reference_h,
+    reference_restriction,
+)
 
 
 class VerificationReport(Record):
@@ -187,74 +183,27 @@ def _label_dimension(label) -> int:
 
 
 # ---------------------------------------------------------------------------
-# definitional reference
-#
-# The ``reference_`` helpers read only ``core`` and the per-step operators
-# (``good_removable``, ``e_tilde``, ``f_tilde``), which list and sort every
-# marked cell of one step: no component word, level stream, lattice or
-# ``dmod`` logic, so a suite that compares the engine with them compares it
-# with the definitions.  A test parses this module to keep it that way.
-
-
-def reference_alphabet(bp: Bipartition, params: CrystalParams):
-    """Every step whose signature can mark a cell of ``bp``: the ``e``
-    residues in regime B, and in regime A ``(component, residue)`` of each
-    removable or addable cell, ascending."""
-    if params.regime == REGIME_B:
-        return range(params.e)
-    cells = removable_nodes(bp) + addable_nodes(bp)
-    return sorted({(node.component, residue(node, params)) for node in cells})
-
-
-def reference_good_removals(bp: Bipartition, params: CrystalParams) -> list[Bipartition]:
-    """``bp - A`` for every good removable cell ``A``: ``e_tilde`` on each
-    step of the alphabet, in step order."""
-    return [
-        mu for step in reference_alphabet(bp, params)
-        if (mu := e_tilde(bp, step, params)) is not None
-    ]
-
-
-def reference_h(bp: Bipartition, params: CrystalParams, known=None) -> Bipartition:
-    """``h(bp)`` by the definitional peel and shifted replay.
-
-    Regime A swaps the components.  Regime B peels ``bp`` with ``e_tilde``,
-    each time at the smallest step with a good removable cell, down to the
-    empty bipartition or to one whose image ``known`` holds (a dict of
-    values this function made), then replays the peeled steps from that
-    image, each shifted by ``l``, with ``f_tilde``.
-    """
-    if params.regime != REGIME_B:
-        return hat(bp)
-    known = {} if known is None else known
-    start, steps = bp, []
-    while bp not in known and bp != EMPTY_BIPARTITION:
-        step = next(
-            (i for i in range(params.e) if good_removable(bp, i, params) is not None), None
-        )
-        if step is None:
-            raise NotKleshchevError(f"the peel of {format_bipartition(start)} strands")
-        steps.append(step)
-        bp = e_tilde(bp, step, params)
-    image = known.get(bp, EMPTY_BIPARTITION)
-    for step in reversed(steps):
-        image = f_tilde(image, (step + params.l) % params.e, params)
-        if image is None:
-            raise ShiftReplayError(f"the shifted peel of {format_bipartition(start)} breaks")
-    return image
-
-
-def reference_restriction(mu: Bipartition, image: Bipartition) -> list[tuple]:
-    """Res of the type-B simple ``D^mu`` to type D, whose ``h(mu)`` is
-    ``image``, as ``(kind, rep, sign)`` labels: ``D(mu)`` when ``mu`` is not
-    fixed, else ``D(mu,+)`` and ``D(mu,-)``."""
-    if mu == image:
-        return [("split", mu, "+"), ("split", mu, "-")]
-    return [("unsplit", min(mu, image), None)]
-
-
-# ---------------------------------------------------------------------------
 # suites
+
+
+def _streamed_suite(suite: str, n: int, params: CrystalParams, check, parents=False):
+    """The report of ``suite``: ``check(report, level, edges, h, h_below)``
+    on each level of ``iter_levels``, with ``h`` on it and the level below
+    and the edges into it, the children index or with ``parents`` its
+    inverse.  What ``check`` makes of a level goes when it returns, and the
+    edges go here, before the next level grows.
+    """
+    report = _new_report(suite, params, n)
+    start = time.perf_counter()
+    below = None
+    for level, edges, table in iter_levels(n, params):
+        if parents:
+            edges = parents_index(edges)  # empties the children index
+        check(report, level, edges, image_function(table), image_function(below))
+        below = table
+        del edges
+    report.elapsed = time.perf_counter() - start
+    return report
 
 
 def _shifted_step(step, params: CrystalParams):
@@ -279,12 +228,8 @@ def verify_h_path_independence(n: int, params: CrystalParams) -> VerificationRep
     walked.  ``h`` is a bijection on each level, so no two edges replay the
     same ``(h(p), step)``.  One case per vertex and per edge.
     """
-    report = _new_report("path-independence", params, n)
-    start = time.perf_counter()
-    below = None
-    for level, children, table in iter_levels(n, params):
-        h, h_below = image_function(table), image_function(below)
-        below = table
+
+    def check(report, level, children, h, h_below):
         on_level = set(level)
         for bp in level:
             image = h(bp)
@@ -316,9 +261,8 @@ def verify_h_path_independence(n: int, params: CrystalParams) -> VerificationRep
                             "no good addable cell" if got is None else format_bipartition(got),
                         )
                     )
-        del children, on_level  # hold neither while the next level grows
-    report.elapsed = time.perf_counter() - start
-    return report
+
+    return _streamed_suite("path-independence", n, params, check)
 
 
 def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationReport:
@@ -328,23 +272,18 @@ def verify_semisimple_branching(n: int, params: CrystalParams) -> VerificationRe
         raise NotSemisimpleError(
             f"rank {n} at characteristic {params.e} is not semisimple"
         )
-    report = _new_report("semisimple-branching", params, n)
-    start = time.perf_counter()
-    below = None
-    for level, children, table in iter_levels(n, params):
-        parents = parents_index(children)  # empties the index: the socles read only this
-        del children
-        if bipartition_size(level[0]) >= 2:
-            socles = level_socles(level, image_function(table), image_function(below), parents)
-            for socle in socles:
-                expected = _label_dimension(socle.source)
-                total = sum(map(_label_dimension, socle.summands))
-                report.cases += 1
-                if total != expected:
-                    report.failures.append((format_label(socle.source), str(expected), str(total)))
-        below = table
-    report.elapsed = time.perf_counter() - start
-    return report
+
+    def check(report, level, parents, h, h_below):
+        if bipartition_size(level[0]) < 2:
+            return
+        for socle in level_socles(level, h, h_below, parents):
+            expected = _label_dimension(socle.source)
+            total = sum(map(_label_dimension, socle.summands))
+            report.cases += 1
+            if total != expected:
+                report.failures.append((format_label(socle.source), str(expected), str(total)))
+
+    return _streamed_suite("semisimple-branching", n, params, check, parents=True)
 
 
 def _multiset_text(labels: Counter) -> str:
@@ -367,17 +306,14 @@ def verify_clifford_socle(n: int, params: CrystalParams) -> VerificationReport:
     ``reference_h``, level by level from the one below.  One case per
     representative, after a check that both sides have the same ones.
     """
-    report = _new_report("clifford-socle", params, n)
-    start = time.perf_counter()
-    below = known = None
-    for level, children, table in iter_levels(n, params):
-        parents = parents_index(children)  # empties the index: the socles read only this
-        del children
+    known = None  # reference_h on the level below
+
+    def check(report, level, parents, h, h_below):
+        nonlocal known
         images = {bp: reference_h(bp, params, known) for bp in level}
         if bipartition_size(level[0]) >= 2:
             engine: dict = {}
-            socles = level_socles(level, image_function(table), image_function(below), parents)
-            for socle in socles:
+            for socle in level_socles(level, h, h_below, parents):
                 # the two signs of a split label share a representative, so they merge
                 engine.setdefault(socle.source.rep, Counter()).update(
                     (s.kind, s.rep, s.sign) for s in socle.summands
@@ -405,9 +341,9 @@ def verify_clifford_socle(n: int, params: CrystalParams) -> VerificationReport:
                             _multiset_text(engine[lam]),
                         )
                     )
-        below, known = table, images
-    report.elapsed = time.perf_counter() - start
-    return report
+        known = images
+
+    return _streamed_suite("clifford-socle", n, params, check, parents=True)
 
 
 def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> VerificationReport:
@@ -428,17 +364,11 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
     order, only when some removal equals some partner image; then the
     vertex's cells are found (``_collisions``) to name them.
     """
-    report = _new_report("uniqueness-distinctness", params, n)
-    start = time.perf_counter()
     regime_a = params.regime == REGIME_A
-    below = None
-    for level, children, table in iter_levels(n, params):
-        parents = parents_index(children)  # empties the index: the checks read only this
-        del children
-        h, h_below = image_function(table), image_function(below)
-        below = table
+
+    def check(report, level, parents, h, h_below):
         if level[0] == EMPTY_BIPARTITION:
-            continue
+            return
         # removals below a merely-removable cell can leave the lattice, where
         # only the regime-A component swap still makes sense
         image = hat if regime_a else h_below
@@ -466,9 +396,8 @@ def verify_uniqueness_and_distinctness(n: int, params: CrystalParams) -> Verific
             report.cases += len(removals) * len(partners)
             if not set(removals).isdisjoint(partners):
                 report.failures.extend(_collisions(bp, params, special, image))
-        del parents  # hold no edges while the next level grows
-    report.elapsed = time.perf_counter() - start
-    return report
+
+    return _streamed_suite("uniqueness-distinctness", n, params, check, parents=True)
 
 
 def _collisions(bp: Bipartition, params: CrystalParams, special: list, image) -> list:
@@ -495,55 +424,6 @@ def _collisions(bp: Bipartition, params: CrystalParams, special: list, image) ->
     ]
 
 
-def _reference_good_removables(parts: Partition, l: int | float):
-    """Good removable cells of one partition, recomputed from scratch.
-
-    Deliberately separate from the crystal engine: collects marked cells row
-    by row, buckets them by residue, and cancels pairs by rescanning the
-    whole word instead of using a stack.  Returns ``(residue, (row, col))``
-    pairs sorted by residue.
-    """
-    marked = []
-    rows = len(parts)
-    for row in range(1, rows + 1):
-        below = parts[row] if row < rows else 0
-        if parts[row - 1] > below:
-            marked.append((row, parts[row - 1], "R"))
-    for row in range(1, rows + 2):
-        if row == 1:
-            col = parts[0] + 1 if rows else 1
-        elif row <= rows:
-            if parts[row - 1] >= parts[row - 2]:
-                continue
-            col = parts[row - 1] + 1
-        else:
-            if rows == 0:
-                continue
-            col = 1
-        marked.append((row, col, "A"))
-    marked.sort()
-    words: dict = {}
-    for row, col, mark in marked:
-        res = col - row if l == INF else (col - row) % l
-        words.setdefault(res, []).append((row, col, mark))
-    out = []
-    for res in sorted(words):
-        word = list(words[res])
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(word) - 1):
-                if word[k][2] == "R" and word[k + 1][2] == "A":
-                    del word[k : k + 2]
-                    changed = True
-                    break
-        for row, col, mark in word:
-            if mark == "R":
-                out.append((res, (row, col)))
-                break
-    return out
-
-
 def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
     """Componentwise engine against restricted pairs and a naive signature scan.
 
@@ -554,12 +434,10 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
     size are generated once and kept across levels.
     """
     params = regime_a_params(l)
-    report = _new_report("regime-a-decoupling", params, n)
-    start = time.perf_counter()
     references: dict = {}
     restricted = []  # the restricted partitions of each size so far, made once
-    for level, children, _ in iter_levels(n, params):
-        del children  # no edges are needed: hold none while the next level grows
+
+    def check(report, level, *_):
         m = bipartition_size(level[0])
         restricted.append(list(restricted_partitions(m, l)))
         got = set(level)
@@ -574,7 +452,7 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
                     f"{sorted(map(format_bipartition, got ^ expected))}",
                 )
             )
-            continue
+            return
         for bp in level:
             engine = {
                 (node.component, step[1], node.row, node.col)
@@ -593,8 +471,8 @@ def verify_regime_a_decoupling(n: int, l: int | float) -> VerificationReport:
                 report.failures.append(
                     (format_bipartition(bp), str(sorted(reference)), str(sorted(engine)))
                 )
-    report.elapsed = time.perf_counter() - start
-    return report
+
+    return _streamed_suite("regime-a-decoupling", n, params, check)
 
 
 def verify_level1_calibration(n: int, e: int | float) -> VerificationReport:

@@ -11,8 +11,9 @@ from dnbranch.core import (
     remove_node,
     removable_nodes,
 )
-from dnbranch.crystal import build_lattice, f_tilde, peel
+from dnbranch.crystal import build_lattice, peel
 from dnbranch.oracle import _restricted_pairs, enumerate_partitions, restricted_partitions
+from dnbranch.reference import f_tilde
 
 
 @st.composite

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -260,7 +261,7 @@ def test_engine_invariant_error_maps_to_exit_1(capsys, monkeypatch, argv):
 def test_broken_shifted_replay_in_a_point_query_maps_to_exit_1(capsys, monkeypatch):
     import dnbranch.dmod as dmod
 
-    monkeypatch.setattr(dmod, "f_tilde", lambda bp, step, params: None)
+    monkeypatch.setattr(dmod, "good_child", lambda bp, step, params: None)
     code, out, err = run(capsys, "involution", "--e", "4", "--n", "3", "--bipartition=2|1")
     assert (code, out) == (1, "")
     assert err == "error: the shifted canonical path of 2|1 breaks\n"
@@ -301,12 +302,23 @@ def test_residue_alphabet_limit_is_inclusive(capsys):
     assert "residue alphabet" in err
 
 
-@pytest.mark.parametrize("command", ["lattice", "labels", "branch"])
-def test_regime_b_alphabet_over_the_limit_ends_a_full_level_command(capsys, command):
-    # e // 2 < n puts e = 20002 in regime B, whose growth would list every residue
-    code, _, err = run(capsys, command, "--e", "20002", "--n", "10002")
+# a lone label of the regime-B point below
+POINT = "--bipartition=-|10002"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice"], ["labels"], ["branch"], ["branch", POINT], ["involution", POINT]],
+    ids=["lattice", "labels", "branch", "branch-point", "involution"],
+)
+def test_regime_b_alphabet_over_the_limit_ends_a_full_level_command(capsys, argv):
+    # e // 2 < n puts e = 20002 in regime B, whose growth would list every
+    # residue, as would the peel and shifted replay of a lone label
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv, "--e", "20002", "--n", "10002")
     assert code == 1
     assert err == "error: the residue alphabet of 20002 letters exceeds the limit of 10000\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_bipartition_size_mismatch_is_usage_error(capsys):

@@ -14,9 +14,11 @@ from conftest import (
     peel_path,
 )
 from dnbranch.core import (
+    ADDABLE,
     EMPTY_BIPARTITION,
     INF,
     REGIME_B,
+    REMOVABLE,
     Node,
     bipartition_size,
     classify_regime,
@@ -26,26 +28,28 @@ from dnbranch.core import (
     remove_node,
 )
 from dnbranch.crystal import (
-    ADDABLE,
     MAX_RESIDUE_ALPHABET,
-    REMOVABLE,
     _good_removable_side,
-    _reduce,
     _word_side,
     build_lattice,
     component_word,
-    e_tilde,
-    f_tilde,
-    good_addable,
+    good_child,
     good_nodes,
-    good_removable,
-    i_signature,
     iter_levels,
     partition_crystal_levels,
 )
 from dnbranch.dmod import involution
 from dnbranch.errors import NotKleshchevError, ResourceLimitError, ShiftReplayError
-from dnbranch.oracle import enumerate_partitions, reference_h
+from dnbranch.oracle import enumerate_partitions
+from dnbranch.reference import (
+    _reduce,
+    e_tilde,
+    f_tilde,
+    good_addable,
+    good_removable,
+    i_signature,
+    reference_h,
+)
 
 
 def test_partition_signature_examples():
@@ -467,6 +471,8 @@ def _assert_sweep_agrees(bp, params):
     for step in _alphabet(params, bipartition_size(bp)):
         removable = good_removable(bp, step, params)
         assert found.get(step) == removable
+        if params.regime == REGIME_B:  # the lone shifted replay's good addition
+            assert good_child(bp, step, params) == f_tilde(bp, step, params)
 
 
 @pytest.mark.parametrize(

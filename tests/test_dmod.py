@@ -33,7 +33,7 @@ from dnbranch.dmod import (
     unsplit_class,
 )
 from dnbranch.errors import MultipleSpecialNodesError, NotKleshchevError
-from dnbranch.oracle import reference_good_removals, reference_h, reference_restriction
+from dnbranch.reference import reference_good_removals, reference_h, reference_restriction
 
 
 def unsplit(text):

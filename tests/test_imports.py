@@ -116,12 +116,105 @@ def test_module_does_not_import_dataclasses(module):
     assert "dataclasses" not in imported_modules((PACKAGE / module).read_text())
 
 
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that ``source``, one of its modules, imports."""
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = "dnbranch" + (f".{module}" if module else "")
+            if module == "dnbranch":  # from . import io: the names are modules
+                modules += [f"dnbranch.{alias.name}" for alias in node.names]
+            else:
+                modules.append(module)
+    return {name.split(".")[1] for name in modules if name.startswith("dnbranch.")}
+
+
+def test_detector_sees_package_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, dnbranch.cli\n"
+        "from . import core, io as dio\n"
+        "from .crystal import good_nodes\n"
+        "from dnbranch.dmod import involution\n"
+        "from dnbranch import oracle\n"
+        "def f():\n"
+        "    from .reference import f_tilde\n"
+    )
+    assert package_imports(source) == {"cli", "core", "io", "crystal", "dmod", "oracle", "reference"}
+
+
+# The definitional crystal shares no code with the engine it checks: it
+# imports nothing of the package but core and errors, and no engine module
+# calls it, so a suite or test that compares the two compares the engine
+# with the definitions.
+REFERENCE = PACKAGE / "reference.py"
+ENGINE = ("crystal", "dmod", "io", "cli")
+
+
+def test_reference_imports_only_core_and_errors():
+    source = REFERENCE.read_text()
+    assert package_imports(source) == {"core", "errors"}
+    # the rule sees an engine call, a dmod name and a suite helper put into
+    # a reference helper, each with the import it needs
+    for call, line in (
+        ("good_nodes(bp, params)[0]", "from .crystal import good_nodes"),
+        ("format_label(bp)", "from .dmod import format_label"),
+        ("_new_report(bp, params, 0)", "from .oracle import _new_report"),
+    ):
+        doctored = source.replace(
+            "e_tilde(bp, step, params)) is not None", f"{call}) is not None"
+        ).replace("from .errors import", f"{line}\nfrom .errors import")
+        assert doctored.count(call) == doctored.count(line) == 1
+        assert not package_imports(doctored) <= {"core", "errors"}, call
+
+
+def reference_calls(source: str, defined: set[str]) -> list[str]:
+    """The calls in ``source`` of a function named in ``defined``, by its
+    name, as an attribute or under an import alias."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if aliases.get(name, name) in defined:
+                calls.append(name)
+    return calls
+
+
+def test_no_engine_module_calls_a_reference_function():
+    tree = ast.parse(REFERENCE.read_text())
+    defined = {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert {"f_tilde", "e_tilde", "reference_h", "Signature"} <= defined
+    for module in ENGINE:
+        assert reference_calls((PACKAGE / f"{module}.py").read_text(), defined) == [], module
+    # the rule sees f_tilde put back into the lone shifted replay, by name or alias
+    source = (PACKAGE / "dmod.py").read_text()
+    for name in ("f_tilde", "step_up"):
+        doctored = source.replace("good_child(image, ", f"{name}(image, ").replace(
+            "from .errors import", f"from .reference import f_tilde as {name}\nfrom .errors import"
+        )
+        assert reference_calls(doctored, defined) == [name]
+
+
 HEAVY = ["dataclasses", "inspect", "ast", "dis"]
 # file handling that no command needs, together about 15 ms under -S, and
 # argparse with gettext, locale and (for its help width) shutil, about 4 ms;
 # only parse_json uses the json module: a verify report is written as text
 UNWANTED = ["tempfile", "pathlib", "shutil", "random", "argparse", "gettext", "locale", "json"]
-LAYERS = [f"dnbranch.{name}" for name in ("core", "crystal", "dmod", "io", "oracle")]
+LAYERS = [f"dnbranch.{name}" for name in ("core", "crystal", "dmod", "io", "oracle", "reference")]
 
 # -S: no site packages, so nothing but the package can load these modules;
 # the result is printed as a Python literal, so the script needs no json

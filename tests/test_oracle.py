@@ -1,8 +1,6 @@
-import ast
 import hashlib
 import json
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -561,55 +559,3 @@ def test_clifford_socle_suite_fails_a_doctored_socle(monkeypatch, e, doctor):
     (source,) = doctored
     assert [f[0] for f in report.failures] == [format_bipartition(source.rep)]
     assert report.status == "fail" and report.cases == whole.cases
-
-
-# what the definitional reference may not name: the engine's word memo, its
-# growth loop and stream, and anything of dmod
-ENGINE_NAMES = {"good_nodes", "component_word", "_word_side", "_grow", "iter_levels", "build_lattice"}
-PER_STEP_OPERATORS = {"i_signature", "good_removable", "good_addable", "e_tilde", "f_tilde"}
-
-
-def _engine_names_in_references(source: str) -> dict:
-    """Each reference helper of the oracle's ``source`` with the names it
-    reads that are neither ``core``'s, ``errors``' nor a per-step operator."""
-    tree = ast.parse(source)
-    imported = {
-        alias.asname or alias.name: node.module
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    found = {}
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name.lstrip("_").startswith("reference_"):
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            found[node.name] = sorted(
-                name
-                for name in names
-                if name in ENGINE_NAMES
-                or name == "dmod"
-                or (imported.get(name) not in (None, "core", "errors") and name not in PER_STEP_OPERATORS)
-                or (name in defined and not name.lstrip("_").startswith("reference_"))
-            )
-    return found
-
-
-def test_reference_helpers_share_no_code_with_the_engine():
-    import dnbranch.oracle as oracle
-
-    source = Path(oracle.__file__).read_text()
-    found = _engine_names_in_references(source)
-    assert {
-        "reference_alphabet", "reference_good_removals", "reference_h", "reference_restriction",
-    } <= found.keys()
-    assert not any(found.values()), found
-    # the guard sees an engine call, a dmod name and a suite helper
-    for engine, name in (
-        ("good_nodes(bp, params)[0]", "good_nodes"),
-        ("format_label(bp)", "format_label"),
-        ("_new_report(bp, params, 0)", "_new_report"),
-    ):
-        doctored = source.replace("e_tilde(bp, step, params)) is not None", f"{engine}) is not None")
-        assert name in _engine_names_in_references(doctored)["reference_good_removals"]

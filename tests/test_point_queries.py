@@ -16,7 +16,7 @@ from dnbranch.core import (
     parse_bipartition,
     remove_node,
 )
-from dnbranch.crystal import build_lattice, f_tilde, good_nodes, peel
+from dnbranch.crystal import build_lattice, good_child, good_nodes, peel
 from dnbranch.dmod import (
     _good_removals,
     _image_below,
@@ -176,19 +176,17 @@ def test_regime_a_point_query_peels_once(monkeypatch, command):
 
 
 def _record_replays(monkeypatch) -> list:
-    """The ``(image, step)`` pairs given to ``f_tilde`` through ``dmod`` or
-    ``crystal``, in call order."""
-    import dnbranch.crystal as crystal
+    """The ``(image, step)`` pairs that ``dmod`` gives to ``good_child``, the
+    shifted replay's one step, in call order."""
     import dnbranch.dmod as dmod
 
     calls = []
 
     def recording(bp, step, params):
         calls.append((bp, step))
-        return f_tilde(bp, step, params)
+        return good_child(bp, step, params)
 
-    monkeypatch.setattr(dmod, "f_tilde", recording)
-    monkeypatch.setattr(crystal, "f_tilde", recording)
+    monkeypatch.setattr(dmod, "good_child", recording)
     return calls
 
 
@@ -210,9 +208,9 @@ def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
     label_replay = set(calls)
 
     def replay_the_label_only(bp, step, params):
-        return f_tilde(bp, step, params) if (bp, step) in label_replay else None
+        return good_child(bp, step, params) if (bp, step) in label_replay else None
 
-    monkeypatch.setattr(dmod, "f_tilde", replay_the_label_only)
+    monkeypatch.setattr(dmod, "good_child", replay_the_label_only)
     for query in (lambda: almost_symmetric(lam, params), lambda: socle_restriction(label, params)):
         with pytest.raises(ShiftReplayError) as exc:
             query()
@@ -222,7 +220,7 @@ def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
 @pytest.mark.parametrize("e", [4, 6])
 def test_lone_query_replays_no_step_twice(monkeypatch, e):
     # h(bp), h of every good removal of bp and of every good removal of h(bp):
-    # each (image, step) pair reaches f_tilde at most once in one query
+    # each (image, step) pair reaches good_child at most once in one query
     calls = _record_replays(monkeypatch)
     params = classify_regime(8, e)
     queries = 0

@@ -20,6 +20,11 @@ from dnbranch.core import INF, bipartition_size, classify_regime, format_biparti
 from dnbranch.crystal import build_lattice, good_nodes, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label, level_socles
 from dnbranch.errors import ParseError, ResourceLimitError
+from dnbranch.oracle import (
+    verify_clifford_socle,
+    verify_h_path_independence,
+    verify_uniqueness_and_distinctness,
+)
 
 # the perfbench grid, both regimes
 POINTS = [(4, 16), (6, 16), (8, 16), (2, 20), (3, 16), (INF, 14)]
@@ -405,6 +410,34 @@ def test_lattice_json_keeps_no_table_of_vertex_texts(e, n):
     assert written / stream <= LATTICE_JSON_OVER_STREAM[e, n], round(written / stream, 2)
 
 
+# Peak traced memory of each streamed suite over that of ``build_lattice``,
+# after one run of each fills every memo.  Each bound is the ratio measured at
+# its point plus 25%: path-independence 0.35 and 0.47, uniqueness-distinctness
+# 0.33 and 0.43, clifford-socle 0.66 and 0.58.  A suite driver that keeps
+# every level's edges goes over.
+SUITE_PEAK_OVER_BUILD = {
+    (6, 12): {"path-independence": 0.44, "uniqueness-distinctness": 0.41, "clifford-socle": 0.83},
+    (INF, 10): {"path-independence": 0.59, "uniqueness-distinctness": 0.54, "clifford-socle": 0.73},
+}
+
+
+@pytest.mark.parametrize("e, n", SUITE_PEAK_OVER_BUILD)
+def test_streamed_suites_hold_less_than_the_built_lattice(e, n):
+    params = classify_regime(n, e)
+    suites = {
+        "path-independence": verify_h_path_independence,
+        "uniqueness-distinctness": verify_uniqueness_and_distinctness,
+        "clifford-socle": verify_clifford_socle,
+    }
+    for suite in suites.values():
+        assert suite(n, params).passed  # fill the memos, so no side pays for them
+    build = _peak_mb(lambda: build_lattice(n, params))
+    ratios = {name: _peak_mb(lambda: suite(n, params)) / build for name, suite in suites.items()}
+    bounds = SUITE_PEAK_OVER_BUILD[e, n]
+    over = {name: round(ratio, 2) for name, ratio in ratios.items() if ratio > bounds[name]}
+    assert not over, f"peaks over the build peak {build:.3f} MB: {over}"
+
+
 def _json_pieces(e, n) -> tuple[list, list]:
     """The pieces each JSON writer passes to ``write`` for a full level."""
     params = classify_regime(n, e)
@@ -515,7 +548,7 @@ def test_every_lattice_is_grown_and_checked_on_the_one_level_path():
 
 def test_lone_h_has_one_route():
     # the memoised peel of ``dmod._lone_images`` is the only lattice-free
-    # route to h: no other dmod function replays with f_tilde, and no path
+    # route to h: no other dmod function replays with good_child, and no path
     # replay or shift helper is left beside it
     package = Path(__file__).resolve().parent.parent / "src" / "dnbranch"
     dmod_tree = ast.parse((package / "dmod.py").read_text())
@@ -524,7 +557,7 @@ def test_lone_h_has_one_route():
         for statement in dmod_tree.body
         for node in ast.walk(statement)
         if isinstance(node, ast.Call)
-        and "f_tilde" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and "good_child" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
     assert callers == ["_lone_images"]
     names = {
