@@ -11,6 +11,8 @@ parameters).  A failed write to stdout, a closed pipe or a full disk, is
 a runtime failure, as are a budget stop and an engine invariant error.
 The derived regime is echoed in every text header so it is always
 visible which side of the parameter split applies.
+``labels`` and ``branch`` take a level from ``dmod.top_level`` and a lone
+socle from ``dmod.lone_socle``, as the document readers of ``io`` do.
 
 ``main(argv)`` runs one command in the calling process and returns its
 exit code; the tests and the tracer call it.  ``run()`` is the process
@@ -33,7 +35,6 @@ from .core import (
     CrystalParams,
     INF,
     REGIME_B,
-    bipartition_size,
     classify_regime,
     format_bipartition,
     format_node,
@@ -41,19 +42,14 @@ from .core import (
 )
 from .crystal import iter_levels
 from .dmod import (
-    SPLIT,
-    UNSPLIT,
-    IrreducibleLabel,
-    _good_removals,
     _lone_images,
-    _socle,
     _special_cell,
     equivalence_classes,
     format_label,
-    image_function,
     level_socles,
-    parents_index,
+    lone_socle,
     residue_counts,
+    top_level,
 )
 from .errors import (
     DnBranchError,
@@ -61,6 +57,7 @@ from .errors import (
     NotKleshchevError,
     NotSemisimpleError,
     ParseError,
+    SignError,
 )
 from .oracle import (
     VerificationReport,
@@ -113,39 +110,8 @@ def _header(params: CrystalParams | VerificationReport, n: int) -> str:
     return f"# e={e_text} regime={params.regime} l={l_text} n={n}"
 
 
-def _parse_bipartition_arg(text: str, n: int):
-    bp = parse_bipartition(text)
-    if bipartition_size(bp) != n:
-        raise ParseError(
-            f"bipartition {text!r} has size {bipartition_size(bp)}, expected n={n}"
-        )
-    return bp
-
-
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _top_level(n: int, params: CrystalParams, parents: bool = False):
-    """Level ``n``, ``h`` on it and on level ``n - 1``, each as a function,
-    and, if ``parents``, the parents of each vertex of level ``n``, else ``None``.
-
-    Streamed two levels at a time.  The level ``n - 1`` table is kept from
-    its own yield, which costs no more than the stream: it holds that table
-    while level ``n`` grows.  Edges below level ``n`` are dropped as they
-    pass.  Level ``n``'s children index, which ``_next_images`` has checked
-    before its yield, is kept only for ``parents`` and inverted by
-    ``parents_index`` as it is consumed: a vertex's parents are its good
-    removals.
-    """
-    below = top = None
-    for level, children, h in iter_levels(n, params):
-        if bipartition_size(level[0]) < n:
-            below = h
-        elif parents:
-            top = children
-        del children  # hold no edges below level n while the next level grows
-    return level, image_function(h), image_function(below), parents_index(top) if parents else None
 
 
 def _level_pairs(n: int, params: CrystalParams):
@@ -171,7 +137,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_labels(args) -> int:
     params = classify_regime(args.n, args.e)
-    level, image_of = _top_level(args.n, params)[:2]  # free the table below
+    level, image_of = top_level(args.n, params)[:2]  # free the table below
     labels = equivalence_classes(level, params, image_of=image_of)
     if args.format == "json":
         print(dio.serialize_json(dio.labels_document(params, args.n, labels)), end="")
@@ -186,26 +152,15 @@ def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
         # each label's socle is computed as it is written, from its parents
-        level, image_of, image_below, parents = _top_level(args.n, params, parents=True)
-        entries = level_socles(level, image_of, image_below, parents)
+        entries = level_socles(*top_level(args.n, params, parents=True))
     else:
         # a single label needs no lattice: its memoised peel gives h of it and its removals
-        bp = _parse_bipartition_arg(args.bipartition, args.n)
-        image, image_below = _lone_images(bp, params)
-        fixed = image == bp
-        if args.sign is not None and not fixed:
-            print(
-                f"error: {args.bipartition!r} is not an involution fixed point, "
-                "so --sign does not apply",
-                file=sys.stderr,
-            )
+        try:
+            entries = [lone_socle(parse_bipartition(args.bipartition, args.n), params, args.sign)]
+        except SignError:  # a usage error; the engine's FixedPointError is not
+            message = f"{args.bipartition!r} is not an involution fixed point, so --sign does not apply"
+            print(f"error: {message}", file=sys.stderr)
             return EXIT_USAGE
-        if fixed:
-            sign = args.sign if args.sign is not None else "+"
-            label = IrreducibleLabel(SPLIT, bp, sign)
-        else:
-            label = IrreducibleLabel(UNSPLIT, min(bp, image))
-        entries = [_socle(label, _good_removals(label.rep, params, image_below))]
     write = sys.stdout.write
     if args.format == "json":
         dio.write_branching_json(params, args.n, entries, write)
@@ -221,7 +176,7 @@ def cmd_branch(args) -> int:
 
 def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
-    bp = _parse_bipartition_arg(args.bipartition, args.n)
+    bp = parse_bipartition(args.bipartition, args.n)
     image, image_below = _lone_images(bp, params)
     special = _special_cell(bp, params, image_below)
     counts = residue_counts(bp, params)

@@ -341,9 +341,13 @@ def _parse_parts(text: str, offset: int) -> Partition:
     return tuple(parts)
 
 
-def parse_bipartition(text: str) -> Bipartition:
-    """Parse the ``"2,1|1,1"`` text form; errors carry a column position."""
+def parse_bipartition(text: str, size: int | None = None) -> Bipartition:
+    """Parse the ``"2,1|1,1"`` text form, of ``size`` cells if one is given;
+    errors carry a column position, but for a wrong size."""
     if text.count("|") != 1:
         raise ParseError("expected exactly one '|' between components", 1)
     left, right = text.split("|")
-    return (_parse_parts(left, 1), _parse_parts(right, len(left) + 2))
+    bp = (_parse_parts(left, 1), _parse_parts(right, len(left) + 2))
+    if size is not None and bipartition_size(bp) != size:
+        raise ParseError(f"bipartition {text!r} has size {bipartition_size(bp)}, expected n={size}")
+    return bp

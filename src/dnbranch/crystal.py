@@ -14,8 +14,8 @@ for component 1; ``l`` for component 2 in regime B, ``0`` in regime A) and
 the modulus.  ``component_word`` reduces them to a summary per residue: the
 reduced word ``A^a R^r``, its last ``A`` and first ``R`` cells, and the
 partition with that last ``A`` added.  ``_word_side``, the one memo, lays
-the summaries out for the regime once per distinct partition (and offset,
-in regime B).  The regime decides only how the two component words of a
+the summaries out for growth once per distinct partition (and offset, in
+regime B).  The regime decides only how the two component words of a
 bipartition combine:
 
 * regime A: the steps are the union of the two components' steps ``(c, i)``;
@@ -26,9 +26,10 @@ bipartition combine:
   removable cell is component 1's first ``R`` if ``r1 > a2``, else
   component 2's first ``R`` if ``r2 > 0``.
 
-``good_nodes`` (the peel and a lone label's socle) reads the memoised words for
-good removable cells.  The level generator applies the rule for good addable
-cells inline, and ``good_child`` for a lone label's shifted replay in ``dmod``.
+``good_nodes`` (the peel and a lone label's socle) reads good removable cells
+off the memoised words in regime A and off the sparse words in regime B, so a
+lone label's work does not grow with ``e``.  Growth applies the rule for good
+addable cells inline, and ``good_child`` for a lone label's shifted replay.
 
 ``iter_levels`` is the engine's one level generator: each level with its
 edges and, in regime B, ``h`` on it, holding only the level below, so a
@@ -38,8 +39,8 @@ index, the level and ``h`` hold the same objects.  The stream releases what
 it has passed: ``_grow`` drops that dict once a level is sorted, and
 ``iter_levels`` drops a level's vertices and index once they are yielded,
 before the next level grows.  A consumer keeps that bound only if it does
-the same, so each one (``cli``, the writers of ``io`` and the one driver of
-the streamed verify suites) is a loop that deletes the level it has passed:
+the same, so each one (``dmod.top_level``, ``cli``'s lattice levels, the
+writers of ``io`` and the streamed suites' driver) deletes what it passed:
 a generator expression keeps its loop variable, and ``enumerate`` or
 ``zip`` its last item, while the next level grows.  A level's only edge
 structure, there and in ``Lattice``, is its children index.
@@ -167,10 +168,10 @@ def component_word(parts: Partition, offset: int, modulus: int | float) -> dict[
 def _word_side(parts: Partition, offset: int, modulus: int | float, regime: str) -> tuple:
     """``component_word`` laid out for one regime: the engine's one word memo.
 
-    Regime B: one summary per residue of ``Z/eZ``, the empty word where no
-    cell is marked.  Regime A: a ``(step 1, step 2, summary)`` triple per
-    marked residue ``i``, with the steps ``(1, i)`` and ``(2, i)``, so both
-    components share one entry per partition.
+    Regime B, for ``_grow`` only: one summary per residue of ``Z/eZ``, the
+    empty word where no cell is marked.  Regime A: a ``(step 1, step 2,
+    summary)`` triple per marked residue ``i``, with the steps ``(1, i)`` and
+    ``(2, i)``, so both components share one entry per partition.
     """
     word = component_word(parts, offset, modulus)
     if regime == REGIME_B:
@@ -183,12 +184,14 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
 
     At most one cell per residue class (regime B) or per
     (component, residue) pair (regime A); no good addable cell is built.
+    Regime B reads only the marked residues of unmemoised component words.
     """
     nodes = []
     if params.regime == REGIME_B:
-        left = _word_side(bp[0], 0, params.e, REGIME_B)
-        words = zip(left, _word_side(bp[1], params.multicharge[1], params.e, REGIME_B))
-        for step, (word1, word2) in enumerate(words):
+        words1 = component_word(bp[0], 0, params.e)
+        words2 = component_word(bp[1], params.multicharge[1], params.e)
+        for step in sorted(words1.keys() | words2.keys()):
+            word1, word2 = words1.get(step, _NO_WORD), words2.get(step, _NO_WORD)
             side = _good_removable_side(word1[1], word2[0], word2[1])
             if side:
                 nodes.append((Node(side, *(word1 if side == 1 else word2)[3]), step))
@@ -205,8 +208,8 @@ def good_nodes(bp: Bipartition, params: CrystalParams) -> list[tuple[Node, Step]
 def good_child(bp: Bipartition, i: int, params: CrystalParams) -> Bipartition | None:
     """``bp`` with the good addable cell of residue ``i`` added, ``None``
     when there is none, in regime B: the rule ``_grow`` applies inline, on
-    component words.  They are not memoised, as a memo entry holds ``e``
-    summaries and a lone replay meets each image once."""
+    sparse component words, unmemoised as in ``good_nodes``: a lone replay
+    meets each image once."""
     left, right = bp
     word1 = component_word(left, 0, params.e).get(i, _NO_WORD)
     word2 = component_word(right, params.multicharge[1], params.e).get(i, _NO_WORD)

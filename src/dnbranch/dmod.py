@@ -18,8 +18,9 @@ level's children index.  ``h`` of a removal is then a lookup in the table
 of level ``n - 1`` (the lattice's, or the one the level stream has just
 built) or the swap in regime A.  A single label without a lattice finds its
 good cells through ``good_nodes`` and reads ``h`` of each from the peel
-that gave the label's own.  Both feed ``_socle`` the same ``(mu, h(mu))``
-pairs; a removal is special when ``mu = h(mu)``.
+that gave the label's own (``lone_socle``).  Both feed ``_socle`` the same
+``(mu, h(mu))`` pairs; a removal is special when ``mu = h(mu)``.  The level
+producer ``top_level`` and ``lone_socle`` serve ``cli`` and ``io`` alike.
 
 The socle of the restriction to rank ``n - 1`` is always a multiplicity
 free sum read off from the good removable cells:
@@ -54,11 +55,13 @@ from .core import (
     residue,
 )
 from .crystal import (
+    DEFAULT_VERTEX_BUDGET,
     Lattice,
     _not_kleshchev,
     check_alphabet,
     good_child,
     good_nodes,
+    iter_levels,
     peel,
 )
 from .errors import (
@@ -66,6 +69,7 @@ from .errors import (
     InvariantError,
     MultipleSpecialNodesError,
     ShiftReplayError,
+    SignError,
 )
 
 UNSPLIT = "unsplit"
@@ -213,9 +217,9 @@ def _lone_images(bp: Bipartition, params: CrystalParams):
     its stages are replayed from that image by ``good_child``, with every
     step shifted by ``l``.  Each stage records its image and, ``h`` being
     an involution, the image's image, so a removal on a peel already made,
-    or the image of one, is a lookup.  The peel and the replay read one
-    word summary per residue of ``Z/eZ``, so regime B checks the alphabet
-    first (``check_alphabet``).
+    or the image of one, is a lookup.  The peel reads only marked residues,
+    but regime B checks the alphabet first (``check_alphabet``) all the same:
+    every regime-B command has one alphabet limit.
     """
     known = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
     if params.regime == REGIME_A:
@@ -320,6 +324,22 @@ def socle_restriction(
     return _socle(label, _good_removals(lam, params, _image_below(lam, params, lattice)))
 
 
+def lone_socle(bp: Bipartition, params: CrystalParams, sign: str | None = None) -> SocleDecomposition:
+    """The socle of the label of a lone ``bp``, from ``_lone_images``: split
+    with ``sign`` (``+`` by default) at a fixed point of ``h``, else unsplit
+    on ``min(bp, h(bp))``, where a ``sign`` raises ``SignError`` first."""
+    if sign not in (None, "+", "-"):
+        raise ValueError(f"sign {sign!r} is neither '+' nor '-'")
+    image, image_below = _lone_images(bp, params)
+    if image == bp:
+        label = IrreducibleLabel(SPLIT, bp, "+" if sign is None else sign)
+    elif sign is not None:
+        raise SignError(f"{format_bipartition(bp)} is not an involution fixed point")
+    else:
+        label = IrreducibleLabel(UNSPLIT, min(bp, image))
+    return _socle(label, _good_removals(label.rep, params, image_below))
+
+
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:
     """Number of cells per residue; finite alphabets include explicit zeros.
 
@@ -349,6 +369,23 @@ def parents_index(children: dict) -> dict:
         for child in steps.values():
             parents[child] = known(child, ()) + (parent,)  # a tuple holds no spare room
     return parents
+
+
+def top_level(n: int, params: CrystalParams, parents: bool = False, max_vertices=DEFAULT_VERTEX_BUDGET):
+    """Level ``n``, ``h`` on it and on level ``n - 1``, each as a function,
+    and, if ``parents``, the parents of each vertex of level ``n``, else ``None``.
+
+    Streamed under ``max_vertices``, holding no edges below level ``n``;
+    level ``n``'s checked children index is kept only for ``parents``.
+    """
+    below = top = None
+    for level, children, h in iter_levels(n, params, max_vertices):
+        if bipartition_size(level[0]) < n:
+            below = h
+        elif parents:
+            top = children
+        del children  # hold no edges below level n while the next level grows
+    return level, image_function(h), image_function(below), parents_index(top) if parents else None
 
 
 def level_socles(level, image_of, image_below, parents) -> Iterator[SocleDecomposition]:

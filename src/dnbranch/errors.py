@@ -47,6 +47,10 @@ class FixedPointError(DnBranchError, ValueError):
     """An ``h``-fixed bipartition was given where an unsplit orbit is required."""
 
 
+class SignError(DnBranchError, ValueError):
+    """A sign was given for a label that is not split: its bipartition is no fixed point of ``h``."""
+
+
 class NotSemisimpleError(DnBranchError, ValueError):
     """A semisimple-only verification suite was invoked at non-semisimple parameters."""
 

@@ -28,12 +28,14 @@ writes as its input arrives, in pieces of bounded size:
 A verify report is formatted too, its strings escaped as ``json.dumps``
 escapes them (``_json_value``), so no document is written through
 ``json``; only reading one (``parse_json``) imports it.
-Labels and branching documents share one label writer.  Every document
-is read by one comparison: decoded, then written again, it must be its own
-canonical text.  A lattice is decoded by building it at its parameters,
-under a budget of its own vertex count, and regime-B growth lists no
-alphabet of over ``crystal.MAX_RESIDUE_ALPHABET`` residues, so a small
-document cannot ask for a large build.
+Only the one label writer knows the label format.  Every document is read
+by one comparison: decoded, then written again, it must be its own
+canonical text.  A report is decoded from its payload; every other kind is
+regrown at its parameters and ``n``, under a vertex budget of the
+document's length in bytes.  A one-entry branching document (``branch
+--bipartition``) is read as ``dmod.lone_socle`` of its source.  Regime-B
+growth lists no alphabet of over ``crystal.MAX_RESIDUE_ALPHABET`` residues,
+so a small document cannot ask for a large build.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .core import (
     regime_a_params,
 )
 from .crystal import Lattice, build_lattice
-from .dmod import IrreducibleLabel, SPLIT, SocleDecomposition, UNSPLIT, format_label
+from .dmod import SPLIT, equivalence_classes, format_label, level_socles, lone_socle, top_level
 from .errors import ParseError, ResourceLimitError, SchemaMismatchError
 from .oracle import VerificationReport
 
@@ -84,25 +86,14 @@ def _extended_text(value) -> str:
     return '"inf"' if value == INF else str(int(value))
 
 
-def _size_from_json(value, what: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
+def _size_from_json(value, what: str, least: int = 0) -> int:
+    if isinstance(value, int) and not isinstance(value, bool) and value >= least:
         return value
-    raise SchemaMismatchError(f"{what} {value!r} is not a size")
+    raise SchemaMismatchError(f"{what} {value!r} is not a size of at least {least}")
 
 
 def _step_text(step) -> str:
     return f"[{step[0]},{step[1]}]" if isinstance(step, tuple) else str(step)
-
-
-def _label_from_json(value) -> IrreducibleLabel:
-    """The label of a payload entry.  Its kind and a split label's sign are
-    checked here, since the writer would write any other value back."""
-    kind, rep = value["kind"], parse_bipartition(value["rep"])
-    if kind == UNSPLIT:
-        return IrreducibleLabel(UNSPLIT, rep)
-    if kind == SPLIT and value["sign"] in ("+", "-"):
-        return IrreducibleLabel(SPLIT, rep, value["sign"])
-    raise SchemaMismatchError(f"malformed label {value!r}")
 
 
 def _params(e, regime: str) -> CrystalParams:
@@ -217,12 +208,11 @@ def write_lattice_json(params: CrystalParams, levels, write) -> None:
     write(f'],"n":{len(vertex_pieces) - 1}}}{tail}')
 
 
-def _lattice_from_data(params: CrystalParams, data) -> Lattice:
-    """The lattice built at a payload's parameters and ``n``, under a budget
-    of the vertex texts the payload lists, so a small document cannot ask
-    for a large build.  ``parse_json`` then checks every vertex, edge and
-    step by comparing the build's document with the payload's text."""
-    return build_lattice(data["n"], params, sum(map(len, data["levels"])))
+def _lattice_from_data(params: CrystalParams, data, budget: int) -> Lattice:
+    """The lattice built at a payload's parameters and ``n``, under a vertex
+    ``budget``.  ``parse_json`` then checks every vertex, edge and step by
+    comparing the build's document with the payload's text."""
+    return build_lattice(data["n"], params, budget)
 
 
 _label_fields = attrgetter("kind", "rep", "sign")
@@ -246,11 +236,12 @@ def _labels_json(payload) -> str:
     return f'{{"labels":[{labels}],"n":{payload["n"]}}}'
 
 
-def _labels_from_data(params: CrystalParams, data):
-    return {
-        "n": _size_from_json(data["n"], "label size"),
-        "labels": list(map(_label_from_json, data["labels"])),
-    }
+def _labels_from_data(params: CrystalParams, data, budget: int):
+    """The labels of level ``n`` at a payload's parameters, regrown under a
+    vertex ``budget``; the payload's own labels are only compared."""
+    n = _size_from_json(data["n"], "label size")
+    level, image_of = top_level(n, params, max_vertices=budget)[:2]
+    return {"n": n, "labels": equivalence_classes(level, params, image_of=image_of)}
 
 
 def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
@@ -275,14 +266,17 @@ def write_branching_json(params: CrystalParams, n: int, entries, write) -> None:
     write(f'],"n":{n}}}{tail}')
 
 
-def _branching_from_data(params: CrystalParams, data):
-    entries = [
-        SocleDecomposition(
-            _label_from_json(entry["source"]), tuple(map(_label_from_json, entry["summands"]))
-        )
-        for entry in data["entries"]
-    ]
-    return {"n": _size_from_json(data["n"], "branching size"), "entries": entries}
+def _branching_from_data(params: CrystalParams, data, budget: int):
+    """The socles of a payload, asked again: of a one-entry payload's source
+    alone (a level of one label writes that same entry), else of level ``n``
+    regrown under a vertex ``budget``."""
+    n = _size_from_json(data["n"], "branching size", 2)  # as ``branch --n`` reads it
+    if len(data["entries"]) != 1:
+        entries = level_socles(*top_level(n, params, parents=True, max_vertices=budget))
+        return {"n": n, "entries": list(entries)}
+    source = data["entries"][0]["source"]
+    bp = parse_bipartition(source["rep"], n)
+    return {"n": n, "entries": [lone_socle(bp, params, source.get("sign"))]}
 
 
 def _char_escape(code: int) -> str:
@@ -335,7 +329,7 @@ def _report_json(report: VerificationReport) -> str:
     )
 
 
-def _report_from_data(params: CrystalParams, data) -> VerificationReport:
+def _report_from_data(params: CrystalParams, data, budget: int) -> VerificationReport:
     """The report of a payload.  Its texts, ``elapsed`` and ``truncated``
     are checked here, since the writer would write any other value back."""
     suite, elapsed, truncated = data["suite"], data["elapsed"], data["truncated"]
@@ -397,7 +391,7 @@ def serialize_json(doc: Document) -> str:
     return head + data + tail
 
 
-# the payload reader of each document kind: ``(params, data)`` to ``Document.data``
+# the payload reader of each kind: ``(params, data, vertex budget)`` to ``Document.data``
 _READERS = {
     KIND_LATTICE: _lattice_from_data,
     KIND_LABELS: _labels_from_data,
@@ -431,7 +425,8 @@ def parse_json(text: str) -> Document:
     try:
         kind = obj["kind"]
         params = _params(INF if obj["e"] == "inf" else obj["e"], obj["regime"])
-        doc = Document(params, kind, _READERS[kind](params, obj["data"]))
+        # a true document, ASCII, holds several bytes per vertex it regrows
+        doc = Document(params, kind, _READERS[kind](params, obj["data"], len(text)))
         canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode(obj) + "\n"
         same = serialize_json(doc) == canonical
     except SchemaMismatchError:

@@ -54,6 +54,26 @@ def test_lattice_json_round_trips(capsys):
     assert dio.serialize_json(doc) == out
 
 
+# points of both regimes; (2,12) and (inf,9) have no fixed point at level n
+ROUND_TRIP_POINTS = [("4", "10"), ("6", "10"), ("2", "12"), ("inf", "9"), ("3", "10")]
+
+
+@pytest.mark.parametrize("e, n", ROUND_TRIP_POINTS)
+def test_every_json_output_round_trips(capsys, e, n):
+    # the full-level documents, and branch --bipartition at an unsplit label
+    # and, where the level has one, at a fixed point with --sign -
+    common = ["--e", e, "--n", n, "--format", "json"]
+    labels = json.loads(run(capsys, "labels", *common)[1])["data"]["labels"]
+    unsplit = next(label["rep"] for label in labels if label["kind"] == "unsplit")
+    fixed = [label["rep"] for label in labels if label["kind"] == "split"][:1]
+    argvs = [["lattice"], ["labels"], ["branch"], ["branch", f"--bipartition={unsplit}"]]
+    argvs += [["branch", f"--bipartition={rep}", "--sign", "-"] for rep in fixed]
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv, *common)
+        assert code == 0, argv
+        assert dio.serialize_json(dio.parse_json(out)) == out, argv
+
+
 def test_labels_text(capsys):
     code, out, _ = run(capsys, "labels", "--e", "inf", "--n", "2")
     assert code == 0
@@ -107,6 +127,31 @@ def test_branch_sign_on_non_fixed_is_usage_error(capsys):
     )
     assert code == 2
     assert "fixed point" in err
+
+
+def test_sign_on_a_moved_bipartition_is_this_usage_error(capsys):
+    code, out, err = run(capsys, "branch", "--e", "4", "--n", "5", "--bipartition=2,1|1,1", "--sign", "+")
+    assert (code, out) == (2, "")
+    assert err == "error: '2,1|1,1' is not an involution fixed point, so --sign does not apply\n"
+
+
+@pytest.mark.parametrize(
+    "point",
+    [["--n", "5", "--bipartition=2,1|1,1"], ["--n", "4", "--bipartition=1|2,1", "--sign", "-"]],
+    ids=["unsplit", "fixed"],
+)
+def test_a_fixed_point_error_in_a_point_socle_is_exit_1(capsys, monkeypatch, point):
+    # the engine's FixedPointError is an invariant failure, not the usage error of --sign
+    import dnbranch.dmod as dmod
+    from dnbranch.errors import FixedPointError
+
+    def broken(label, removals, unsplit=None):
+        raise FixedPointError("1|1 is a fixed point, not unsplit")
+
+    monkeypatch.setattr(dmod, "_socle", broken)
+    code, out, err = run(capsys, "branch", "--e", "4", *point)
+    assert (code, out) == (1, "")
+    assert err == "error: 1|1 is a fixed point, not unsplit\n"
 
 
 def test_branch_non_kleshchev_is_domain_error(capsys):
@@ -302,22 +347,32 @@ def test_residue_alphabet_limit_is_inclusive(capsys):
     assert "residue alphabet" in err
 
 
-# a lone label of the regime-B point below
+# a lone label of the regime-B point below, and of one under the alphabet limit
 POINT = "--bipartition=-|10002"
+UNDER = "--bipartition=-|2002"
+OVER = "error: the residue alphabet of 20002 letters exceeds the limit of 10000\n"
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["lattice"], ["labels"], ["branch"], ["branch", POINT], ["involution", POINT]],
-    ids=["lattice", "labels", "branch", "branch-point", "involution"],
+    "argv, e, n, code, message",
+    [
+        (["lattice"], "20002", "10002", 1, OVER),
+        (["labels"], "20002", "10002", 1, OVER),
+        (["branch"], "20002", "10002", 1, OVER),
+        (["branch", POINT], "20002", "10002", 1, OVER),
+        (["involution", POINT], "20002", "10002", 1, OVER),
+        (["branch", UNDER], "4002", "2002", 0, ""),
+        (["involution", UNDER], "4002", "2002", 0, ""),
+    ],
+    ids=["lattice", "labels", "branch", "branch-point", "involution", "branch-point-4002", "involution-4002"],
 )
-def test_regime_b_alphabet_over_the_limit_ends_a_full_level_command(capsys, argv):
+def test_regime_b_alphabet_over_the_limit_ends_a_full_level_command(capsys, argv, e, n, code, message):
     # e // 2 < n puts e = 20002 in regime B, whose growth would list every
-    # residue, as would the peel and shifted replay of a lone label
+    # residue; every regime-B command keeps that one alphabet limit.  Under
+    # it, a lone label's peel and shifted replay read only the residues with
+    # a marked cell, so they take no longer at e = 4002
     start = time.perf_counter()
-    code, _, err = run(capsys, *argv, "--e", "20002", "--n", "10002")
-    assert code == 1
-    assert err == "error: the residue alphabet of 20002 letters exceeds the limit of 10000\n"
+    assert run(capsys, *argv, "--e", e, "--n", n)[::2] == (code, message)
     assert time.perf_counter() - start < 1
 
 

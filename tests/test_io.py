@@ -1,4 +1,5 @@
 import json
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -8,7 +9,7 @@ from conftest import parent_pairs
 from dnbranch import io as dio
 from dnbranch.core import INF, classify_regime, regime_a_params
 from dnbranch.crystal import build_lattice
-from dnbranch.dmod import branching_graph, equivalence_classes, unsplit_class
+from dnbranch.dmod import branching_graph, equivalence_classes, lone_socle, unsplit_class
 from dnbranch.errors import ParseError, SchemaMismatchError
 from dnbranch.oracle import (
     VerificationReport,
@@ -191,6 +192,99 @@ def test_payload_faults_are_schema_mismatches(kind, path, value):
     target[path[-1]] = value
     with pytest.raises(SchemaMismatchError):
         dio.parse_json(json.dumps(doc))
+
+
+# Documents well formed but untrue at (4,3): the labels or socles of another
+# level, or a point document (one entry, as ``branch --bipartition`` writes
+# it) that no command writes.  Each is read by regrowing, so each is a mismatch.
+
+
+def _one_foreign_label(data):
+    data["labels"] = [{"kind": "split", "rep": "9,9|-", "sign": "+"}]
+
+
+def _first_label_only(data):
+    del data["labels"][1:]
+
+
+def _labels_reversed(data):
+    data["labels"].reverse()
+
+
+def _summands_of_the_next_entry(data):
+    data["entries"][0]["summands"] = data["entries"][1]["summands"]
+
+
+def _point_of(data):
+    """The payload cut to its first entry: the point document of that source."""
+    del data["entries"][1:]
+
+
+def _signed_unsplit_point(data):
+    _point_of(data)
+    data["entries"][0]["source"].update(kind="split", sign="+")
+
+
+def _point_of_another_size(data):
+    _point_of(data)
+    data["n"] = 4
+
+
+def _branching_at_level_1(data):
+    data["n"] = 1
+    data["entries"] = [
+        {"source": {"kind": "unsplit", "rep": "-|1"}, "summands": [{"kind": "unsplit", "rep": "-|-"}]}
+    ]
+
+
+CONTENT_FAULTS = [
+    ("labels", _one_foreign_label),
+    ("labels", _first_label_only),
+    ("labels", _labels_reversed),
+    ("branching", _summands_of_the_next_entry),
+    ("branching", _signed_unsplit_point),
+    ("branching", _point_of_another_size),
+    ("branching", _branching_at_level_1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, doctor", CONTENT_FAULTS, ids=[doctor.__name__.strip("_") for _, doctor in CONTENT_FAULTS]
+)
+def test_untrue_content_is_a_schema_mismatch(kind, doctor):
+    doc = _payload(kind)
+    doctor(doc["data"])
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("sign", ["x", None])
+def test_a_point_document_of_a_fixed_point_needs_its_sign(sign):
+    # what branch --bipartition=2,1|2,1 --sign - writes, its source sign doctored
+    params = classify_regime(6, INF)
+    entries = [lone_socle(((2, 1), (2, 1)), params, "-")]
+    doc = json.loads(dio.serialize_json(dio.branching_document(params, 6, entries)))
+    dio.parse_json(json.dumps(doc))
+    source = doc["data"]["entries"][0]["source"]
+    if sign is None:
+        del source["sign"]
+    else:
+        source["sign"] = sign
+    with pytest.raises(SchemaMismatchError):
+        dio.parse_json(json.dumps(doc))
+
+
+def test_a_short_document_claiming_a_large_level_is_a_mismatch_at_once():
+    # the regrowth's vertex budget is the document's 98 bytes
+    text = (
+        '{"data":{"labels":[],"n":1000000},"e":4,"kind":"labels","l":2,'
+        '"regime":"B","schema":"dnbranch/1"}\n'
+    )
+    assert len(text) == 98
+    start = time.perf_counter()
+    with pytest.raises(SchemaMismatchError, match="vertex budget of 98"):
+        dio.parse_json(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dot_single_vertex_lattice():

@@ -257,13 +257,13 @@ def _point_commands(e="4", n="6", member="2,1|2,1", stranger="4|1,1"):
 
 def test_point_commands_leave_the_cache_alone(monkeypatch):
     # a point query builds no lattice
-    import dnbranch.cli as cli
+    import dnbranch.crystal as crystal
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a point query built a lattice")
 
-    # the level stream is the command line's only way to a lattice
-    monkeypatch.setattr(cli, "iter_levels", forbidden)
+    # every level stream, whichever module consumes it, grows its levels here
+    monkeypatch.setattr(crystal, "_grow", forbidden)
     codes = [_run(argv)[0] for argv in _point_commands()]
     assert codes == [0, 3, 0, 3]
 

@@ -15,7 +15,7 @@ import pytest
 from conftest import lattice_edges
 import dnbranch.dmod as dmod
 from dnbranch import io as dio
-from dnbranch.cli import _level_pairs, _top_level, main
+from dnbranch.cli import _level_pairs, main
 from dnbranch.core import INF, bipartition_size, classify_regime, format_bipartition, remove_node
 from dnbranch.crystal import build_lattice, good_nodes, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label, level_socles
@@ -443,7 +443,7 @@ def _json_pieces(e, n) -> tuple[list, list]:
     params = classify_regime(n, e)
     lattice_pieces, branching_pieces = [], []
     dio.write_lattice_json(params, _level_pairs(n, params), lattice_pieces.append)
-    level, image_of, image_below, parents = _top_level(n, params, parents=True)
+    level, image_of, image_below, parents = dmod.top_level(n, params, parents=True)
     entries = level_socles(level, image_of, image_below, parents)
     dio.write_branching_json(params, n, entries, branching_pieces.append)
     return lattice_pieces, branching_pieces
