@@ -42,13 +42,13 @@ from .core import (
 )
 from .crystal import iter_levels
 from .dmod import (
-    _lone_images,
-    _special_cell,
     equivalence_classes,
     format_label,
     level_socles,
     lone_socle,
+    member_images,
     residue_counts,
+    special_cell,
     top_level,
 )
 from .errors import (
@@ -151,6 +151,9 @@ def cmd_labels(args) -> int:
 def cmd_branch(args) -> int:
     params = classify_regime(args.n, args.e)
     if args.bipartition is None:
+        if args.sign is not None:
+            print("error: --sign applies only with --bipartition", file=sys.stderr)
+            return EXIT_USAGE
         # each label's socle is computed as it is written, from its parents
         entries = level_socles(*top_level(args.n, params, parents=True))
     else:
@@ -177,8 +180,9 @@ def cmd_branch(args) -> int:
 def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
     bp = parse_bipartition(args.bipartition, args.n)
-    image, image_below = _lone_images(bp, params)
-    special = _special_cell(bp, params, image_below)
+    image_of = member_images(bp, params)
+    image = image_of(bp)
+    special = special_cell(bp, params, image_of)
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")

@@ -434,12 +434,12 @@ def peel(bp: Bipartition, params: CrystalParams, known) -> tuple[Bipartition, li
     Peels by the smallest step with a good removable cell at every stage.
     Returns the stage it stops at and the ``(stage, step)`` pairs above it,
     ``bp`` first, where ``step`` removes a good cell of ``stage``.  ``known``
-    must hold the empty bipartition.  This is also the membership test, with
-    no lattice: the empty bipartition is the only highest-weight vertex of
-    the crystal the lattice spans, and ``e_tilde`` undoes ``f_tilde``, so the
-    peel reaches it exactly from lattice vertices.  Raises
-    ``NotKleshchevError``, with the message of ``dmod.involution``'s lattice
-    check, when the peel strands above it.
+    must hold the empty bipartition.  In regime B this is also the
+    membership test, with no lattice: the empty bipartition is the only
+    highest-weight vertex of the crystal the lattice spans, and ``e_tilde``
+    undoes ``f_tilde``, so the peel reaches it exactly from lattice vertices.
+    Raises ``NotKleshchevError``, with the message of ``dmod.involution``'s
+    lattice check, when the peel strands above it.
     """
     stages = []
     current = bp

@@ -7,7 +7,7 @@ two-element orbit of a Kleshchev bipartition under the involution ``h``
 maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
-a single label without a lattice from one memoised peel (``_lone_images``).
+a single label without a lattice from one memoised peel (``member_images``).
 A single combinatorial ``h`` serves every base field of characteristic != 2.
 
 The socle engine reads each label's good removals ``mu = lambda - A`` and
@@ -126,28 +126,14 @@ def image_function(table):
 def involution(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Bipartition:
-    """The label involution ``h``.
-
-    Regime A swaps the components.  In regime B, with a lattice, ``h`` is
-    its table, built from its edges: ``h(c)`` is the child of ``h(p)`` along
-    step ``(i + l) mod e`` for every edge ``(p, i, c)``.  Without one, the
-    canonical peel of ``bp`` is replayed with every residue shifted by ``l``
-    (``_lone_images``, by ``good_child``, not ``reference``).  Either way
-    this is the membership check:
-    ``NotKleshchevError`` unless ``bp`` is Kleshchev, and with a lattice
-    ``ValueError`` when ``bp`` lies above its top level.
+    """The label involution ``h``: the swap in regime A; in regime B the
+    lattice's table, built from its edges (``h(c)`` is the child of ``h(p)``
+    along step ``(i + l) mod e`` for every edge ``(p, i, c)``), or without
+    one the canonical peel of ``bp`` replayed with every residue shifted by
+    ``l`` (by ``good_child``, not ``reference``).  ``member_images`` makes
+    the membership check and raises as it does.
     """
-    if lattice is None:
-        return _lone_images(bp, params)[0]
-    if params != lattice.params:
-        raise ValueError("params do not match the lattice they came with")
-    m = bipartition_size(bp)
-    if m > lattice.n:
-        raise ValueError(f"lattice only covers sizes up to {lattice.n}, got size {m}")
-    # a vertex's level is its size, so membership is the whole check
-    if bp not in lattice:
-        raise _not_kleshchev(bp)
-    return image_function(lattice.h)(bp)
+    return member_images(bp, params, lattice)(bp)
 
 
 def equivalence_classes(
@@ -208,25 +194,42 @@ def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
     return removals
 
 
-def _lone_images(bp: Bipartition, params: CrystalParams):
-    """``h(bp)`` and ``h`` one level below a lone ``bp``, from one memoised
-    peel; the peel of ``bp`` is its membership check.
+def member_images(bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None):
+    """``h`` on the level of ``bp`` and on every level below, after the
+    check that ``bp`` is a member: ``NotKleshchevError`` unless it is
+    Kleshchev.
 
-    Regime A swaps the components.  In regime B a bipartition's canonical
+    With a lattice, ``h`` is its table, and a ``bp`` above its top level, or
+    other params, is a ``ValueError``.  Without one, regime A swaps the
+    components, and ``bp`` is a member exactly when both are ``l``-restricted:
+    every difference of consecutive parts, and the last part, is below ``l``.
+    In regime B ``h`` comes from one memoised peel, and the peel of ``bp``
+    (``crystal.peel``) is its membership check.  A bipartition's canonical
     peel stops at its first stage whose image is known, from ``{∅: ∅}``, and
     its stages are replayed from that image by ``good_child``, with every
     step shifted by ``l``.  Each stage records its image and, ``h`` being
     an involution, the image's image, so a removal on a peel already made,
-    or the image of one, is a lookup.  The peel reads only marked residues,
-    but regime B checks the alphabet first (``check_alphabet``) all the same:
-    every regime-B command has one alphabet limit.
+    or the image of one, is a lookup.  The alphabet is checked first
+    (``check_alphabet``), as every regime-B command checks it.
     """
-    known = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
+    if lattice is not None:
+        if params != lattice.params:
+            raise ValueError("params do not match the lattice they came with")
+        m = bipartition_size(bp)
+        if m > lattice.n:
+            raise ValueError(f"lattice only covers sizes up to {lattice.n}, got size {m}")
+        # a vertex's level is its size, so membership is the whole check
+        if bp not in lattice:
+            raise _not_kleshchev(bp)
+        return image_function(lattice.h)
     if params.regime == REGIME_A:
-        peel(bp, params, known)
-        return hat(bp), hat
+        l = params.l
+        if l != INF and any(a - b >= l for parts in bp for a, b in zip(parts, parts[1:] + (0,))):
+            raise _not_kleshchev(bp)
+        return hat
     e, l = params.e, params.l
     check_alphabet(e)
+    known = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
 
     def image_of(mu: Bipartition) -> Bipartition:
         if mu in known:
@@ -243,19 +246,11 @@ def _lone_images(bp: Bipartition, params: CrystalParams):
             known[image] = stage
         return image
 
-    return image_of(bp), image_of
+    image_of(bp)  # the peel of bp is its membership check
+    return image_of
 
 
-def _image_below(bp: Bipartition, params: CrystalParams, lattice: Lattice | None):
-    """``h`` one level below a lone member ``bp``: the lattice's table or
-    ``_lone_images``, after the membership check."""
-    if lattice is None:
-        return _lone_images(bp, params)[1]
-    involution(bp, params, lattice)
-    return image_function(lattice.h)
-
-
-def _special_cell(bp: Bipartition, params: CrystalParams, image_of) -> Node | None:
+def special_cell(bp: Bipartition, params: CrystalParams, image_of) -> Node | None:
     """The unique good cell whose removal from ``bp`` is ``h``-fixed, if one
     exists; ``image_of`` gives ``h`` one level below ``bp``."""
     special = [
@@ -273,7 +268,7 @@ def almost_symmetric(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Node | None:
     """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    return _special_cell(bp, params, _image_below(bp, params, lattice))
+    return special_cell(bp, params, member_images(bp, params, lattice))
 
 
 def _socle(label: IrreducibleLabel, removals, unsplit=None) -> SocleDecomposition:
@@ -321,23 +316,24 @@ def socle_restriction(
     if label.n < 2:
         raise ValueError("restriction decompositions need level n >= 2")
     lam = label.rep
-    return _socle(label, _good_removals(lam, params, _image_below(lam, params, lattice)))
+    return _socle(label, _good_removals(lam, params, member_images(lam, params, lattice)))
 
 
 def lone_socle(bp: Bipartition, params: CrystalParams, sign: str | None = None) -> SocleDecomposition:
-    """The socle of the label of a lone ``bp``, from ``_lone_images``: split
+    """The socle of the label of a lone ``bp``, from ``member_images``: split
     with ``sign`` (``+`` by default) at a fixed point of ``h``, else unsplit
     on ``min(bp, h(bp))``, where a ``sign`` raises ``SignError`` first."""
     if sign not in (None, "+", "-"):
         raise ValueError(f"sign {sign!r} is neither '+' nor '-'")
-    image, image_below = _lone_images(bp, params)
+    image_of = member_images(bp, params)
+    image = image_of(bp)
     if image == bp:
         label = IrreducibleLabel(SPLIT, bp, "+" if sign is None else sign)
     elif sign is not None:
         raise SignError(f"{format_bipartition(bp)} is not an involution fixed point")
     else:
         label = IrreducibleLabel(UNSPLIT, min(bp, image))
-    return _socle(label, _good_removals(label.rep, params, image_below))
+    return _socle(label, _good_removals(label.rep, params, image_of))
 
 
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:

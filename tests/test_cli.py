@@ -135,6 +135,12 @@ def test_sign_on_a_moved_bipartition_is_this_usage_error(capsys):
     assert err == "error: '2,1|1,1' is not an involution fixed point, so --sign does not apply\n"
 
 
+def test_sign_without_a_bipartition_is_a_usage_error(capsys):
+    # a whole level has no one label for the sign to pick, so it is refused, not ignored
+    code, out, err = run(capsys, "branch", "--e", "4", "--n", "3", "--sign", "-")
+    assert (code, out, err) == (2, "", "error: --sign applies only with --bipartition\n")
+
+
 @pytest.mark.parametrize(
     "point",
     [["--n", "5", "--bipartition=2,1|1,1"], ["--n", "4", "--bipartition=1|2,1", "--sign", "-"]],

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import time
 
 import pytest
 
@@ -14,16 +15,16 @@ from dnbranch.core import (
     format_bipartition,
     hat,
     parse_bipartition,
+    regime_a_params,
     remove_node,
 )
 from dnbranch.crystal import build_lattice, good_child, good_nodes, peel
 from dnbranch.dmod import (
     _good_removals,
-    _image_below,
-    _lone_images,
     almost_symmetric,
     equivalence_classes,
     involution,
+    member_images,
     socle_restriction,
 )
 from dnbranch.errors import NotKleshchevError, ShiftReplayError
@@ -127,12 +128,13 @@ def test_removal_images_without_lattice_match_the_table(lattice):
     for level in lat.levels:
         for bp in level:
             for given in (None, lat):
-                image_below = _image_below(bp, params, given)
+                image_below = member_images(bp, params, given)
                 for child, image in _good_removals(bp, params, image_below):
                     assert image == table(child)
             # a lone query's h below serves the removals of h(bp) too, which
             # branch reads when h(bp) is the label's representative
-            image, image_below = _lone_images(bp, params)
+            image_below = member_images(bp, params)
+            image = image_below(bp)
             assert image == table(bp)
             for child, image in _good_removals(image, params, image_below):
                 assert image == table(child)
@@ -169,10 +171,35 @@ def test_point_query_peels_once(monkeypatch, command):
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
 def test_regime_a_point_query_peels_once(monkeypatch, command):
-    # regime A: h of a removal is the swap, so the label's check is the one peel
+    # regime A: h is the swap and membership is the restricted test, so no
+    # peel is made
     calls = _count_peels(monkeypatch)
     assert _run([command, "--e", "3", "--n", "16", f"--bipartition={QUERY_LABEL}"])[0] == 0
-    assert calls == [parse_bipartition(QUERY_LABEL)]
+    assert calls == []
+
+
+@pytest.mark.parametrize("l", [2, 3, INF])
+def test_regime_a_lone_membership_is_the_lattice_membership(l):
+    # both components l-restricted exactly on the lattice's vertices
+    params = regime_a_params(l)
+    lat = build_lattice(8, params)
+    for n in range(9):
+        for bp in enumerate_bipartitions(n):
+            if bp in lat:
+                assert member_images(bp, params)(bp) == hat(bp)
+            else:
+                with pytest.raises(NotKleshchevError):
+                    member_images(bp, params)
+
+
+@pytest.mark.parametrize("command", ["involution", "branch"])
+def test_regime_a_long_column_answers_at_once(command):
+    # a column of 5000 rows: the restricted test is linear in the rows
+    column = ",".join(["1"] * 5000)
+    start = time.perf_counter()
+    code, out, _ = _run([command, "--e", "inf", "--n", "5000", f"--bipartition=-|{column}"])
+    assert code == 0 and out
+    assert time.perf_counter() - start < 1.0
 
 
 def _record_replays(monkeypatch) -> list:
@@ -227,7 +254,8 @@ def test_lone_query_replays_no_step_twice(monkeypatch, e):
     for level in build_lattice(8, params).levels:
         for bp in level:
             calls.clear()
-            image, image_below = _lone_images(bp, params)
+            image_below = member_images(bp, params)
+            image = image_below(bp)
             for start in (bp, image):
                 _good_removals(start, params, image_below)
             assert len(calls) == len(set(calls)), format_bipartition(bp)

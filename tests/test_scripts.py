@@ -1,8 +1,11 @@
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from dnbranch.cli import parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,37 +49,27 @@ def test_readme_python_blocks_run_in_order():
         exec(compile(block, "README.md", "exec"), namespace)
 
 
-def test_peak_rss_script_prints_every_command():
-    result = _run_script("peak_rss.py", "--repeat", "1", "4,3")
+def test_layer_grid_script_prints_a_row_per_call():
+    result = _run_script("layer_grid.py", "--repeat", "1", "dims --bipartition=2,1|1", "labels --e 4 --n 5")
     assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0].split() == ["point", "command", "format", "peak", "MB"]
-    rows = [line.split() for line in lines[1:]]
-    assert [row[1:3] for row in rows] == [
-        ["lattice", "text"], ["lattice", "json"], ["lattice", "dot"],
-        ["labels", "text"], ["labels", "json"],
-        ["branch", "text"], ["branch", "json"], ["branch", "dot"],
+    grid = json.loads(result.stdout)
+    assert grid["repeat"] == 1 and grid["floor_ms"]["median"] > 0
+    assert [row["argv"] for row in grid["calls"]] == [
+        ["dims", "--bipartition=2,1|1"], ["labels", "--e", "4", "--n", "5"],
     ]
-    assert all(row[0] == "4,3" and float(row[3]) > 0 for row in rows)
+    for row in grid["calls"]:
+        assert row["exit"] == 0
+        assert all(row[key]["median"] > 0 for key in ("wall_ms", "run_ms", "vmhwm_mb"))
 
 
-def test_branch_times_script_prints_every_point_then_the_queries():
-    result = _run_script("branch_times.py", "--repeat", "1", "--queries", "2", "4,5", "inf,4")
-    assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "branch --format json, best of 1, cold component memo"
-    assert [line.split()[0] for line in lines[2:4]] == ["4,5", "inf,4"]
-    assert all(float(line.split()[1]) > 0 for line in lines[2:4])
-    assert lines[4] == "point queries: 4 labels, seed 0, best of 1 passes"
-    assert [line.split()[0] for line in lines[5:]] == ["involution", "branch"]
-    assert all(line.endswith(" ms per query") for line in lines[5:])
-
-
-def test_startup_floor_script_prints_the_floor_then_every_call():
-    result = _run_script("startup_floor.py", "--rounds", "1")
-    assert result.returncode == 0, result.stdout + result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0] == "median of 1 rounds, ms"
-    assert re.fullmatch(r"floor os\._exit +\d+\.\d\d", lines[1])
-    assert [line.split()[0] for line in lines[2:]] == ["dims", "involution", "branch", "labels", "verify"]
-    assert all(re.fullmatch(r"\w+ +\d+\.\d\d +[+-]\d+\.\d\d", line) for line in lines[2:])
+def test_layer_grid_default_calls_parse():
+    # every call of the default grid is a command line the CLI accepts
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        from layer_grid import default_grid
+    finally:
+        sys.path.pop(0)
+    grid = default_grid()
+    assert len(grid) == 47
+    for argv in grid:
+        assert parse_args(argv).func is not None, argv

@@ -547,7 +547,7 @@ def test_every_lattice_is_grown_and_checked_on_the_one_level_path():
 
 
 def test_lone_h_has_one_route():
-    # the memoised peel of ``dmod._lone_images`` is the only lattice-free
+    # the memoised peel of ``dmod.member_images`` is the only lattice-free
     # route to h: no other dmod function replays with good_child, and no path
     # replay or shift helper is left beside it
     package = Path(__file__).resolve().parent.parent / "src" / "dnbranch"
@@ -559,7 +559,7 @@ def test_lone_h_has_one_route():
         if isinstance(node, ast.Call)
         and "good_child" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert callers == ["_lone_images"]
+    assert callers == ["member_images"]
     names = {
         name
         for path in sorted(package.glob("*.py"))
