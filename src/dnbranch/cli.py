@@ -114,16 +114,9 @@ def _header(params: CrystalParams | VerificationReport, n: int) -> str:
 # commands
 
 
-def _level_pairs(n: int, params: CrystalParams):
-    """``(vertices, children)`` of each streamed level, holding none once passed."""
-    for vertices, children, _ in iter_levels(n, params):
-        yield vertices, children
-        del vertices, children
-
-
 def cmd_lattice(args) -> int:
     params = classify_regime(args.n, args.e)
-    levels = _level_pairs(args.n, params)
+    levels = iter_levels(args.n, params)
     write = sys.stdout.write
     if args.format == "json":
         dio.write_lattice_json(params, levels, write)

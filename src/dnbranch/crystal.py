@@ -39,8 +39,8 @@ index, the level and ``h`` hold the same objects.  The stream releases what
 it has passed: ``_grow`` drops that dict once a level is sorted, and
 ``iter_levels`` drops a level's vertices and index once they are yielded,
 before the next level grows.  A consumer keeps that bound only if it does
-the same, so each one (``dmod.top_level``, ``cli``'s lattice levels, the
-writers of ``io`` and the streamed suites' driver) deletes what it passed:
+the same, so each one (``dmod.top_level``, the lattice writers of ``io``
+and the streamed suites' driver) deletes what it passed:
 a generator expression keeps its loop variable, and ``enumerate`` or
 ``zip`` its last item, while the next level grows.  A level's only edge
 structure, there and in ``Lattice``, is its children index.
@@ -439,7 +439,9 @@ def peel(bp: Bipartition, params: CrystalParams, known) -> tuple[Bipartition, li
     highest-weight vertex of the crystal the lattice spans, and ``e_tilde``
     undoes ``f_tilde``, so the peel reaches it exactly from lattice vertices.
     Raises ``NotKleshchevError``, with the message of ``dmod.involution``'s
-    lattice check, when the peel strands above it.
+    lattice check, when the peel strands above it.  Each stage reads the
+    words of every row of both components (``good_nodes``), so in regime B a
+    peel costs time quadratic in the rows of ``bp``.
     """
     stages = []
     current = bp

@@ -75,8 +75,6 @@ from .errors import (
 UNSPLIT = "unsplit"
 SPLIT = "split"
 
-_SIGN_ORDER = {"+": 0, "-": 1}
-
 
 class IrreducibleLabel(Frozen):
     """Label of a simple module at level ``n = |rep|``.
@@ -97,10 +95,6 @@ class IrreducibleLabel(Frozen):
     @property
     def n(self) -> int:
         return bipartition_size(self.rep)
-
-
-def label_sort_key(label: IrreducibleLabel):
-    return (label.rep, 0 if label.kind == UNSPLIT else 1, _SIGN_ORDER.get(label.sign, 0))
 
 
 def format_label(label: IrreducibleLabel) -> str:
@@ -210,7 +204,10 @@ def member_images(bp: Bipartition, params: CrystalParams, lattice: Lattice | Non
     step shifted by ``l``.  Each stage records its image and, ``h`` being
     an involution, the image's image, so a removal on a peel already made,
     or the image of one, is a lookup.  The alphabet is checked first
-    (``check_alphabet``), as every regime-B command checks it.
+    (``check_alphabet``), as every regime-B command checks it.  The regime-A
+    check costs time linear in the rows of ``bp``; the regime-B peel and
+    replay read every row at each stage (``good_nodes``, ``good_child``),
+    so they cost time quadratic in them.
     """
     if lattice is not None:
         if params != lattice.params:
@@ -277,31 +274,36 @@ def _socle(label: IrreducibleLabel, removals, unsplit=None) -> SocleDecompositio
 
     ``unsplit``, a ``_Memo`` of unsplit labels by representative, lends
     the unsplit summands, so a caller that makes many socles makes each
-    summand label once.  Raises ``MultipleSpecialNodesError`` when two
-    removals are ``h``-fixed and ``InvariantError`` when the socle is not
-    multiplicity free, each naming the label.
+    summand label once.  The summands are sorted by representative, a split
+    pair ``+`` first.  Raises ``FixedPointError`` at the first ``h``-fixed
+    removal of a split label, naming it, and for an unsplit label
+    ``MultipleSpecialNodesError`` when two removals are ``h``-fixed, then
+    ``InvariantError`` when the socle is not multiplicity free, each naming
+    the label.
     """
     if unsplit is None:
         unsplit = _Memo(partial(IrreducibleLabel, UNSPLIT))
-    if label.kind == SPLIT:
-        # one unsplit label per orbit of good removals; identical for both signs
-        reps = sorted({_orbit_rep(child, image) for child, image in removals})
-        return SocleDecomposition(label, tuple([unsplit[rep] for rep in reps]))
+    split = label.kind == SPLIT
     reps, special = [], []
-    for child, image in removals:
-        if child == image:
-            special.append(child)
-        else:
-            reps.append(_orbit_rep(child, image))
+    for mu, image in removals:
+        if mu == image:
+            if split:
+                raise FixedPointError(f"{format_bipartition(mu)} is a fixed point, not unsplit")
+            special.append(mu)
+        reps.append(min(mu, image))
     if len(special) > 1:
         raise MultipleSpecialNodesError(f"{format_label(label)} has {len(special)} special nodes")
-    if len(set(reps)) != len(reps):
+    distinct = set(reps)
+    # a split label has one summand per orbit of good removals, the same for both signs
+    if not split and len(distinct) != len(reps):
         raise InvariantError(f"socle of {format_label(label)} is not multiplicity free")
-    summands = [unsplit[rep] for rep in reps]
-    for child in special:
-        summands.append(IrreducibleLabel(SPLIT, child, "+"))
-        summands.append(IrreducibleLabel(SPLIT, child, "-"))
-    summands.sort(key=label_sort_key)
+    # no unsplit rep is fixed, so sorting by rep puts a special removal's pair in its place
+    summands = []
+    for rep in sorted(distinct):
+        if rep in special:
+            summands += (IrreducibleLabel(SPLIT, rep, "+"), IrreducibleLabel(SPLIT, rep, "-"))
+        else:
+            summands.append(unsplit[rep])
     return SocleDecomposition(label, tuple(summands))
 
 

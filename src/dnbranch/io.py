@@ -15,11 +15,11 @@ full-level output has one writer, which takes a ``write`` function and
 writes as its input arrives, in pieces of bounded size:
 
 * ``write_lattice_json``, ``write_lattice_text`` and ``write_lattice_dot``
-  read each level's ``(vertices, children)`` as ``crystal.iter_levels``
-  yields it or ``Lattice.index`` holds it, through ``_lattice_texts``, which
-  keeps no table of vertex texts.  Until the end they hold only what the
-  format puts last: the vertex texts (JSON) or the edge lines (text, DOT),
-  ``_CHUNK`` vertices or parents to a piece;
+  read each level's vertices and children index straight from
+  ``crystal.iter_levels`` or from ``Lattice.index``, through
+  ``_lattice_texts``, which keeps no table of vertex texts.  Until the end
+  they hold only what the format puts last: the vertex texts (JSON) or the
+  edge lines (text, DOT), ``_CHUNK`` vertices or parents to a piece;
 * ``write_branching_json`` writes entry by entry and keeps none, and
   ``write_branching_dot`` keeps only the label names and edge lines, since
   the sorted names come first.
@@ -146,9 +146,10 @@ def _write_joined(write, pieces) -> None:
 def _lattice_texts(levels, vertex, step, edge, sep: str):
     """Each level's vertex texts, in order, and its edge texts in pieces.
 
-    ``levels`` yields each level's ``(vertices, children)`` for levels 0..n,
-    ``children`` indexing its edges by parent, then step, as ``iter_levels``
-    yields it.  ``vertex(left, right)`` makes a vertex's text from its two
+    ``levels`` yields each level's ``(vertices, children, ...)`` for levels
+    0..n, ``children`` indexing its edges by parent, then step: the triples
+    of ``iter_levels`` as it yields them, or ``zip(levels, index)`` of a
+    ``Lattice``.  ``vertex(left, right)`` makes a vertex's text from its two
     memoised component texts, and ``edge(parent, step, left, right)`` an
     edge's from its parent's text, its step's memoised text ``step(step)``
     and its child's component texts; both are f-strings, compiled once.  A
@@ -159,7 +160,7 @@ def _lattice_texts(levels, vertex, step, edge, sep: str):
     """
     parts = _Memo(format_partition)
     steps = _Memo(step)
-    for vertices, children in levels:
+    for vertices, children, *_ in levels:
         pieces = (
             sep.join(
                 [
@@ -173,7 +174,7 @@ def _lattice_texts(levels, vertex, step, edge, sep: str):
             for chunk in _chunks(children.items())
         )
         yield (vertex(parts[left], parts[right]) for left, right in vertices), pieces
-        del vertices, children, pieces
+        del vertices, children, _, pieces
 
 
 def write_lattice_json(params: CrystalParams, levels, write) -> None:

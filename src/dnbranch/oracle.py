@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .core import (
     Bipartition,
@@ -156,11 +156,8 @@ def standard_tableaux_count(parts: Partition) -> int:
     for p in parts:
         for j in range(p):
             conjugate[j] += 1
-    numerator = factorial(sum(parts))
-    for i, p in enumerate(parts):
-        for j in range(p):
-            numerator //= p - j + conjugate[j] - i - 1
-    return numerator
+    hooks = [p - j + conjugate[j] - i - 1 for i, p in enumerate(parts) for j in range(p)]
+    return factorial(sum(parts)) // prod(hooks)
 
 
 def bipartition_dimension(bp: Bipartition) -> int:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -30,9 +31,10 @@ from dnbranch.dmod import (
     parents_index,
     residue_counts,
     socle_restriction,
+    top_level,
     unsplit_class,
 )
-from dnbranch.errors import MultipleSpecialNodesError, NotKleshchevError
+from dnbranch.errors import FixedPointError, MultipleSpecialNodesError, NotKleshchevError
 from dnbranch.reference import reference_good_removals, reference_h, reference_restriction
 
 
@@ -347,6 +349,21 @@ def test_fixed_images_of_two_removals_are_two_special_nodes():
         list(level_socles([DOCTORED_LABEL], hat, lambda mu: mu, parents))
 
 
+def test_split_label_with_a_fixed_removal_names_the_first_in_list_order():
+    # h is doctored to fix the label, so it is split, and the removals given it
+    mu1, mu2 = DOCTORED_REMOVALS
+    fixed_second = lambda mu: mu if mu == mu2 else hat(mu)
+    for removals, image_below, first in (
+        ([mu1, mu2], lambda mu: mu, mu1),
+        ([mu2, mu1], lambda mu: mu, mu2),
+        ([mu1, mu2], fixed_second, mu2),
+    ):
+        parents = {DOCTORED_LABEL: removals}
+        message = f"^{re.escape(format_bipartition(first))} is a fixed point, not unsplit$"
+        with pytest.raises(FixedPointError, match=message):
+            list(level_socles([DOCTORED_LABEL], lambda bp: bp, image_below, parents))
+
+
 def test_swapped_removals_are_a_duplicate_summand_under_optimisation():
     # the two removals map to each other, so both give the same unsplit label
     script = (
@@ -378,6 +395,26 @@ def test_two_special_removals_raise_under_optimisation():
         "    print('raised' if 'D(1|1,1)' in str(exc) else exc)\n"
     )
     _assert_raised_under_optimisation(script)
+
+
+def _summand_key(label):
+    # rep, then unsplit before split, then + before -
+    return label.rep, label.kind == SPLIT, label.sign == "-"
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 6, INF])
+def test_socle_summands_strictly_increase_by_rep_kind_and_sign(e):
+    split_pairs = 0
+    for m in range(2, 9):
+        params = classify_regime(m, e)
+        level, image_of, image_below, parents = top_level(m, params, parents=True)
+        for socle in level_socles(level, image_of, image_below, parents):
+            keys = [_summand_key(summand) for summand in socle.summands]
+            assert all(a < b for a, b in zip(keys, keys[1:])), format_label(socle.source)
+            split_pairs += sum(summand.sign == "-" for summand in socle.summands)
+    # so the order of a split pair among its neighbours is seen (at e = 2 no
+    # label up to level 8 has a special removal)
+    assert split_pairs or e == 2
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 6, INF])

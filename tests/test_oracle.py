@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 from collections import Counter
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from dnbranch.oracle import (
     bipartition_dimension,
     enumerate_partitions,
     restricted_partitions,
+    standard_tableaux_count,
     verify_clifford_socle,
     verify_h_path_independence,
     verify_level1_calibration,
@@ -104,6 +107,28 @@ def test_dimension_satisfies_the_removal_recurrence():
                 for node in removable_nodes(bp)
             )
             assert bipartition_dimension(bp) == total
+
+
+def _per_cell_hook_count(parts) -> int:
+    """The hook formula dividing ``n!`` once per cell: the reference for the one division."""
+    numerator = factorial(sum(parts))
+    for i, p in enumerate(parts):
+        for j in range(p):
+            numerator //= p - j + sum(q > j for q in parts) - i - 1
+    return numerator
+
+
+def test_tableaux_count_matches_the_per_cell_hook_formula():
+    rng = random.Random(35)
+    shapes = [(5000,), ()]
+    for _ in range(300):
+        parts, left = [], rng.randint(1, 40)
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        shapes.append(tuple(sorted(parts, reverse=True)))
+    for parts in shapes:
+        assert standard_tableaux_count(parts) == _per_cell_hook_count(parts), parts
 
 
 def test_path_independence_suites():

@@ -15,7 +15,7 @@ import pytest
 from conftest import lattice_edges
 import dnbranch.dmod as dmod
 from dnbranch import io as dio
-from dnbranch.cli import _level_pairs, main
+from dnbranch.cli import main
 from dnbranch.core import INF, bipartition_size, classify_regime, format_bipartition, remove_node
 from dnbranch.crystal import build_lattice, good_nodes, iter_levels
 from dnbranch.dmod import branching_graph, equivalence_classes, format_label, level_socles
@@ -387,8 +387,8 @@ def test_streamed_commands_hold_less_than_the_built_lattice(e, n):
 
 
 def _drain(levels) -> None:
-    for vertices, children in levels:
-        del vertices, children  # hold no level while the next grows
+    for vertices, children, h in levels:
+        del vertices, children, h  # hold no level while the next grows
 
 
 # Peak traced memory of the lattice JSON writer over that of the stream it
@@ -404,9 +404,9 @@ LATTICE_JSON_OVER_STREAM = {(6, 12): 2.1, (INF, 10): 3.2}
 def test_lattice_json_keeps_no_table_of_vertex_texts(e, n):
     params = classify_regime(n, e)
     discard = _Discard().write
-    dio.write_lattice_json(params, _level_pairs(n, params), discard)  # fill the memo
-    stream = _peak_mb(lambda: _drain(_level_pairs(n, params)))
-    written = _peak_mb(lambda: dio.write_lattice_json(params, _level_pairs(n, params), discard))
+    dio.write_lattice_json(params, iter_levels(n, params), discard)  # fill the memo
+    stream = _peak_mb(lambda: _drain(iter_levels(n, params)))
+    written = _peak_mb(lambda: dio.write_lattice_json(params, iter_levels(n, params), discard))
     assert written / stream <= LATTICE_JSON_OVER_STREAM[e, n], round(written / stream, 2)
 
 
@@ -442,7 +442,7 @@ def _json_pieces(e, n) -> tuple[list, list]:
     """The pieces each JSON writer passes to ``write`` for a full level."""
     params = classify_regime(n, e)
     lattice_pieces, branching_pieces = [], []
-    dio.write_lattice_json(params, _level_pairs(n, params), lattice_pieces.append)
+    dio.write_lattice_json(params, iter_levels(n, params), lattice_pieces.append)
     level, image_of, image_below, parents = dmod.top_level(n, params, parents=True)
     entries = level_socles(level, image_of, image_below, parents)
     dio.write_branching_json(params, n, entries, branching_pieces.append)
