@@ -64,7 +64,8 @@ QUERY_POINTS = [("4", 16), ("4", 12), ("6", 14), ("6", 10), ("inf", 12), ("inf",
 
 
 def default_grid() -> list[list[str]]:
-    """The table commands, the suites, two queries per query point and one ``dims``."""
+    """The table commands, the suites, two queries per query point, a regime-B
+    query on a 2 500-row column and one ``dims``."""
     from dnbranch.core import INF, classify_regime, format_bipartition
     from dnbranch.crystal import iter_levels
 
@@ -78,6 +79,8 @@ def default_grid() -> list[list[str]]:
             pass
         head = ["--e", e, "--n", str(n), f"--bipartition={format_bipartition(level[len(level) // 2])}"]
         grid += [["involution", *head], ["branch", *head, "--format", "json"]]
+    column = ",".join(["1"] * 2500)
+    grid.append(["branch", "--e", "4", "--n", "2500", f"--bipartition=-|{column}", "--format", "json"])
     return grid + [["dims", "--bipartition=2,1|3,2,2,2,1,1,1,1"]]
 
 

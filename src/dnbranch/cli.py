@@ -44,9 +44,9 @@ from .crystal import iter_levels
 from .dmod import (
     equivalence_classes,
     format_label,
+    involution,
     level_socles,
     lone_socle,
-    member_images,
     residue_counts,
     special_cell,
     top_level,
@@ -150,7 +150,7 @@ def cmd_branch(args) -> int:
         # each label's socle is computed as it is written, from its parents
         entries = level_socles(*top_level(args.n, params, parents=True))
     else:
-        # a single label needs no lattice: its memoised peel gives h of it and its removals
+        # no lattice: one peel gives h of the label, and h of it gives h of each good removal
         try:
             entries = [lone_socle(parse_bipartition(args.bipartition, args.n), params, args.sign)]
         except SignError:  # a usage error; the engine's FixedPointError is not
@@ -173,9 +173,8 @@ def cmd_branch(args) -> int:
 def cmd_involution(args) -> int:
     params = classify_regime(args.n, args.e)
     bp = parse_bipartition(args.bipartition, args.n)
-    image_of = member_images(bp, params)
-    image = image_of(bp)
-    special = special_cell(bp, params, image_of)
+    image = involution(bp, params)
+    special = special_cell(bp, params, image)
     counts = residue_counts(bp, params)
     print(_header(params, args.n))
     print(f"bipartition: {format_bipartition(bp)}")

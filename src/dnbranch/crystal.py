@@ -48,9 +48,9 @@ structure, there and in ``Lattice``, is its children index.
 ``Lattice`` is the stream collected (``build_lattice``), so every lattice,
 streamed or built, is grown and checked on one path.
 
-``peel`` peels a single bipartition by its smallest good step down to
-the first stage a caller knows (the empty one at the latest), so its
-membership and, in ``dmod``, ``h`` of a lone label need no lattice.
+``peel`` peels a single bipartition by its smallest good step down to the
+empty one and keeps only the steps, so its membership and, in ``dmod``,
+``h`` of a lone label (one shifted replay) need no lattice.
 """
 
 from __future__ import annotations
@@ -428,31 +428,31 @@ def _not_kleshchev(bp: Bipartition) -> NotKleshchevError:
     )
 
 
-def peel(bp: Bipartition, params: CrystalParams, known) -> tuple[Bipartition, list]:
-    """The canonical peel of ``bp`` down to its first stage in ``known``.
+def peel(bp: Bipartition, params: CrystalParams) -> list:
+    """The steps of the canonical path of ``bp`` from the empty bipartition,
+    in addition order.
 
-    Peels by the smallest step with a good removable cell at every stage.
-    Returns the stage it stops at and the ``(stage, step)`` pairs above it,
-    ``bp`` first, where ``step`` removes a good cell of ``stage``.  ``known``
-    must hold the empty bipartition.  In regime B this is also the
+    Peels by the smallest step with a good removable cell at every stage,
+    down to the empty bipartition, keeping only the steps.  This is also the
     membership test, with no lattice: the empty bipartition is the only
     highest-weight vertex of the crystal the lattice spans, and ``e_tilde``
     undoes ``f_tilde``, so the peel reaches it exactly from lattice vertices.
     Raises ``NotKleshchevError``, with the message of ``dmod.involution``'s
-    lattice check, when the peel strands above it.  Each stage reads the
-    words of every row of both components (``good_nodes``), so in regime B a
-    peel costs time quadratic in the rows of ``bp``.
+    lattice check, when the peel strands above it.  Memory is linear in the
+    rows of ``bp``; time is quadratic in them in regime B, as each stage
+    reads the words of every row of both components (``good_nodes``).
     """
-    stages = []
+    steps = []
     current = bp
-    while current not in known:
+    while current != EMPTY_BIPARTITION:
         good = good_nodes(current, params)
         if not good:
             raise _not_kleshchev(bp)
         node, step = good[0]
-        stages.append((current, step))
+        steps.append(step)
         current = remove_node(current, node)
-    return current, stages
+    steps.reverse()
+    return steps
 
 
 # ---------------------------------------------------------------------------

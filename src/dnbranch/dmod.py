@@ -7,7 +7,7 @@ two-element orbit of a Kleshchev bipartition under the involution ``h``
 maps the endpoint of any residue path to the endpoint of the same path
 shifted by ``l``; the lattice reads it off its edges once (``h(c)`` is the
 child of ``h(p)`` along the shifted step of each edge ``(p, i, c)``), and
-a single label without a lattice from one memoised peel (``member_images``).
+``involution`` of a single label without a lattice from one peel, replayed.
 A single combinatorial ``h`` serves every base field of characteristic != 2.
 
 The socle engine reads each label's good removals ``mu = lambda - A`` and
@@ -16,9 +16,11 @@ edges: ``lambda = f_i mu`` exactly when ``mu = e_i lambda``, so the good
 removals of a vertex are its parents, which ``parents_index`` reads off the
 level's children index.  ``h`` of a removal is then a lookup in the table
 of level ``n - 1`` (the lattice's, or the one the level stream has just
-built) or the swap in regime A.  A single label without a lattice finds its
-good cells through ``good_nodes`` and reads ``h`` of each from the peel
-that gave the label's own (``lone_socle``).  Both feed ``_socle`` the same
+built) or the swap in regime A.  A single label finds its good cells
+through ``good_nodes`` (``_good_removals``) and reads ``h`` of each off
+``h(lambda)``: ``h`` commutes with the crystal operators shifted by ``l``,
+so ``h(e_i lambda) = e_{i+l} h(lambda)``, one ``good_nodes`` of
+``h(lambda)`` for every removal.  Both feed ``_socle`` the same
 ``(mu, h(mu))`` pairs; a removal is special when ``mu = h(mu)``.  The level
 producer ``top_level`` and ``lone_socle`` serve ``cli`` and ``io`` alike.
 
@@ -120,14 +122,43 @@ def image_function(table):
 def involution(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Bipartition:
-    """The label involution ``h``: the swap in regime A; in regime B the
-    lattice's table, built from its edges (``h(c)`` is the child of ``h(p)``
-    along step ``(i + l) mod e`` for every edge ``(p, i, c)``), or without
-    one the canonical peel of ``bp`` replayed with every residue shifted by
-    ``l`` (by ``good_child``, not ``reference``).  ``member_images`` makes
-    the membership check and raises as it does.
+    """The label involution ``h`` of ``bp``, after the check that ``bp`` is a
+    member: ``NotKleshchevError`` unless it is Kleshchev.
+
+    With a lattice: its table, or the swap in regime A; a ``bp`` above its
+    top level, or other params, is a ``ValueError``.  Regime A: the swap,
+    once both components are ``l``-restricted (every difference of
+    consecutive parts, and the last part, below ``l``), in time linear in
+    the rows.  Regime B: after ``check_alphabet``, the peel of ``bp``
+    (``crystal.peel``, the membership check) replayed from the empty
+    bipartition by ``good_child`` (not ``reference``) with every step
+    shifted by ``l``, in time quadratic in the rows and memory linear.
     """
-    return member_images(bp, params, lattice)(bp)
+    if lattice is not None:
+        if params != lattice.params:
+            raise ValueError("params do not match the lattice they came with")
+        m = bipartition_size(bp)
+        if m > lattice.n:
+            raise ValueError(f"lattice only covers sizes up to {lattice.n}, got size {m}")
+        # a vertex's level is its size, so membership is the whole check
+        if bp not in lattice:
+            raise _not_kleshchev(bp)
+        return image_function(lattice.h)(bp)
+    if params.regime == REGIME_A:
+        l = params.l
+        if l != INF and any(a - b >= l for parts in bp for a, b in zip(parts, parts[1:] + (0,))):
+            raise _not_kleshchev(bp)
+        return hat(bp)
+    e, l = params.e, params.l
+    check_alphabet(e)
+    image = EMPTY_BIPARTITION
+    for step in peel(bp, params):  # the peel of bp is its membership check
+        image = good_child(image, (step + l) % e, params)
+        if image is None:
+            raise ShiftReplayError(
+                f"the shifted canonical path of {format_bipartition(bp)} breaks"
+            )
+    return image
 
 
 def equivalence_classes(
@@ -174,86 +205,36 @@ def unsplit_class(
     return IrreducibleLabel(UNSPLIT, _orbit_rep(bp, involution(bp, params, lattice)))
 
 
-def _good_removals(bp: Bipartition, params: CrystalParams, image_of) -> list:
-    """``(removal, h of the removal)`` for every good removable cell of
-    ``bp``, found through its component words (``good_nodes``).
+def _good_removals(bp: Bipartition, image: Bipartition, params: CrystalParams) -> list:
+    """``(node, mu, h(mu))`` for every good removable cell ``node`` of
+    ``bp``, ``mu`` its removal, read off ``image = h(bp)``.
 
-    ``image_of`` gives ``h`` one level below ``bp``: the swap in regime A, a
-    table on that level, or the memoised peel of a lone label.
+    Regime A swaps ``mu``.  In regime B, ``h`` commutes with the crystal
+    operators shifted by ``l``: ``mu = e_i bp`` gives ``h(mu) = e_{i+l}
+    image``, ``image`` without its good cell of step ``(i + l) mod e``.
+    Raises ``ShiftReplayError`` when the good steps of ``bp``, shifted, are
+    not those of ``image``.
     """
-    removals = []
-    for node, _ in good_nodes(bp, params):
-        child = remove_node(bp, node)
-        removals.append((child, image_of(child)))
-    return removals
-
-
-def member_images(bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None):
-    """``h`` on the level of ``bp`` and on every level below, after the
-    check that ``bp`` is a member: ``NotKleshchevError`` unless it is
-    Kleshchev.
-
-    With a lattice, ``h`` is its table, and a ``bp`` above its top level, or
-    other params, is a ``ValueError``.  Without one, regime A swaps the
-    components, and ``bp`` is a member exactly when both are ``l``-restricted:
-    every difference of consecutive parts, and the last part, is below ``l``.
-    In regime B ``h`` comes from one memoised peel, and the peel of ``bp``
-    (``crystal.peel``) is its membership check.  A bipartition's canonical
-    peel stops at its first stage whose image is known, from ``{∅: ∅}``, and
-    its stages are replayed from that image by ``good_child``, with every
-    step shifted by ``l``.  Each stage records its image and, ``h`` being
-    an involution, the image's image, so a removal on a peel already made,
-    or the image of one, is a lookup.  The alphabet is checked first
-    (``check_alphabet``), as every regime-B command checks it.  The regime-A
-    check costs time linear in the rows of ``bp``; the regime-B peel and
-    replay read every row at each stage (``good_nodes``, ``good_child``),
-    so they cost time quadratic in them.
-    """
-    if lattice is not None:
-        if params != lattice.params:
-            raise ValueError("params do not match the lattice they came with")
-        m = bipartition_size(bp)
-        if m > lattice.n:
-            raise ValueError(f"lattice only covers sizes up to {lattice.n}, got size {m}")
-        # a vertex's level is its size, so membership is the whole check
-        if bp not in lattice:
-            raise _not_kleshchev(bp)
-        return image_function(lattice.h)
+    good = good_nodes(bp, params)
     if params.regime == REGIME_A:
-        l = params.l
-        if l != INF and any(a - b >= l for parts in bp for a, b in zip(parts, parts[1:] + (0,))):
-            raise _not_kleshchev(bp)
-        return hat
+        return [(node, mu, hat(mu)) for node, _ in good for mu in [remove_node(bp, node)]]
     e, l = params.e, params.l
-    check_alphabet(e)
-    known = {EMPTY_BIPARTITION: EMPTY_BIPARTITION}
-
-    def image_of(mu: Bipartition) -> Bipartition:
-        if mu in known:
-            return known[mu]
-        base, stages = peel(mu, params, known)
-        image = known[base]
-        for stage, step in reversed(stages):
-            image = good_child(image, (step + l) % e, params)
-            if image is None:
-                raise ShiftReplayError(
-                    f"the shifted canonical path of {format_bipartition(mu)} breaks"
-                )
-            known[stage] = image
-            known[image] = stage
-        return image
-
-    image_of(bp)  # the peel of bp is its membership check
-    return image_of
-
-
-def special_cell(bp: Bipartition, params: CrystalParams, image_of) -> Node | None:
-    """The unique good cell whose removal from ``bp`` is ``h``-fixed, if one
-    exists; ``image_of`` gives ``h`` one level below ``bp``."""
-    special = [
-        node for node, _ in good_nodes(bp, params)
-        if (child := remove_node(bp, node)) == image_of(child)
+    cells = {step: node for node, step in (good if image == bp else good_nodes(image, params))}
+    if differ := {(step + l) % e for _, step in good} ^ cells.keys():
+        raise ShiftReplayError(
+            f"the good steps of {format_bipartition(bp)}, shifted by l, and of its "
+            f"image {format_bipartition(image)} differ at step {min(differ)}"
+        )
+    return [
+        (node, remove_node(bp, node), remove_node(image, cells[(step + l) % e]))
+        for node, step in good
     ]
+
+
+def special_cell(bp: Bipartition, params: CrystalParams, image: Bipartition) -> Node | None:
+    """The unique good cell whose removal from ``bp`` is ``h``-fixed, if one
+    exists; ``image`` is ``h(bp)``."""
+    special = [node for node, mu, mu_image in _good_removals(bp, image, params) if mu == mu_image]
     if len(special) > 1:
         raise MultipleSpecialNodesError(
             f"{format_bipartition(bp)} has {len(special)} special nodes"
@@ -265,7 +246,7 @@ def almost_symmetric(
     bp: Bipartition, params: CrystalParams, lattice: Lattice | None = None
 ) -> Node | None:
     """The unique good cell whose removal is ``h``-fixed, if one exists."""
-    return special_cell(bp, params, member_images(bp, params, lattice))
+    return special_cell(bp, params, involution(bp, params, lattice))
 
 
 def _socle(label: IrreducibleLabel, removals, unsplit=None) -> SocleDecomposition:
@@ -318,24 +299,26 @@ def socle_restriction(
     if label.n < 2:
         raise ValueError("restriction decompositions need level n >= 2")
     lam = label.rep
-    return _socle(label, _good_removals(lam, params, member_images(lam, params, lattice)))
+    removals = _good_removals(lam, involution(lam, params, lattice), params)
+    return _socle(label, [removal[1:] for removal in removals])
 
 
 def lone_socle(bp: Bipartition, params: CrystalParams, sign: str | None = None) -> SocleDecomposition:
-    """The socle of the label of a lone ``bp``, from ``member_images``: split
-    with ``sign`` (``+`` by default) at a fixed point of ``h``, else unsplit
-    on ``min(bp, h(bp))``, where a ``sign`` raises ``SignError`` first."""
+    """The socle of the label of a lone ``bp``, from ``involution`` of it:
+    split with ``sign`` (``+`` by default) at a fixed point of ``h``, else
+    unsplit on ``min(bp, h(bp))``, where a ``sign`` raises ``SignError`` first."""
     if sign not in (None, "+", "-"):
         raise ValueError(f"sign {sign!r} is neither '+' nor '-'")
-    image_of = member_images(bp, params)
-    image = image_of(bp)
+    image = involution(bp, params)
     if image == bp:
         label = IrreducibleLabel(SPLIT, bp, "+" if sign is None else sign)
     elif sign is not None:
         raise SignError(f"{format_bipartition(bp)} is not an involution fixed point")
     else:
         label = IrreducibleLabel(UNSPLIT, min(bp, image))
-    return _socle(label, _good_removals(label.rep, params, image_of))
+    partner = image if label.rep == bp else bp
+    removals = _good_removals(label.rep, partner, params)
+    return _socle(label, [removal[1:] for removal in removals])
 
 
 def residue_counts(bp: Bipartition, params: CrystalParams) -> dict[int, int]:

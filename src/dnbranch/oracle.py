@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .core import (
     Bipartition,
@@ -157,7 +157,12 @@ def standard_tableaux_count(parts: Partition) -> int:
         for j in range(p):
             conjugate[j] += 1
     hooks = [p - j + conjugate[j] - i - 1 for i, p in enumerate(parts) for j in range(p)]
-    return factorial(sum(parts)) // prod(hooks)
+    # a balanced product tree: left to right, every hook would multiply the whole product so far
+    while len(hooks) > 1:
+        if len(hooks) % 2:
+            hooks.append(1)
+        hooks = [a * b for a, b in zip(hooks[::2], hooks[1::2])]
+    return factorial(sum(parts)) // hooks[0]
 
 
 def bipartition_dimension(bp: Bipartition) -> int:

@@ -86,7 +86,7 @@ def lattice_edges(lattice):
 def peel_path(bp, params):
     """Addition-order step sequence of the canonical peel of ``bp`` to the
     empty bipartition; ``peel`` with its membership check."""
-    return tuple([step for _, step in reversed(peel(bp, params, (EMPTY_BIPARTITION,))[1])])
+    return tuple(peel(bp, params))
 
 
 def is_l_restricted(parts, l):

@@ -3,7 +3,11 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +28,11 @@ from dnbranch.dmod import (
     almost_symmetric,
     equivalence_classes,
     involution,
-    member_images,
+    level_socles,
+    lone_socle,
     socle_restriction,
+    special_cell,
+    top_level,
 )
 from dnbranch.errors import NotKleshchevError, ShiftReplayError
 
@@ -35,6 +42,8 @@ GRID = [(4, 7), (6, 7), (INF, 6), (3, 7), (2, 8)]
 # SHA-256 of the point-command transcript over GRID, recorded while the
 # program still had a lattice cache, which point commands never read
 GRID_DIGEST = "873508c19226a1f64830a024266c9c7ad26a7ed61c129f68350577ace13c62eb"
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _point_argvs(e_text: str, n: int, text: str):
@@ -121,23 +130,21 @@ def test_socle_without_lattice_matches_the_lattice(lattice):
 
 
 def test_removal_images_without_lattice_match_the_table(lattice):
-    # h of each good removal comes, without a lattice, from the label's
-    # memoised peel, and from the table with one
+    # h of each good removal is read off h(bp), whether h(bp) comes from the
+    # label's peel or from the table
     params, lat = lattice
     table = hat if lat.h is None else lat.h.__getitem__
     for level in lat.levels:
         for bp in level:
             for given in (None, lat):
-                image_below = member_images(bp, params, given)
-                for child, image in _good_removals(bp, params, image_below):
-                    assert image == table(child)
-            # a lone query's h below serves the removals of h(bp) too, which
-            # branch reads when h(bp) is the label's representative
-            image_below = member_images(bp, params)
-            image = image_below(bp)
-            assert image == table(bp)
-            for child, image in _good_removals(image, params, image_below):
-                assert image == table(child)
+                image = involution(bp, params, given)
+                assert image == table(bp)
+                for _, child, child_image in _good_removals(bp, image, params):
+                    assert child_image == table(child)
+                # the removals of h(bp) too, which branch reads when h(bp) is
+                # the label's representative
+                for _, child, child_image in _good_removals(image, bp, params):
+                    assert child_image == table(child)
 
 
 def _count_peels(monkeypatch) -> list:
@@ -145,9 +152,9 @@ def _count_peels(monkeypatch) -> list:
 
     calls = []
 
-    def counting_peel(bp, params, known):
+    def counting_peel(bp, params):
         calls.append(bp)
-        return peel(bp, params, known)
+        return peel(bp, params)
 
     monkeypatch.setattr(dmod, "peel", counting_peel)
     return calls
@@ -158,15 +165,14 @@ QUERY_LABEL = "2,1|3,2,2,2,1,1,1,1"
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
 def test_point_query_peels_once(monkeypatch, command):
-    # regime B: one peel checks the label, and its replay gives h of the
-    # removal at its smallest good step, so only the other good removal is
-    # peeled for its h; the removals of h(label) are images already known
+    # regime B: one peel checks the label and its replay gives h of it; h of
+    # each good removal is read off h of the label, so no removal is peeled
     calls = _count_peels(monkeypatch)
     argv = [command, "--e", "4", "--n", "16", f"--bipartition={QUERY_LABEL}"]
     assert _run(argv)[0] == 0
     bp = parse_bipartition(QUERY_LABEL)
     assert len(good_nodes(bp, classify_regime(16, 4))) == 2
-    assert len(calls) == 2
+    assert calls == [bp]
 
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
@@ -186,10 +192,10 @@ def test_regime_a_lone_membership_is_the_lattice_membership(l):
     for n in range(9):
         for bp in enumerate_bipartitions(n):
             if bp in lat:
-                assert member_images(bp, params)(bp) == hat(bp)
+                assert involution(bp, params) == hat(bp)
             else:
                 with pytest.raises(NotKleshchevError):
-                    member_images(bp, params)
+                    involution(bp, params)
 
 
 @pytest.mark.parametrize("command", ["involution", "branch"])
@@ -200,6 +206,32 @@ def test_regime_a_long_column_answers_at_once(command):
     code, out, _ = _run([command, "--e", "inf", "--n", "5000", f"--bipartition=-|{column}"])
     assert code == 0 and out
     assert time.perf_counter() - start < 1.0
+
+
+# the child's own peak, from its address space after exec
+_PEAK_SCRIPT = """
+import contextlib, io, sys
+from dnbranch.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(code, next(line for line in status if line.startswith("VmHWM:")).split()[1])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_regime_b_long_column_keeps_no_peel_stage():
+    # a column of 2500 rows at e = 4: the peel keeps only its steps and the
+    # removals read h off h(label), so the peak stays near the interpreter's
+    column = ",".join(["1"] * 2500)
+    argv = ["branch", "--e", "4", "--n", "2500", f"--bipartition=-|{column}", "--format", "json"]
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_SCRIPT, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    code, kb = result.stdout.split()
+    assert code == "0"
+    assert int(kb) < 20 * 1024
 
 
 def _record_replays(monkeypatch) -> list:
@@ -217,50 +249,84 @@ def _record_replays(monkeypatch) -> list:
     return calls
 
 
-def test_broken_removal_replay_is_a_shift_replay_error(monkeypatch):
-    # the label's own shifted replay holds and every other replay breaks, so
-    # the error can come only from h of a removal the label's replay does
-    # not pass through
+def test_missing_shifted_cell_of_h_is_a_shift_replay_error(monkeypatch):
+    # good_nodes doctored to drop the good cell of h(lam) at one shifted
+    # step: the removal of that step has no h to read off h(lam), which the
+    # engine reports as a broken shift and the CLI as one error line, exit 1
     import dnbranch.dmod as dmod
 
     params = classify_regime(6, 4)
     lam = ((1, 1), (2, 2))
+    image = involution(lam, params)
+    assert image != lam
     label = equivalence_classes([lam], params)[0]
     good = good_nodes(lam, params)
     assert len(good) == 2
-    removals = {format_bipartition(remove_node(lam, node)) for node, _ in good[1:]}
-    with monkeypatch.context() as recording:
-        calls = _record_replays(recording)
-        involution(lam, params)
-    label_replay = set(calls)
+    dropped = (good[1][1] + params.l) % params.e
+    assert dropped in {step for _, step in good_nodes(image, params)}
 
-    def replay_the_label_only(bp, step, params):
-        return good_child(bp, step, params) if (bp, step) in label_replay else None
+    def doctored(bp, params):
+        return [(node, step) for node, step in good_nodes(bp, params) if (bp, step) != (image, dropped)]
 
-    monkeypatch.setattr(dmod, "good_child", replay_the_label_only)
+    monkeypatch.setattr(dmod, "good_nodes", doctored)
+    names = (format_bipartition(lam), format_bipartition(image))
     for query in (lambda: almost_symmetric(lam, params), lambda: socle_restriction(label, params)):
         with pytest.raises(ShiftReplayError) as exc:
             query()
-        assert str(exc.value) in {f"the shifted canonical path of {mu} breaks" for mu in removals}
+        assert all(name in str(exc.value) for name in names)
+    for command in ("involution", "branch"):
+        code, out, err = _run([command, "--e", "4", "--n", "6", f"--bipartition={names[0]}"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "differ at step" in err
 
 
 @pytest.mark.parametrize("e", [4, 6])
 def test_lone_query_replays_no_step_twice(monkeypatch, e):
     # h(bp), h of every good removal of bp and of every good removal of h(bp):
-    # each (image, step) pair reaches good_child at most once in one query
+    # good_child replays the label's peel once, one call per step
     calls = _record_replays(monkeypatch)
     params = classify_regime(8, e)
     queries = 0
     for level in build_lattice(8, params).levels:
         for bp in level:
             calls.clear()
-            image_below = member_images(bp, params)
-            image = image_below(bp)
-            for start in (bp, image):
-                _good_removals(start, params, image_below)
-            assert len(calls) == len(set(calls)), format_bipartition(bp)
+            image = involution(bp, params)
+            for start, partner in ((bp, image), (image, bp)):
+                _good_removals(start, partner, params)
+            assert len(calls) == len(peel_path(bp, params)), format_bipartition(bp)
             queries += bool(calls)
     assert queries > 100
+
+
+# perfbench's query points
+QUERY_POINTS = [(4, 16), (4, 12), (6, 14), (6, 10), (INF, 12), (INF, 9), (3, 14), (3, 10)]
+
+
+@pytest.mark.parametrize("e, n", QUERY_POINTS, ids=lambda p: str(p))
+def test_lone_queries_match_the_full_level(e, n):
+    # h, the special cell and the socle of every level-n vertex, alone,
+    # against the level stream's tables and its socles off the edges
+    params = classify_regime(n, e)
+    level, image_of, image_below, parents = top_level(n, params, parents=True)
+    socles = {
+        (socle.source.rep, socle.source.sign): socle
+        for socle in level_socles(level, image_of, image_below, parents)
+    }
+    fixed_points = 0
+    for bp in level:
+        image = involution(bp, params)
+        assert image == image_of(bp)
+        special = special_cell(bp, params, image)
+        fixed = [mu for mu in parents[bp] if mu == image_below(mu)]
+        assert [remove_node(bp, special)] == fixed if special else fixed == []
+        if image == bp:
+            fixed_points += 1
+            for sign in "+-":
+                assert lone_socle(bp, params, sign) == socles[bp, sign]
+        else:
+            assert lone_socle(bp, params) == socles[min(bp, image), None]
+    # one label per orbit of two, two per fixed point: every label was met
+    assert len(socles) == (len(level) - fixed_points) // 2 + 2 * fixed_points
 
 
 def test_non_members_are_rejected_without_lattice():
@@ -320,13 +386,7 @@ def test_point_commands_ignore_a_corrupted_cache(tmp_path, monkeypatch):
 
 
 def test_non_member_is_a_domain_error_under_optimisation():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     for command in ("involution", "branch"):
         result = subprocess.run(
             [sys.executable, "-O", "-m", "dnbranch.cli", command,

@@ -70,6 +70,6 @@ def test_layer_grid_default_calls_parse():
     finally:
         sys.path.pop(0)
     grid = default_grid()
-    assert len(grid) == 47
+    assert len(grid) == 48
     for argv in grid:
         assert parse_args(argv).func is not None, argv

@@ -547,9 +547,9 @@ def test_every_lattice_is_grown_and_checked_on_the_one_level_path():
 
 
 def test_lone_h_has_one_route():
-    # the memoised peel of ``dmod.member_images`` is the only lattice-free
-    # route to h: no other dmod function replays with good_child, and no path
-    # replay or shift helper is left beside it
+    # the peel and shifted replay of ``dmod.involution`` is the only
+    # lattice-free route to h: no other dmod function replays with good_child,
+    # and no path replay, shift helper or peel memo is left beside it
     package = Path(__file__).resolve().parent.parent / "src" / "dnbranch"
     dmod_tree = ast.parse((package / "dmod.py").read_text())
     callers = [
@@ -559,7 +559,7 @@ def test_lone_h_has_one_route():
         if isinstance(node, ast.Call)
         and "good_child" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
-    assert callers == ["member_images"]
+    assert callers == ["involution"]
     names = {
         name
         for path in sorted(package.glob("*.py"))
@@ -568,4 +568,4 @@ def test_lone_h_has_one_route():
             getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
         )
     }
-    assert names.isdisjoint({"replay_path", "shift_path", "_shifted_replay"})
+    assert names.isdisjoint({"replay_path", "shift_path", "_shifted_replay", "member_images"})
